@@ -10,7 +10,6 @@ from .estimator import (
     GraphonEstimate,
     assemble,
     load_estimate,
-    sample_density,
     sample_nodes,
     save_estimate,
 )
@@ -39,7 +38,6 @@ from .moment_poly import (
     MollifierMoments,
     NodeFit,
     eval_density,
-    eval_density_plus,
     fit_density,
     fit_nodes,
     l1_norm_plus,

@@ -1,11 +1,7 @@
 """Sampling the fitted feature law and assembling the step-kernel estimate.
 
 The pipeline draws feature vectors Z_1..Z_m i.i.d. from the weighted grid
-nodes of a nonnegative moment fit (`sample_nodes`). `sample_density` draws
-instead from the normalized positive part of a Legendre density fit:
-rejection sampling under a uniform proposal with the fit's computed sup bound
-as envelope, falling back to inverse-CDF sampling on the normalization
-tensor grid when the acceptance rate collapses. The estimate itself is the
+nodes of a nonnegative moment fit (`sample_nodes`). The estimate itself is the
 rank-K step kernel sum_i lambda_i fhat_i(x) fhat_i(y) with
 fhat_i(x) = Z_{ceil(x m)}(i) and x = 0 mapped to the first piece.
 """
@@ -16,81 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_poly import DensityFit, NodeFit, UnusableFitError, _eval_points, density_grid
+from .moment_poly import NodeFit
 from .rng import substream
 
 FORMAT_VERSION = 1
-FALLBACK_ACCEPT_RATE = 1e-3
-
-
-class EnvelopeViolationError(RuntimeError):
-    """Density evaluation exceeded the fit's stored sup bound."""
 
 
 class EstimateParseError(ValueError):
     pass
-
-
-def _sample_rejection(fit: DensityFit, m: int, rng) -> np.ndarray | None:
-    """Rejection sampling; None when the acceptance rate is below the fallback cutoff."""
-    out = np.empty((0, fit.K))
-    drawn = accepted = 0
-    bound = fit.max_bound
-    while out.shape[0] < m:
-        batch = max(int((m - out.shape[0]) * 1.5) + 64, 256)
-        pts = rng.uniform(-fit.kappa, fit.kappa, size=(batch, fit.K))
-        heights = rng.uniform(0.0, bound, size=batch)
-        dens = _eval_points(fit, pts)
-        if np.any(dens > bound * (1 + 1e-12)):
-            raise EnvelopeViolationError(
-                f"density value {dens.max():.3e} exceeds declared bound {bound:.3e}"
-            )
-        keep = heights < np.maximum(dens, 0.0)
-        drawn += batch
-        accepted += int(keep.sum())
-        out = np.concatenate([out, pts[keep]])
-        if drawn >= 8192 and accepted < FALLBACK_ACCEPT_RATE * drawn:
-            return None
-    return out[:m]
-
-
-def _sample_grid(fit: DensityFit, m: int, rng, resolution: int) -> np.ndarray:
-    """Inverse-CDF sampling on the normalization tensor grid, jittered within cells."""
-    mids, vals = density_grid(fit, resolution)
-    mass = np.maximum(vals, 0.0).ravel()
-    total = mass.sum()
-    if total <= 0:
-        raise UnusableFitError("fitted density has no positive mass on the grid")
-    flat = rng.choice(mass.size, size=m, p=mass / total)
-    idx = np.unravel_index(flat, vals.shape)
-    cell = 2 * fit.kappa / resolution
-    pts = np.stack([mids[ix] for ix in idx], axis=1)
-    return pts + rng.uniform(-cell / 2, cell / 2, size=pts.shape)
-
-
-def sample_density(
-    fit: DensityFit,
-    m: int,
-    seed: int,
-    method: str = "auto",
-    grid_resolution: int = 128,
-) -> np.ndarray:
-    """Draw m i.i.d. feature vectors from the normalized positive part of the fit."""
-    if fit.l1_norm_plus is None or fit.l1_norm_plus <= 0:
-        raise UnusableFitError("fit has no usable positive mass (run l1_norm_plus first)")
-    if m == 0:
-        return np.empty((0, fit.K))
-    rng = substream(seed, "feature-sampling")
-    if method == "grid":
-        return _sample_grid(fit, m, rng, grid_resolution)
-    if method not in ("auto", "rejection"):
-        raise ValueError(f"unknown sampling method {method!r}")
-    out = _sample_rejection(fit, m, rng)
-    if out is None:
-        if method == "rejection":
-            raise UnusableFitError("rejection acceptance rate below fallback cutoff")
-        return _sample_grid(fit, m, rng, grid_resolution)
-    return out
 
 
 def sample_nodes(fit: NodeFit, m: int, seed: int) -> np.ndarray:

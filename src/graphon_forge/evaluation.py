@@ -24,7 +24,7 @@ from itertools import permutations
 import numpy as np
 
 from .estimator import GraphonEstimate
-from .graphon_model import SpectralGraphon, rank_truncate
+from .graphon_model import SpectralGraphon
 
 
 def l2_distance_grid(a, b, g: int) -> float:
@@ -157,8 +157,3 @@ def diagnostics_C(aggregates: np.ndarray, latents, truth: SpectralGraphon) -> Fe
     contraction = (C**2) @ mu
     diag = np.array([mu[i] * C[i, i] ** 2 if i < L else np.nan for i in range(K)])
     return FeatureDiagnostics(C=C, contraction=contraction, diagonal_term=diag)
-
-
-def rank_for_comparison(truth: SpectralGraphon, r0: int) -> SpectralGraphon:
-    """Truth truncated to its informative rank for pipeline metrics."""
-    return rank_truncate(truth, min(r0, truth.rank))

@@ -251,11 +251,6 @@ def scale(g: StepGraphon, h: float) -> StepGraphon:
     return StepGraphon(g.block_measures.copy(), g.values * h)
 
 
-def evaluate(g, x: float, y: float) -> float:
-    """Kernel value at (x, y) for either representation."""
-    return float(g.evaluate(x, y))
-
-
 def save_graphon(g: StepGraphon, path) -> None:
     with open(path, "w") as fh:
         json.dump(

@@ -24,13 +24,13 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.integrate import quad
 from scipy.optimize import nnls
 
 from .star_counts import MomentTable
 
 
 NODE_BUDGET = 1 << 14  # cap on the number of grid nodes a node fit may weight
+BUMP_RULE = 200  # Gauss-Legendre nodes for the bump moments; 100 agree only to ~5e-13
 
 
 class QuadratureUnderflowError(ArithmeticError):
@@ -54,7 +54,7 @@ class MollifierMoments:
 
 
 def mollifier_moments(delta: float, N: int) -> MollifierMoments:
-    """Moments up to order N by adaptive quadrature of the unit bump.
+    """Moments up to order N by a fixed Gauss-Legendre rule on the unit bump.
 
     The substitution x = delta * t reduces everything to the unit-width bump,
     so moment j is delta^j times a fixed constant; odd moments vanish by
@@ -64,13 +64,13 @@ def mollifier_moments(delta: float, N: int) -> MollifierMoments:
         raise ValueError("delta must be positive")
     if N >= 1 and delta ** max(N, 1) == 0.0:
         raise QuadratureUnderflowError(f"delta={delta} underflows at order {N}")
-    psi = lambda t: np.exp(-1.0 / (1.0 - t * t)) if abs(t) < 1 else 0.0
-    z0 = quad(psi, -1, 1, epsabs=1e-15, epsrel=1e-13)[0]
+    t, w = npleg.leggauss(BUMP_RULE)
+    w_psi = w * np.exp(-1.0 / (1.0 - t * t))
+    z0 = w_psi.sum()
     moments = np.zeros(N + 1)
     moments[0] = 1.0
     for j in range(2, N + 1, 2):
-        raw = quad(lambda t: t**j * psi(t), -1, 1, epsabs=1e-15, epsrel=1e-13)[0]
-        moments[j] = raw / z0 * delta**j
+        moments[j] = float(np.dot(w_psi, t**j)) / z0 * delta**j
     return MollifierMoments(delta=delta, moments=moments)
 
 
@@ -122,10 +122,6 @@ class LegendreBasis:
         norms = np.sqrt((2 * np.arange(self.N + 1) + 1) / (2.0 * self.kappa))
         return van * norms
 
-    def sup_bounds(self) -> np.ndarray:
-        """Per-degree sup of |L~_i| on the box: sqrt((2i+1)/(2 kappa))."""
-        return np.sqrt((2 * np.arange(self.N + 1) + 1) / (2.0 * self.kappa))
-
 
 def legendre_basis(N: int, kappa: float) -> LegendreBasis:
     if N < 0 or kappa <= 0:
@@ -148,7 +144,6 @@ class DensityFit:
     kappa: float
     delta: float
     rho: np.ndarray
-    max_bound: float
     l1_norm_plus: float | None = None
     resolution_warning: bool = False
     _basis: LegendreBasis = field(default=None, repr=False, compare=False)
@@ -165,26 +160,17 @@ def fit_density(M: np.ndarray, basis: LegendreBasis, K: int, delta: float = 0.0)
 
     The triangular scaled-coefficient matrix acts on the moment tensor along
     every axis; with exact moments of a polynomial density this recovers its
-    basis coefficients exactly. max_bound = sum |rho_alpha| prod
-    sqrt((2 a_i + 1)/(2 kappa)) dominates sup |h| on the box.
+    basis coefficients exactly.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != K or any(s != basis.N + 1 for s in M.shape):
         raise ValueError("moment tensor shape must be (N+1,) * K")
-    rho = _apply_axes(basis.scaled_coeffs, M)
-    sup = basis.sup_bounds()
-    bound_tensor = np.abs(rho)
-    for axis in range(K):
-        shape = [1] * K
-        shape[axis] = basis.N + 1
-        bound_tensor = bound_tensor * sup.reshape(shape)
     return DensityFit(
         K=K,
         N=basis.N,
         kappa=basis.kappa,
         delta=delta,
-        rho=rho,
-        max_bound=float(bound_tensor.sum()),
+        rho=_apply_axes(basis.scaled_coeffs, M),
         _basis=basis,
     )
 
@@ -209,11 +195,6 @@ def eval_density(fit: DensityFit, x) -> np.ndarray | float:
     single = x.ndim <= 1
     out = _eval_points(fit, x)
     return float(out[0]) if single else out
-
-
-def eval_density_plus(fit: DensityFit, x) -> np.ndarray | float:
-    out = eval_density(fit, x)
-    return max(out, 0.0) if np.isscalar(out) else np.maximum(out, 0.0)
 
 
 def _midpoints(kappa: float, resolution: int) -> np.ndarray:

@@ -72,9 +72,6 @@ class OrientedEdgeSpace:
     def m_oriented(self) -> int:
         return self.tails.size
 
-    def inverse(self, e):
-        return np.bitwise_xor(e, 1)
-
 
 @dataclass
 class NbOperator:

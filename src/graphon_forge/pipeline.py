@@ -32,6 +32,7 @@ from . import evaluation, graph_sampler, graphon_model, moment_poly, nonbacktrac
 EPSILON_CLAMP = (0.01, 0.5)
 DELTA_FLOOR = 0.05
 MANIFEST_NAME = "manifest.json"
+DEGENERATE_NAME = "degenerate.json"
 
 
 class StageInputError(RuntimeError):
@@ -218,6 +219,13 @@ class PipelineState:
                 residual=doc["residual"],
             )
 
+    def read_degeneracy(self, stage: str) -> None:
+        """Take the degenerate flag from the record an earlier stage wrote, if any."""
+        path = self.out / DEGENERATE_NAME
+        if path.exists():
+            doc = _load_stage(path, self.config_hash)
+            self.degenerate = STAGE_ORDER.index(doc["stage"]) < STAGE_ORDER.index(stage)
+
     def require_estimate(self):
         if self.estimate is None:
             path = self.out / "estimate.json"
@@ -232,6 +240,16 @@ class PipelineState:
 # -- stages -------------------------------------------------------------------
 
 
+def mark_degenerate(state: PipelineState, stage: str, reason: str) -> None:
+    """Flag the run degenerate and persist why, so later staged runs need not re-derive it."""
+    state.degenerate = True
+    state.warnings.append(reason)
+    _write_json(
+        state.out / DEGENERATE_NAME,
+        {"config_hash": state.config_hash, "stage": stage, "reason": reason},
+    )
+
+
 def stage_generate(state: PipelineState) -> None:
     """Sample the graph and latents, then split the edges."""
     cfg = state.cfg
@@ -242,6 +260,7 @@ def stage_generate(state: PipelineState) -> None:
     )
     state.g1, state.g2 = graph_sampler.split_edges(state.graph, state.epsilon, cfg.seed)
     state.timings["generate"] = time.perf_counter() - t0
+    (state.out / DEGENERATE_NAME).unlink(missing_ok=True)
     graph_sampler.save_edge_list(state.graph, state.out / "graph.edges")
     graph_sampler.save_latents(state.latents, state.out / "latents.txt")
     graph_sampler.save_edge_list(state.g1, state.out / "g1.edges")
@@ -279,14 +298,12 @@ def stage_spectrum(state: PipelineState) -> None:
         )
         state.warnings.extend(state.spectrum.warnings)
         if state.spectrum.K == 0:
-            state.degenerate = True
-            state.warnings.append(
-                "no eigenvalue cleared the bulk cutoff; constant estimator emitted"
+            mark_degenerate(
+                state, "spectrum", "no eigenvalue cleared the bulk cutoff; constant estimator emitted"
             )
     except (nonbacktracking.DegenerateSpectrumError, ValueError) as exc:
-        state.degenerate = True
         state.spectrum = None
-        state.warnings.append(f"spectral stage degenerate: {exc}")
+        mark_degenerate(state, "spectrum", f"spectral stage degenerate: {exc}")
     state.timings["spectrum"] = time.perf_counter() - t0
     if state.spectrum is not None:
         _write_json(
@@ -329,9 +346,6 @@ def stage_moments(state: PipelineState) -> None:
         return
     state.require_graphs()
     state.require_spectrum()
-    if state.spectrum.K == 0:
-        state.degenerate = True
-        return
     N = effective_N(state)
     t0 = time.perf_counter()
     state.table = star_counts.moment_table(
@@ -346,9 +360,8 @@ def stage_moments(state: PipelineState) -> None:
         state.out / "moments.json", {"config_hash": state.config_hash, **state.table.to_dict()}
     )
     if not state.table.valid:
-        state.degenerate = True
-        state.warnings.append(
-            "pair diagonal not positive; all moments zeroed; constant estimator emitted"
+        mark_degenerate(
+            state, "moments", "pair diagonal not positive; all moments zeroed; constant estimator emitted"
         )
 
 
@@ -360,9 +373,6 @@ def stage_fit(state: PipelineState) -> None:
     state.require_graphs()
     state.require_spectrum()
     state.require_table()
-    if not state.table.valid:
-        state.degenerate = True
-        return
     K = state.spectrum.K
     lambda1 = float(state.spectrum.lambdas[0])
     N = state.table.N
@@ -386,8 +396,7 @@ def stage_fit(state: PipelineState) -> None:
     try:
         state.fit = moment_poly.fit_nodes(mollified, kappa, K, resolution, delta=delta)
     except moment_poly.UnusableFitError as exc:
-        state.degenerate = True
-        state.warnings.append(f"moment fit unusable: {exc}")
+        mark_degenerate(state, "fit", f"moment fit unusable: {exc}")
     state.timings["fit"] = time.perf_counter() - t0
     state.constants.update(
         {
@@ -444,6 +453,20 @@ def stage_estimate(state: PipelineState) -> None:
     est_mod.save_estimate(state.estimate, state.out / "estimate.json")
 
 
+def alignment_metrics(est: est_mod.GraphonEstimate, truth, g: int, rank: int) -> dict:
+    """delta2_upper and the relabelling that attains it, or the reason it could not be computed."""
+    try:
+        rep = evaluation.delta2_upper(est, truth, g=g, rank=rank)
+    except ValueError as exc:
+        return {"delta2_upper": None, "alignment_warning": str(exc)}
+    return {
+        "delta2_upper": rep.delta2_upper,
+        "sign_pattern": rep.sign_pattern.tolist(),
+        "priority_order": list(rep.priority_order),
+        "alignment_method": rep.method,
+    }
+
+
 def stage_evaluate(state: PipelineState) -> None:
     """Alignment distance to the rank-r0 truth plus ground-truth diagnostics."""
     cfg = state.cfg
@@ -456,16 +479,7 @@ def stage_evaluate(state: PipelineState) -> None:
     t0 = time.perf_counter()
     truth = state.truth
     target_rank = min(max(state.report.r0, 1), truth.rank)
-    metrics: dict = {}
-    try:
-        rep = evaluation.delta2_upper(state.estimate, truth, g=cfg.metrics_grid, rank=target_rank)
-        metrics["delta2_upper"] = rep.delta2_upper
-        metrics["sign_pattern"] = rep.sign_pattern.tolist()
-        metrics["priority_order"] = list(rep.priority_order)
-        metrics["alignment_method"] = rep.method
-    except ValueError as exc:
-        metrics["delta2_upper"] = None
-        metrics["alignment_warning"] = str(exc)
+    metrics = alignment_metrics(state.estimate, truth, cfg.metrics_grid, target_rank)
     l2_plain = evaluation.l2_distance_grid(state.estimate, truth, cfg.metrics_grid)
     l2_refined = evaluation.l2_distance_grid(state.estimate, truth, 2 * cfg.metrics_grid)
     metrics["l2_grid"] = l2_plain
@@ -569,16 +583,8 @@ def run_stage(
         raise ValueError(f"unknown stage {name!r}")
     out = Path(out_dir if out_dir is not None else (cfg.out or "run-out"))
     state = PipelineState(cfg, out, model=model)
-    if name in ("estimate", "evaluate"):
-        # degenerate runs leave no fit dump; recover the flag from the moment table
-        if (state.out / "moments.json").exists():
-            state.require_graphs()
-            state.require_spectrum()
-            state.require_table()
-            state.degenerate = not state.table.valid
-        elif (state.out / "spectrum.json").exists():
-            state.require_spectrum()
-            state.degenerate = state.spectrum.K == 0
+    if name != "generate":  # generate clears the record, whatever config wrote it
+        state.read_degeneracy(name)
     STAGE_FUNCS[name](state)
     return state
 
@@ -609,15 +615,7 @@ def run_scaled(
     )
     # the scaled-mode guarantee is against the full unscaled kernel, not its
     # informative-rank projection, so charge the estimate for all of it
-    metrics: dict = {}
-    try:
-        rep = evaluation.delta2_upper(unscaled, truth, g=cfg.metrics_grid, rank=truth.rank)
-        metrics["delta2_upper"] = rep.delta2_upper
-        metrics["sign_pattern"] = rep.sign_pattern.tolist()
-        metrics["priority_order"] = list(rep.priority_order)
-    except ValueError as exc:
-        metrics["delta2_upper"] = None
-        metrics["alignment_warning"] = str(exc)
+    metrics = alignment_metrics(unscaled, truth, cfg.metrics_grid, truth.rank)
     metrics["l2_grid"] = evaluation.l2_distance_grid(unscaled, truth, cfg.metrics_grid)
     res.manifest["scaled"] = {"h": h, "metrics_vs_unscaled": metrics}
     est_mod.save_estimate(unscaled, res.out_dir / "estimate_unscaled.json")

@@ -3,11 +3,12 @@
 A_alpha sums, over every center w and every ordered tuple of pairwise-distinct
 neighbors of w, the product of per-vertex aggregates B_i prescribed by the
 multi-index alpha. Summing injective tuples directly costs deg^{|alpha|} per
-center; instead we expand over multiset partitions of alpha's label list with
-Moebius coefficients, which turns each A_alpha into a combination of power
-sums S_beta(w) = sum_{j ~ w} prod_i B_i(j)^{beta_i}. Every S_beta is one
-sparse matvec against the adjacency of G2, so the full (N+1)^K moment table
-costs O(|E2|) per grid entry and shares the power sums across entries.
+center; instead we expand over the vector partitions of alpha (the multiset
+partitions of its label list) with Moebius coefficients, which turns each
+A_alpha into a combination of power sums
+S_beta(w) = sum_{j ~ w} prod_i B_i(j)^{beta_i}. Every S_beta is one sparse
+matvec against the adjacency of G2, so the full (N+1)^K moment table costs
+O(|E2|) per grid entry and shares the power sums across entries.
 
 Normalized entries P_alpha estimate the joint eigenfunction moments
 int f_1^{a_1} ... f_K^{a_K}; P_kk (pair diagonal) must be positive for the
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import numpy as np
-from sympy.utilities.iterables import multiset_partitions
 
 from .graph_sampler import SparseGraph
 
@@ -52,47 +53,48 @@ def injective_profiles(alpha: tuple[int, ...]) -> tuple[tuple[float, tuple[tuple
 
     Returns (coefficient, blocks) pairs such that the sum over ordered
     injective assignments equals sum_profiles coeff * prod_blocks S_block.
-    Coefficients combine the Moebius weight (-1)^(L-1) (L-1)! per block with
-    the number of set partitions of the label positions realizing the given
-    multiset partition.
+    The profiles are the vector partitions of alpha: multisets of nonzero
+    blocks beta summing to alpha, each with its blocks in ascending order. A
+    block repeated r times contributes c_beta^r / r! to the coefficient, with
+    the Moebius weight c_beta = (-1)^(|beta|-1) (|beta|-1)! / beta!, and the
+    product is scaled by alpha!; the arithmetic is exact in integers. The
+    profile order fixes the order of the floating-point sums built on it.
     """
-    labels = [i for i, a in enumerate(alpha) for _ in range(a)]
-    if not labels:
+    alpha = tuple(int(a) for a in alpha)
+    if not any(alpha):
         return ((1.0, ()),)
-    k = len(alpha)
+    memo = {}
+
+    def partitions(rest, cap):
+        # vector partitions of rest as block sequences, each block <= the one
+        # before it and the first <= cap (lexicographic), in descending
+        # lexicographic order; a block is componentwise <= rest, so any cap
+        # above rest acts as rest
+        cap = min(cap, rest)
+        found = memo.get((rest, cap))
+        if found is None:
+            found = []
+            for beta in product(*[range(r, -1, -1) for r in rest]):
+                if beta > cap or not any(beta):
+                    continue
+                left = tuple([r - b for r, b in zip(rest, beta)])
+                if any(left):
+                    found += [(beta,) + tail for tail in partitions(left, beta)]
+                else:
+                    found.append((beta,))
+            memo[(rest, cap)] = found
+        return found
+
     out = []
-    for part in multiset_partitions(labels):
-        blocks = []
-        moebius = 1.0
-        denom = 1.0
-        for block in part:
-            beta = [0] * k
-            for lab in block:
-                beta[lab] += 1
-            blocks.append(tuple(beta))
-            moebius *= (-1.0) ** (len(block) - 1) * factorial(len(block) - 1)
-            for b in beta:
-                denom *= factorial(b)
-        blocks.sort()
-        realizations = 1.0
-        for a in alpha:
-            realizations *= factorial(a)
-        realizations /= denom * _repeat_factor(blocks)
-        out.append((moebius * realizations, tuple(blocks)))
+    for part in partitions(alpha, alpha):
+        num, den, run = prod(map(factorial, alpha)), 1, 0
+        for i, beta in enumerate(part):
+            size = sum(beta)
+            run = run + 1 if i and beta == part[i - 1] else 1
+            num *= (-1) ** (size - 1) * factorial(size - 1)
+            den *= prod(map(factorial, beta)) * run
+        out.append((float(num // den), part[::-1]))
     return tuple(out)
-
-
-def _repeat_factor(sorted_blocks) -> float:
-    f = 1.0
-    run = 1
-    for i in range(1, len(sorted_blocks)):
-        if sorted_blocks[i] == sorted_blocks[i - 1]:
-            run += 1
-        else:
-            f *= factorial(run)
-            run = 1
-    f *= factorial(run) if sorted_blocks else 1
-    return f
 
 
 def _power_sums(G2: SparseGraph, B: np.ndarray, betas) -> dict[tuple[int, ...], np.ndarray]:
@@ -114,6 +116,17 @@ def _power_sums(G2: SparseGraph, B: np.ndarray, betas) -> dict[tuple[int, ...], 
     return out
 
 
+def _profile_sum(alpha: tuple[int, ...], sums: dict, n: int) -> float:
+    """A_alpha = sum over profiles of coeff * sum_w prod_blocks S_beta(w)."""
+    total = 0.0
+    for coeff, blocks in injective_profiles(alpha):
+        term = np.ones(n)
+        for beta in blocks:
+            term = term * sums[beta]
+        total += coeff * float(term.sum())
+    return total
+
+
 def count_star(G2: SparseGraph, alpha: tuple[int, ...], B: np.ndarray) -> float:
     """A_alpha over ordered tuples of pairwise-distinct neighbors per center."""
     alpha = tuple(int(a) for a in alpha)
@@ -122,16 +135,8 @@ def count_star(G2: SparseGraph, alpha: tuple[int, ...], B: np.ndarray) -> float:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape[0] != G2.n:
         B = B.T
-    profiles = injective_profiles(alpha)
-    betas = sorted({b for _, blocks in profiles for b in blocks})
-    sums = _power_sums(G2, B, betas)
-    total = 0.0
-    for coeff, blocks in profiles:
-        term = np.ones(G2.n)
-        for beta in blocks:
-            term = term * sums[beta]
-        total += coeff * term.sum()
-    return float(total)
+    betas = sorted({b for _, blocks in injective_profiles(alpha) for b in blocks})
+    return _profile_sum(alpha, _power_sums(G2, B, betas), G2.n)
 
 
 def normalize_star(
@@ -248,15 +253,5 @@ def moment_table(
 
     entries = np.zeros(shape)
     for alpha in all_alphas:
-        size = int(sum(alpha))
-        if size == 0:
-            a_val = float(G2.n)
-        else:
-            a_val = 0.0
-            for coeff, blocks in injective_profiles(tuple(alpha)):
-                term = np.ones(G2.n)
-                for beta in blocks:
-                    term = term * sums[beta]
-                a_val += coeff * float(term.sum())
-        entries[alpha] = normalize_star(a_val, alpha, G2.n, epsilon, lambdas, p_diag)
+        entries[alpha] = normalize_star(_profile_sum(alpha, sums, G2.n), alpha, G2.n, epsilon, lambdas, p_diag)
     return MomentTable(K, N, epsilon, True, p_diag, entries)

@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import graphon_forge
+
+
+def test_import_leaves_out_heavy_modules():
+    # sympy and scipy.integrate each cost a large share of a CLI call's start-up
+    src = str(Path(graphon_forge.__file__).resolve().parents[1])
+    code = (
+        "import sys, graphon_forge; "
+        "print(sorted(m for m in ('sympy', 'scipy.integrate') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from graphon_forge.estimator import (
     EstimateParseError,
@@ -8,90 +7,8 @@ from graphon_forge.estimator import (
     assemble,
     export_kernel_csv,
     load_estimate,
-    sample_density,
     save_estimate,
 )
-from graphon_forge.moment_poly import (
-    DensityFit,
-    UnusableFitError,
-    l1_norm_plus,
-    legendre_basis,
-    mollifier_moments,
-    fit_density,
-)
-
-
-def constant_fit(kappa=1.5, K=2, level=1.0):
-    N = 2
-    rho = np.zeros((N + 1,) * K)
-    rho[(0,) * K] = level
-    fit = DensityFit(K=K, N=N, kappa=kappa, delta=0.1, rho=rho, max_bound=level * (2 * kappa) ** (-K / 2) + 0.1)
-    l1_norm_plus(fit, 64)
-    return fit
-
-
-def atom_fit(center=0.6, delta=0.25, N=20, kappa=1.2):
-    """1-D fit of a single mollified atom from its exact moments."""
-    from math import comb
-
-    mm = mollifier_moments(delta, N)
-    M = np.array([sum(comb(a, b) * center**b * mm.moments[a - b] for b in range(a + 1)) for a in range(N + 1)])
-    basis = legendre_basis(N, kappa)
-    fit = fit_density(M, basis, 1, delta=delta)
-    l1_norm_plus(fit, 256)
-    return fit
-
-
-class TestSampleDensity:
-    def test_constant_fit_uniform_ks(self):
-        fit = constant_fit()
-        passed = 0
-        for seed in range(20):
-            Z = sample_density(fit, 4000, seed=seed)
-            ok = True
-            for axis in range(2):
-                u = (Z[:, axis] + fit.kappa) / (2 * fit.kappa)
-                stat = stats.kstest(u, "uniform").statistic
-                crit = 1.628 / np.sqrt(Z.shape[0])  # 1% critical value
-                ok = ok and stat < crit
-            passed += ok
-        assert passed >= 19
-
-    def test_atom_fit_mean(self):
-        fit = atom_fit(center=0.6)
-        Z = sample_density(fit, 20000, seed=3)
-        se = Z[:, 0].std() / np.sqrt(Z.shape[0])
-        # extra 0.02 covers the deterministic truncation bias of the fit itself
-        assert abs(Z[:, 0].mean() - 0.6) <= 3 * se + 0.02
-
-    def test_m_zero(self):
-        fit = constant_fit()
-        Z = sample_density(fit, 0, seed=0)
-        assert Z.shape == (0, 2)
-
-    def test_requires_norm(self):
-        fit = constant_fit()
-        fit.l1_norm_plus = None
-        with pytest.raises(UnusableFitError):
-            sample_density(fit, 10, seed=0)
-
-    def test_deterministic(self):
-        fit = constant_fit()
-        a = sample_density(fit, 500, seed=9)
-        b = sample_density(fit, 500, seed=9)
-        np.testing.assert_array_equal(a, b)
-
-    def test_rejection_and_grid_paths_agree(self):
-        fit = atom_fit(center=0.2, delta=0.3, N=10)
-        a = sample_density(fit, 30000, seed=1, method="rejection")
-        b = sample_density(fit, 30000, seed=2, method="grid")
-        bins = np.linspace(-fit.kappa, fit.kappa, 9)
-        ha, _ = np.histogram(a[:, 0], bins=bins)
-        hb, _ = np.histogram(b[:, 0], bins=bins)
-        keep = (ha + hb) > 20
-        chi2 = np.sum((ha[keep] - hb[keep]) ** 2 / (ha[keep] + hb[keep]))
-        crit = stats.chi2.ppf(0.99, df=int(keep.sum()) - 1)
-        assert chi2 < crit
 
 
 class TestAssembleAndEvaluate:

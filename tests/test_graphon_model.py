@@ -9,7 +9,6 @@ from graphon_forge.graphon_model import (
     SpectralGraphon,
     StepGraphon,
     check_assumptions,
-    evaluate,
     load_graphon,
     load_spectral,
     rank_truncate,
@@ -159,14 +158,14 @@ class TestScaleAndEvaluate:
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_evaluate_block_lookup(self, assortative_2block):
-        assert evaluate(assortative_2block, 0.2, 0.8) == 1.0
-        assert evaluate(assortative_2block, 0.2, 0.3) == 7.0
+        assert assortative_2block.evaluate(0.2, 0.8) == 1.0
+        assert assortative_2block.evaluate(0.2, 0.3) == 7.0
         s = spectral_decompose(assortative_2block)
-        assert evaluate(s, 0.2, 0.8) == pytest.approx(1.0, abs=1e-12)
+        assert s.evaluate(0.2, 0.8) == pytest.approx(1.0, abs=1e-12)
 
     def test_evaluate_rejects_out_of_range(self, assortative_2block):
         with pytest.raises(GraphonValidationError):
-            evaluate(assortative_2block, 1.2, 0.5)
+            assortative_2block.evaluate(1.2, 0.5)
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,7 +9,6 @@ from graphon_forge.moment_poly import (
     UnusableFitError,
     density_grid,
     eval_density,
-    eval_density_plus,
     fit_density,
     fit_nodes,
     l1_norm_plus,
@@ -144,12 +143,6 @@ class TestLegendreBasis:
         gram = (vals * w[:, None]).T @ vals * kappa
         np.testing.assert_allclose(gram, np.eye(N + 1), atol=1e-10)
 
-    def test_sup_bounds_hold(self):
-        b = legendre_basis(10, 2.5)
-        xs = np.linspace(-2.5, 2.5, 4001)
-        vals = np.abs(b.values(xs))
-        assert np.all(vals.max(axis=0) <= b.sup_bounds() + 1e-12)
-
 
 def exact_polynomial_moments(rho: np.ndarray, basis, K: int) -> np.ndarray:
     """Moments of sum rho_alpha Ltilde_alpha by exact Gauss quadrature."""
@@ -206,14 +199,6 @@ class TestFitDensity:
         M_back = exact_polynomial_moments(fit.rho, basis, 2)
         np.testing.assert_allclose(M_back, M, atol=1e-8)
 
-    def test_max_bound_dominates(self):
-        rng = np.random.default_rng(3)
-        basis = legendre_basis(4, 2.0)
-        M = rng.standard_normal((5, 5)) * 0.2
-        fit = fit_density(M, basis, 2)
-        mids, vals = density_grid(fit, 128)
-        assert np.abs(vals).max() <= fit.max_bound + 1e-12
-
 
 def two_atom_mollified_density(xs, delta):
     """Density of X + N_delta with X uniform on {-1, +1}, in closed form."""
@@ -257,14 +242,12 @@ class TestEvalDensity:
     def _fit(self, seed=0, N=4, kappa=2.0, K=2):
         rng = np.random.default_rng(seed)
         rho = rng.standard_normal((N + 1,) * K) * 0.3
-        return DensityFit(
-            K=K, N=N, kappa=kappa, delta=0.1, rho=rho, max_bound=float(np.abs(rho).sum())
-        )
+        return DensityFit(K=K, N=N, kappa=kappa, delta=0.1, rho=rho)
 
     def test_outside_box_is_zero(self):
         fit = self._fit()
         assert eval_density(fit, np.array([3.0, 0.0])) == 0.0
-        assert eval_density_plus(fit, np.array([0.0, -2.1])) == 0.0
+        assert eval_density(fit, np.array([0.0, -2.1])) == 0.0
 
     def test_constant_fit(self):
         basis = legendre_basis(2, 1.5)
@@ -290,14 +273,6 @@ class TestEvalDensity:
                     naive += fit.rho[a, b] * la * lb
             assert g == pytest.approx(naive, abs=1e-12)
 
-    def test_plus_clamps(self):
-        fit = self._fit(seed=6)
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(-fit.kappa, fit.kappa, size=(200, 2))
-        plus = eval_density_plus(fit, pts)
-        assert np.all(plus >= 0)
-        np.testing.assert_allclose(plus, np.maximum(eval_density(fit, pts), 0.0), atol=0)
-
 
 class TestL1NormPlus:
     def test_constant_fit_exact(self):
@@ -305,7 +280,7 @@ class TestL1NormPlus:
         basis = legendre_basis(3, kappa)
         rho = np.zeros((4, 4))
         rho[0, 0] = 2.0
-        fit = DensityFit(K=K, N=3, kappa=kappa, delta=0.1, rho=rho, max_bound=2.0)
+        fit = DensityFit(K=K, N=3, kappa=kappa, delta=0.1, rho=rho)
         c = 2.0 * (1 / np.sqrt(2 * kappa)) ** K
         got = l1_norm_plus(fit, 64)
         assert got == pytest.approx(c * (2 * kappa) ** K, rel=1e-10)
@@ -314,7 +289,7 @@ class TestL1NormPlus:
     def test_negative_everywhere_rejected(self):
         rho = np.zeros((3,))
         rho[0] = -1.0
-        fit = DensityFit(K=1, N=2, kappa=1.0, delta=0.1, rho=rho, max_bound=1.0)
+        fit = DensityFit(K=1, N=2, kappa=1.0, delta=0.1, rho=rho)
         with pytest.raises(UnusableFitError):
             l1_norm_plus(fit, 64)
 
@@ -324,14 +299,14 @@ class TestL1NormPlus:
         basis = legendre_basis(N, kappa)
         mono = np.array([0.0, -1.0, 0.0, 1.0])  # coefficients of x^j
         rho = np.linalg.solve(basis.scaled_coeffs.T, mono)
-        fit = DensityFit(K=1, N=N, kappa=kappa, delta=0.1, rho=rho, max_bound=10.0)
+        fit = DensityFit(K=1, N=N, kappa=kappa, delta=0.1, rho=rho)
         got = l1_norm_plus(fit, 4096)
         assert got == pytest.approx(2.5, abs=1e-6)
 
     def test_resolution_guard(self):
         rho = np.zeros(3)
         rho[0] = 1.0
-        fit = DensityFit(K=1, N=2, kappa=1.0, delta=0.1, rho=rho, max_bound=1.0)
+        fit = DensityFit(K=1, N=2, kappa=1.0, delta=0.1, rho=rho)
         with pytest.raises(ValueError):
             l1_norm_plus(fit, 8)
 

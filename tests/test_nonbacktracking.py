@@ -146,11 +146,6 @@ class TestVertexAggregates:
                 want[space.heads[e]] += xi[e]
             np.testing.assert_allclose(vertex_aggregates(xi, space)[:, 0], want, atol=1e-12)
 
-    def test_inverse_involution(self):
-        space = OrientedEdgeSpace.from_graph(TRIANGLE)
-        e = np.arange(space.m_oriented)
-        np.testing.assert_array_equal(space.inverse(space.inverse(e)), e)
-
 
 def spectrum_oracle(gr: SparseGraph, n: int, e1=None, k_cap=8, bulk_scale=1.0):
     """Dense-eigensolve reference for the accepted set."""

@@ -8,6 +8,7 @@ import pytest
 from graphon_forge import cli
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.pipeline import (
+    DEGENERATE_NAME,
     MANIFEST_NAME,
     PipelineConfig,
     PipelineState,
@@ -234,6 +235,43 @@ class TestStagedExecution:
         assert any("moment fit unusable" in w for w in res.manifest["warnings"])
         assert not (res.out_dir / "fit.json").exists()
         np.testing.assert_array_equal(res.estimate.Z, 1.0)
+
+    @pytest.mark.parametrize("case", ["spectrum-raises", "no-eigenvalue", "fit-unusable"])
+    def test_degenerate_stages_match_pipeline(self, case, model_file, tmp_path, monkeypatch):
+        cfg = small_config(model_file, tmp_path)
+        stage = {"spectrum-raises": "spectrum", "no-eigenvalue": "spectrum", "fit-unusable": "fit"}[case]
+        if case == "spectrum-raises":
+            weak = tmp_path / "weak.json"
+            save_graphon(StepGraphon(np.array([1.0]), np.array([[1.2]])), weak)
+            cfg = PipelineConfig(model=str(weak), n=2000, seed=0, N_override=4)
+        elif case == "no-eigenvalue":
+            cfg.e1_override = 50.0
+        else:
+            monkeypatch.setattr(
+                "graphon_forge.moment_poly.nnls", lambda A, b: (np.zeros(A.shape[1]), 1.0)
+            )
+        full = run_pipeline(cfg, out_dir=tmp_path / "full")
+        assert full.degenerate
+        for name in ("generate", "spectrum", "moments", "fit", "estimate", "evaluate"):
+            run_stage(name, cfg, out_dir=tmp_path / "staged")
+        record = read_json(tmp_path / "staged" / DEGENERATE_NAME)
+        assert record["stage"] == stage
+        assert record == read_json(full.out_dir / DEGENERATE_NAME)
+        for name in ("estimate.json", "metrics.json"):
+            assert (
+                (tmp_path / "staged" / name).read_bytes() == (full.out_dir / name).read_bytes()
+            ), name
+
+    def test_generate_clears_degenerate_record(self, model_file, tmp_path):
+        cfg = small_config(model_file, tmp_path, e1_override=50.0)
+        run_pipeline(cfg)
+        assert (tmp_path / "out" / DEGENERATE_NAME).exists()
+        cfg.e1_override = None
+        for name in ("generate", "spectrum", "moments", "fit", "estimate"):
+            state = run_stage(name, cfg)
+        assert not (tmp_path / "out" / DEGENERATE_NAME).exists()
+        assert not state.degenerate
+        assert not state.estimate.provenance.get("degenerate")
 
 
 class TestScaledMode:

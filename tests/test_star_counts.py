@@ -117,13 +117,14 @@ class TestInjectiveProfiles:
 class TestCountStarOracle:
     def test_exhaustive_small_graphs(self):
         rng = np.random.default_rng(2)
-        alphas = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 0), (3, 0)]
+        alphas = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 0), (3, 0),
+                  (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 0), (1, 1, 1, 1)]
         for _ in range(25):
             n = int(rng.integers(4, 13))
             gr = SparseGraph(n, random_simple_graph(rng, n, 0.45))
-            B = rng.standard_normal((n, 2))
+            B = rng.standard_normal((n, 4))
             for alpha in alphas:
-                got = count_star(gr, alpha, B)
+                got = count_star(gr, alpha, B[:, : len(alpha)])
                 want = brute_force_star(gr, alpha, B)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
