@@ -4,12 +4,21 @@ The pipeline is designed to run in O(n log n): blockwise sampling, matrix-free
 power iteration for the spectrum, one sparse matvec per moment-table entry,
 and O(m) sampling. This script measures it.
 
+Runs single-threaded: BLAS thread counts are pinned to 1 before numpy is
+imported. Next to the stage times, each size prints what the spectral solver
+did (iterations, block width, iterated dimension, cutoff, final Ritz values),
+as recorded in the run's manifest.
+
 Usage: python scripts/scaling_benchmark.py [--sizes 25000 50000 100000] [--seed 0]
 """
 import argparse
+import os
 import tempfile
 import time
 from pathlib import Path
+
+os.environ["OMP_NUM_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -38,6 +47,11 @@ def main():
             rows.append((n, wall, res.manifest["timings_sec"]))
             print(f"n={n:>8d}: {wall:6.2f}s  stages="
                   f"{ {k: round(v, 2) for k, v in rows[-1][2].items()} }")
+            spec = res.manifest["spectrum"]
+            if spec is not None:
+                ritz = ", ".join(f"{complex(re, im):.3g}" for re, im in spec["ritz_values"])
+                print(f"{'':12}spectrum: {spec['iterations']} iterations, block {spec['block']}, "
+                      f"dim {spec['iterated_dim']}, cutoff {spec['cutoff']:.3f}, ritz [{ritz}]")
         if len(rows) >= 2:
             n0, t0s, _ = rows[0]
             n1, t1s, _ = rows[-1]

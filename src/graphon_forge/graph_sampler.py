@@ -198,10 +198,9 @@ def degree_stats(gr: SparseGraph) -> DegreeStats:
 
 def save_edge_list(gr: SparseGraph, path) -> None:
     """Header line "n m", then one "u v" per line, 0-indexed with u < v."""
+    body = "".join(f"{u} {v}\n" for u, v in gr.edges.tolist())
     with open(path, "w") as fh:
-        fh.write(f"{gr.n} {gr.m}\n")
-        for u, v in gr.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{gr.n} {gr.m}\n{body}")
 
 
 def load_edge_list(path) -> SparseGraph:

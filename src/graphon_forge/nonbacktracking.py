@@ -1,12 +1,24 @@
 """Non-backtracking operator of a sparse graph and its informative spectrum.
 
-The operator lives on oriented edges: entry (e, f) is 1 exactly when e feeds
-into f's tail without reversing f. One application costs O(|E|) via the
-two-pass trick (aggregate incoming values per vertex, subtract the reversal),
-so it is never materialized. Eigenvalues outside the bulk disk of radius
-sqrt(lambda_1) estimate the kernel's informative eigenvalues; K counts the
-real eigenvalues clearing the cutoff sqrt(lambda_1) + e1(n) with
+The operator B lives on oriented edges: entry (e, f) is 1 exactly when e
+feeds into f's tail without reversing f. One application costs O(|E|) via
+the two-pass trick (aggregate incoming values per vertex, subtract the
+reversal), so it is never materialized. Eigenvalues outside the bulk disk of
+radius sqrt(lambda_1) estimate the kernel's informative eigenvalues; K counts
+the real eigenvalues clearing the cutoff sqrt(lambda_1) + e1(n) with
 e1(n) = 1/sqrt(log n).
+
+The spectrum is not iterated on the 2|E| oriented edges but on the
+Ihara-Bass companion C = [[A, I - D], [I, 0]] over 2n vertex coordinates
+(Krzakala et al., PNAS 2013). If B xi = lambda xi and a(v) sums xi over the
+edges into v, then [a; a / lambda] is an eigenvector of C with the same
+eigenvalue, so C carries every non-trivial eigenvalue of B; the only
+eigenvalues it adds are +-1, from isolated vertices and leaves. Those never
+pass the cutoff: whenever lambda_1 > 1 the cutoff exceeds 1, and a graph
+with lambda_1 <= 1 (its 2-core empty or a union of cycles) is refused as
+degenerate before any iteration. Each accepted companion eigenvector is lifted back to
+the oriented edges in O(|E|) by xi(u->v) = (lambda a(u) - a(v)) /
+(lambda^2 - 1), and its residual is measured on B itself.
 
 Extraction uses block subspace iteration on the cubed operator (the power
 algorithm): cubing is cheap, preserves eigenvectors and magnitude order, and
@@ -119,6 +131,72 @@ def dense_nb_matrix(op: NbOperator) -> np.ndarray:
     return op.matmat(np.eye(op.dim))
 
 
+@dataclass
+class Companion:
+    """Ihara-Bass companion scale * [[A, I - D], [I, 0]] on 2n coordinates.
+
+    Built from the oriented-edge space: A has a 1 at (tail, head) of every
+    oriented edge and D is the in-degree. Its eigenvalues are those of the
+    equally scaled NbOperator, apart from trivial ones at +-scale.
+    """
+
+    space: OrientedEdgeSpace
+    scale: float = 1.0
+    _top: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s = self.space
+        adjacency = sparse.csr_matrix(
+            (np.ones(s.m_oriented), (s.tails, s.heads)), shape=(s.n, s.n)
+        )
+        degree = np.bincount(s.heads, minlength=s.n)
+        self._top = sparse.hstack([adjacency, sparse.diags(1.0 - degree)], format="csr")
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.space.n
+
+    def matmat(self, X: np.ndarray) -> np.ndarray:
+        """C X for a vector or a block of columns."""
+        X = np.asarray(X)
+        y = np.concatenate([self._top @ X, X[: self.space.n]])
+        if self.scale != 1.0:
+            y *= self.scale
+        return y
+
+    matvec = matmat
+    __matmul__ = matmat
+
+    def lift(self, z: np.ndarray, rayleigh: float) -> np.ndarray:
+        """Unit oriented-edge eigenvector of B from a companion eigenvector z = [a; a / lambda].
+
+        `rayleigh` is z's eigenvalue on this (scaled) companion; the first
+        non-negligible entry of the result is positive.
+        """
+        lam = rayleigh / self.scale
+        a = z[: self.space.n]
+        xi = (lam * a[self.space.tails] - a[self.space.heads]) / (lam * lam - 1.0)
+        return _fix_sign(xi / np.linalg.norm(xi))
+
+
+def _radius_exceeds_one(space: OrientedEdgeSpace) -> bool:
+    """Whether B's spectral radius exceeds 1, read off the graph's 2-core.
+
+    Peeling leaves until none is left gives the 2-core. B's spectral radius
+    is 0 when that core is empty and 1 when every core component is a cycle;
+    a core vertex of degree 3 or more makes non-backtracking walks branch.
+    Each round costs O(|E|); there are as many as the deepest pendant tree
+    is deep, which is O(log n) on sampled sparse graphs.
+    """
+    alive = np.ones(space.m_oriented, dtype=bool)
+    while True:
+        degree = np.bincount(space.heads[alive], minlength=space.n)
+        leaf = degree == 1
+        if not leaf.any():
+            return bool(degree.max(initial=0) >= 3)
+        alive &= ~(leaf[space.heads] | leaf[space.tails])
+
+
 def default_e1(n: int) -> float:
     return 1.0 / np.sqrt(np.log(n))
 
@@ -172,6 +250,9 @@ class NbSpectrum:
     cutoff: float = 0.0
     all_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     warnings: tuple[str, ...] = ()
+    iterations: int = 0             # subspace iterations, summed over restarts (0: dense solve)
+    block: int = 0                  # final block width (0: dense solve)
+    iterated_dim: int = 0           # dimension of the operator the solver ran on
 
 
 def _realify(vec: np.ndarray) -> np.ndarray:
@@ -189,7 +270,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _ritz_candidates(op: NbOperator, Q: np.ndarray):
+def _ritz_candidates(op, Q: np.ndarray):
     """Ritz pairs of the projected (uncubed) operator, |.|-descending.
 
     Returns the projected eigenvalues, the realified Ritz vectors, their
@@ -211,9 +292,9 @@ def _ritz_candidates(op: NbOperator, Q: np.ndarray):
     return w, vectors, np.array(rayleigh), np.array(residuals)
 
 
-def _subspace_iterate(op: NbOperator, block: int, tol: float, max_iters: int, seed: int,
+def _subspace_iterate(op, block: int, tol: float, max_iters: int, seed: int,
                       e1: float, k_cap: int, bulk_scale: float):
-    """Block subspace iteration on op^3.
+    """Block subspace iteration on op^3; returns (result, converged, iterations).
 
     Stops once the accepted set has been stable for several extraction
     rounds, its residuals on op meet tol, and no candidate is still climbing
@@ -261,8 +342,8 @@ def _subspace_iterate(op: NbOperator, block: int, tol: float, max_iters: int, se
         converged = all(residuals[i] <= tol for i in accepted)
         result = (w, vectors, residuals, rayleigh, accepted, lam1, cutoff)
         if stable >= STABLE_ROUNDS and converged and not rising and it >= 2 * EXTRACT_EVERY:
-            return result, True
-    return result, False
+            return result, True, it
+    return result, False, max_iters
 
 
 def top_spectrum(
@@ -278,7 +359,10 @@ def top_spectrum(
 ) -> NbSpectrum:
     """Extract eigenvalues above the Kesten-Stigum-style cutoff.
 
-    Accepted eigenvalues are real (imaginary part below the realness
+    Operators of dimension at most DENSE_FALLBACK_DIM are solved densely;
+    otherwise the iteration runs on op's Ihara-Bass companion and the
+    accepted eigenvectors are lifted back to op's oriented edges. Accepted
+    eigenvalues are real (imaginary part below the realness
     tolerance, enforced through the Rayleigh residual) with magnitude above
     the cutoff; eigenvectors are unit norm with the first non-negligible
     coordinate positive. Deterministic given `seed`. Raises
@@ -298,13 +382,22 @@ def top_spectrum(
             else np.empty((op.dim, 0))
         )
         all_eigs = w_all[np.argsort(-np.abs(w_all), kind="stable")]
-        return _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs)
+        return _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, iterated_dim=op.dim)
 
-    block_size = block if block is not None else min(max(6, k_cap // 2 + 2), op.dim - 1)
-    while True:
-        out, ok = _subspace_iterate(
-            op, block_size, tol, max_restarts * EXTRACT_EVERY, seed, e1, k_cap, bulk_scale
+    # the companion's trivial eigenvalues +-scale clear no cutoff once B's
+    # radius exceeds 1; below that the run is degenerate whatever they do
+    if not _radius_exceeds_one(op.space):
+        raise DegenerateSpectrumError(
+            "non-backtracking spectral radius is at most 1 (2-core empty or all cycles)"
         )
+    comp = Companion(op.space, op.scale)
+    block_size = block if block is not None else min(max(6, k_cap // 2 + 2), comp.dim - 1)
+    iterations = 0
+    while True:
+        out, ok, its = _subspace_iterate(
+            comp, block_size, tol, max_restarts * EXTRACT_EVERY, seed, e1, k_cap, bulk_scale
+        )
+        iterations += its
         if out is None:
             raise SpectrumConvergenceError("no extraction rounds completed", partial=None)
         w, vectors, residuals, ray, accepted, lam1, cutoff = out
@@ -314,14 +407,14 @@ def top_spectrum(
                 f"subspace iteration did not converge within {max_restarts * EXTRACT_EVERY} iterations",
                 partial=partial,
             )
-        if len(accepted) == block_size and block_size < min(k_cap + 4, op.dim - 1):
-            block_size = min(k_cap + 4, op.dim - 1)  # everything cleared the cutoff: widen once
+        if len(accepted) == block_size and block_size < min(k_cap + 4, comp.dim - 1):
+            block_size = min(k_cap + 4, comp.dim - 1)  # everything cleared the cutoff: widen once
             continue
         break
 
     lambdas = np.array([ray[i] for i in accepted])
     vecs = (
-        np.stack([_fix_sign(vectors[i]) for i in accepted], axis=1)
+        np.stack([comp.lift(vectors[i], ray[i]) for i in accepted], axis=1)
         if accepted
         else np.empty((op.dim, 0))
     )
@@ -329,10 +422,13 @@ def top_spectrum(
     lambdas = lambdas[order]
     vecs = vecs[:, order] if lambdas.size else vecs
     all_eigs = np.asarray(w)[np.argsort(-np.abs(w), kind="stable")]
-    return _finish(op, n, e1, lambdas, vecs, lam1, cutoff, all_eigs)
+    return _finish(
+        op, n, e1, lambdas, vecs, lam1, cutoff, all_eigs,
+        iterations=iterations, block=block_size, iterated_dim=comp.dim,
+    )
 
 
-def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs) -> NbSpectrum:
+def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpectrum:
     warnings: list[str] = []
     K = lambdas.size
     # re-orthonormalize only inside near-degenerate clusters; across distinct
@@ -368,6 +464,7 @@ def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs) -> NbSpectrum:
         cutoff=cutoff,
         all_eigenvalues=all_eigs,
         warnings=tuple(warnings),
+        **solver,
     )
 
 
@@ -389,23 +486,9 @@ def vertex_aggregates(vectors, space: OrientedEdgeSpace) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.empty((space.n, 0))
 
 
-def ihara_bass_reduce(G1: SparseGraph):
-    """Companion operator [[A, I - D], [I, 0]] on 2n coordinates.
-
-    Its eigenvalues other than +-1 coincide with the non-backtracking
-    operator's; useful to halve the iteration dimension on dense-ish graphs.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    a = G1.adjacency
-    d = np.asarray(a.sum(axis=1)).ravel()
-    n = G1.n
-
-    def matvec(z):
-        x, y = z[:n], z[n:]
-        return np.concatenate([a @ x + y - d * y, x])
-
-    return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+def ihara_bass_reduce(G1: SparseGraph) -> Companion:
+    """Companion operator [[A, I - D], [I, 0]] of G1 on 2n coordinates."""
+    return Companion(OrientedEdgeSpace.from_graph(G1))
 
 
 def ihara_bass_dense(G1: SparseGraph) -> np.ndarray:

@@ -348,14 +348,19 @@ def stage_moments(state: PipelineState) -> None:
     state.require_spectrum()
     N = effective_N(state)
     t0 = time.perf_counter()
-    state.table = star_counts.moment_table(
-        state.g2,
-        state.spectrum,
-        N,
-        state.epsilon,
-        max_entries=cfg.moment_entries_cap,
-    )
+    try:
+        state.table = star_counts.moment_table(
+            state.g2,
+            state.spectrum,
+            N,
+            state.epsilon,
+            max_entries=cfg.moment_entries_cap,
+        )
+    except star_counts.MomentTableTooLarge as exc:
+        mark_degenerate(state, "moments", f"moment table refused: {exc}; constant estimator emitted")
     state.timings["moments"] = time.perf_counter() - t0
+    if state.degenerate:
+        return
     _write_json(
         state.out / "moments.json", {"config_hash": state.config_hash, **state.table.to_dict()}
     )
@@ -522,6 +527,19 @@ class RunResult:
     degenerate: bool
 
 
+def spectrum_telemetry(spectrum: nonbacktracking.NbSpectrum | None) -> dict | None:
+    """What the spectral solver did: its work, cutoff and final-block Ritz values."""
+    if spectrum is None:
+        return None
+    return {
+        "iterations": spectrum.iterations,
+        "block": spectrum.block,
+        "iterated_dim": spectrum.iterated_dim,
+        "cutoff": spectrum.cutoff,
+        "ritz_values": [[float(w.real), float(w.imag)] for w in spectrum.all_eigenvalues],
+    }
+
+
 def write_manifest(state: PipelineState) -> dict:
     manifest = {
         "config": state.cfg.semantic_dict(),
@@ -536,6 +554,7 @@ def write_manifest(state: PipelineState) -> dict:
         "constants": state.constants,
         "K": 0 if state.degenerate or state.spectrum is None else state.spectrum.K,
         "degenerate": state.degenerate,
+        "spectrum": spectrum_telemetry(state.spectrum),
         "warnings": state.warnings,
         "metrics": state.metrics,
         "stages": {

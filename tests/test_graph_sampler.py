@@ -152,3 +152,18 @@ def test_edge_list_round_trip(tmp_path, assortative_2block):
     lp = tmp_path / "lat.txt"
     save_latents(lat, lp)
     np.testing.assert_allclose(load_latents(lp).latents, lat.latents, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("c", [7.0, 0.0])
+def test_edge_list_bytes_match_per_line_writer(tmp_path, c):
+    # reference: the per-edge writer, one write call per line; c = 0 gives a header-only file
+    gr, _ = sample_graph(constant_graphon(c), 800, seed=3)
+    assert (gr.m == 0) == (c == 0.0)
+    ref = tmp_path / "ref.edges"
+    with open(ref, "w") as fh:
+        fh.write(f"{gr.n} {gr.m}\n")
+        for u, v in gr.edges:
+            fh.write(f"{u} {v}\n")
+    got = tmp_path / "got.edges"
+    save_edge_list(gr, got)
+    assert got.read_bytes() == ref.read_bytes()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from graphon_forge.graph_sampler import SparseGraph, sample_graph
+from graphon_forge.graph_sampler import SparseGraph, sample_graph, split_edges
 from graphon_forge.graphon_model import StepGraphon
 from graphon_forge.nonbacktracking import (
+    DENSE_FALLBACK_DIM,
+    Companion,
     DegenerateSpectrumError,
     OrientedEdgeSpace,
+    _radius_exceeds_one,
     build_nb_operator,
     classify_eigenvalues,
     default_e1,
@@ -15,6 +18,7 @@ from graphon_forge.nonbacktracking import (
     top_spectrum,
     vertex_aggregates,
 )
+from graphon_forge.pipeline import default_epsilon
 from tests.conftest import random_simple_graph
 
 PATH3 = SparseGraph(3, np.array([[0, 1], [1, 2]]))
@@ -205,6 +209,89 @@ class TestTopSpectrum:
         gr, _ = sample_graph(assortative_2block, 20000, seed=2)
         spec = top_spectrum(build_nb_operator(gr), 20000, seed=2)
         assert spec.vertex_aggregates.shape == (20000, spec.K)
+        assert spec.iterated_dim == 2 * 20000 and spec.iterations > 0
+
+    @pytest.mark.parametrize(
+        "model, h, extra", [("assortative_2block", 1.0, 1), ("weak_2block", 8.0, 0)]
+    )
+    def test_matches_arpack_on_oriented_edges(self, request, model, h, extra):
+        # reference: ARPACK on the rescaled operator B itself, over the 2m oriented
+        # edges; at h = 8 only the top K, as its bulk converges slowly
+        from scipy.sparse.linalg import LinearOperator, eigs
+
+        n = 3000
+        model = request.getfixturevalue(model)
+        gr, _ = sample_graph(StepGraphon(model.block_measures, h * model.values), n, seed=0)
+        eps = default_epsilon(n)
+        g1, _ = split_edges(gr, eps, seed=0)
+        scale = 1.0 / (1.0 - eps)
+        op = build_nb_operator(g1, scale=scale)
+        spec = top_spectrum(op, n, seed=0, bulk_scale=scale)
+        assert spec.K >= 1
+        lo = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
+        w, V = eigs(lo, k=spec.K + extra, ncv=40, which="LM", tol=1e-13, v0=np.ones(op.dim))
+        order = np.argsort(-np.abs(w))
+        w, V = w[order], V[:, order]
+        np.testing.assert_allclose(spec.lambdas, w[: spec.K].real, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(w[: spec.K].imag, 0.0, atol=1e-8)
+        if extra:
+            assert abs(w[spec.K]) < spec.cutoff
+        for k in range(spec.K):
+            v = V[:, k] * np.exp(-1j * np.angle(V[np.argmax(np.abs(V[:, k])), k]))
+            v = v.real / np.linalg.norm(v.real)
+            if v[np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]] < 0:
+                v = -v
+            want = vertex_aggregates(v, op.space)[:, 0]
+            got = spec.vertex_aggregates[:, k]
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_radius_at_most_one_is_degenerate(self, scale):
+        paths = np.array([[5 * p + i, 5 * p + i + 1] for p in range(20) for i in range(4)])
+        cycle = np.array([[i, i + 1] for i in range(99)] + [[0, 99]])
+        for gr in (SparseGraph(100, paths), SparseGraph(100, cycle)):
+            op = build_nb_operator(gr, scale=scale)
+            assert op.dim > DENSE_FALLBACK_DIM
+            for seed in (0, 1):  # refused before any iteration, whatever the start block
+                with pytest.raises(DegenerateSpectrumError, match="radius is at most 1"):
+                    top_spectrum(op, gr.n, seed=seed, bulk_scale=scale)
+
+    def test_radius_check_matches_dense_oracle(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(3, 14))
+            edges = random_simple_graph(rng, n, rng.uniform(0.1, 0.5))
+            if edges.shape[0] == 0:
+                continue
+            gr = SparseGraph(n, edges)
+            radius = np.abs(np.linalg.eigvals(dense_nb_matrix(build_nb_operator(gr)))).max()
+            got = _radius_exceeds_one(OrientedEdgeSpace.from_graph(gr))
+            assert got == (radius > 1 + 1e-6), (edges.tolist(), radius)
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_complex_bulk_pair_does_not_stall(self, assortative_2block, monkeypatch):
+        # graph seed 4 at n = 3e4 has a complex bulk Ritz pair just above the
+        # cutoff, which can hold the stop rule open; graph seeds 0-4 need at
+        # most 308 applies
+        n, seed = 30000, 4
+        gr, _ = sample_graph(assortative_2block, n, seed=seed)
+        eps = default_epsilon(n)
+        g1, _ = split_edges(gr, eps, seed=seed)
+        scale = 1.0 / (1.0 - eps)
+        applies = []
+        apply = Companion.matmat
+
+        def counted(self, X):
+            applies.append(1)
+            return apply(self, X)
+
+        monkeypatch.setattr(Companion, "matmat", counted)
+        monkeypatch.setattr(Companion, "matvec", counted)
+        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        assert spec.K == 2
+        assert len(applies) <= 400
 
 
 class TestIharaBass:
@@ -243,3 +330,25 @@ class TestIharaBass:
         dense = ihara_bass_dense(gr)
         x = rng.standard_normal(2 * gr.n)
         np.testing.assert_allclose(lo @ x, dense @ x, atol=1e-12)
+        X = rng.standard_normal((2 * gr.n, 4))
+        scaled = Companion(OrientedEdgeSpace.from_graph(gr), scale=1.7)
+        np.testing.assert_allclose(scaled.matmat(X), 1.7 * dense @ X, atol=1e-12)
+
+    def test_lift_gives_nb_eigenvectors(self):
+        rng = np.random.default_rng(8)
+        done = 0
+        while done < 10:
+            n = int(rng.integers(8, 25))
+            gr = SparseGraph(n, random_simple_graph(rng, n, 4.0 / n))
+            if gr.m < 6:
+                continue
+            op = build_nb_operator(gr, scale=1.3)
+            comp = Companion(op.space, scale=1.3)
+            w, V = np.linalg.eig(comp.matmat(np.eye(comp.dim)))
+            i = int(np.argmax(w.real))
+            if abs(w[i].imag) > 1e-9 or w[i].real <= 1.3 + 1e-6:
+                continue
+            xi = comp.lift(V[:, i].real, w[i].real)
+            assert np.linalg.norm(xi) == pytest.approx(1.0)
+            np.testing.assert_allclose(op.matvec(xi), w[i].real * xi, atol=1e-10)
+            done += 1

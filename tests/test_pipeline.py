@@ -136,6 +136,17 @@ class TestRunPipeline:
         assert c["delta"] >= 0.05
         assert c["kappa"] <= c["kappa_formula"]
 
+    def test_manifest_records_spectrum_telemetry(self, model_file, tmp_path):
+        res = run_pipeline(small_config(model_file, tmp_path))
+        spec = res.manifest["spectrum"]
+        lambdas = read_json(res.out_dir / "spectrum.json")["lambdas"]
+        assert spec["iterated_dim"] == 2 * N_SMALL
+        assert spec["iterations"] > 0 and spec["block"] >= 6
+        assert len(spec["ritz_values"]) == spec["block"]
+        top_re, top_im = spec["ritz_values"][0]
+        assert top_im == 0.0 and top_re == pytest.approx(lambdas[0], rel=1e-6)
+        assert lambdas[-1] > spec["cutoff"] > 0
+
     def test_determinism_byte_identical(self, model_file, tmp_path):
         cfg_a = small_config(model_file, tmp_path)
         cfg_a.out = str(tmp_path / "a")
@@ -236,16 +247,25 @@ class TestStagedExecution:
         assert not (res.out_dir / "fit.json").exists()
         np.testing.assert_array_equal(res.estimate.Z, 1.0)
 
-    @pytest.mark.parametrize("case", ["spectrum-raises", "no-eigenvalue", "fit-unusable"])
+    @pytest.mark.parametrize(
+        "case", ["spectrum-raises", "no-eigenvalue", "table-too-large", "fit-unusable"]
+    )
     def test_degenerate_stages_match_pipeline(self, case, model_file, tmp_path, monkeypatch):
         cfg = small_config(model_file, tmp_path)
-        stage = {"spectrum-raises": "spectrum", "no-eigenvalue": "spectrum", "fit-unusable": "fit"}[case]
+        stage = {
+            "spectrum-raises": "spectrum",
+            "no-eigenvalue": "spectrum",
+            "table-too-large": "moments",
+            "fit-unusable": "fit",
+        }[case]
         if case == "spectrum-raises":
             weak = tmp_path / "weak.json"
             save_graphon(StepGraphon(np.array([1.0]), np.array([[1.2]])), weak)
             cfg = PipelineConfig(model=str(weak), n=2000, seed=0, N_override=4)
         elif case == "no-eigenvalue":
             cfg.e1_override = 50.0
+        elif case == "table-too-large":
+            cfg.N_override, cfg.moment_entries_cap = 4, 10  # K = 2: (4 + 1)^2 = 25 entries
         else:
             monkeypatch.setattr(
                 "graphon_forge.moment_poly.nnls", lambda A, b: (np.zeros(A.shape[1]), 1.0)
@@ -257,6 +277,9 @@ class TestStagedExecution:
         record = read_json(tmp_path / "staged" / DEGENERATE_NAME)
         assert record["stage"] == stage
         assert record == read_json(full.out_dir / DEGENERATE_NAME)
+        assert record["reason"] in full.manifest["warnings"]
+        if case == "table-too-large":
+            assert "25" in record["reason"] and "cap 10" in record["reason"]
         for name in ("estimate.json", "metrics.json"):
             assert (
                 (tmp_path / "staged" / name).read_bytes() == (full.out_dir / name).read_bytes()
