@@ -58,7 +58,6 @@ def delta2_upper(
     truth: SpectralGraphon,
     g: int = 256,
     rank: int | None = None,
-    search_orders: bool = True,
 ) -> AlignmentReport:
     """Upper bound on the alignment distance between estimate and rank-r truth.
 
@@ -84,11 +83,10 @@ def delta2_upper(
         lam = np.concatenate([lam, np.zeros(r - K)])
     cells = estimate.piece_of((np.arange(g) + 0.5) / g)
 
-    orders = list(permutations(range(r))) if search_orders else [tuple(range(r))]
     best = np.inf
     best_signs = np.ones(r)
     best_order = tuple(range(r))
-    for order in orders:
+    for order in permutations(range(r)):
         k_true = _kernel(f_true[_canonical_order(f_true, order)], mu)
         for mask in range(2**r):
             signs = np.array([-1.0 if (mask >> i) & 1 else 1.0 for i in range(r)])

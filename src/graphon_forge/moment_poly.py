@@ -19,14 +19,13 @@ moments is close to it whenever they determine it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import comb
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.optimize import nnls
 
-from .star_counts import MomentTable
+from .star_counts import MomentTable, total_degree_indices
 
 
 NODE_BUDGET = 1 << 14  # cap on the number of grid nodes a node fit may weight
@@ -250,11 +249,6 @@ def grid_nodes(kappa: float, K: int, resolution: int) -> np.ndarray:
     return np.stack(np.meshgrid(*([mids] * K), indexing="ij"), axis=-1).reshape(-1, K)
 
 
-def total_degree_indices(K: int, N: int) -> list[tuple[int, ...]]:
-    """Multi-indices alpha in {0..N}^K with |alpha| <= N, in lexicographic order."""
-    return [a for a in product(range(N + 1), repeat=K) if sum(a) <= N]
-
-
 def node_moments(nodes: np.ndarray, alphas) -> np.ndarray:
     """Matrix of monomials prod_i x_i^alpha_i, one row per alpha, one column per node."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -289,9 +283,11 @@ def fit_nodes(M: np.ndarray, kappa: float, K: int, resolution: int, delta: float
 
     Solves min ||A w - m||_2 over w >= 0 (scipy.optimize.nnls), where A holds
     the monomials of the midpoint-grid nodes of [-kappa, kappa]^K and m the
-    entries M_alpha with |alpha| <= N; entries of higher total degree are
-    left out because at desk-scale n they are dominated by noise. The
-    weights are then normalised to sum to 1.
+    entries M_alpha with |alpha| <= N, the moments the star-count table
+    computes (`star_counts.total_degree_indices`). Each such entry of the
+    mollified table combines only table entries beta <= alpha, so it never
+    reads the table's zeros above total degree N. The weights are then
+    normalised to sum to 1.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != K or len(set(M.shape)) != 1:

@@ -471,11 +471,9 @@ def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> Nb
 def vertex_aggregates(vectors, space: OrientedEdgeSpace) -> np.ndarray:
     """Per-vertex sums of eigenvector entries over incoming oriented edges.
 
-    Accepts either an NbSpectrum or a (m_oriented, K) array; isolated
-    vertices get 0.
+    `vectors` is an (m_oriented, K) array or a single oriented-edge vector;
+    isolated vertices get 0.
     """
-    if isinstance(vectors, NbSpectrum):
-        vectors = vectors.eigenvectors
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     if vectors.shape[0] != space.m_oriented:
         vectors = vectors.T

@@ -7,8 +7,13 @@ center; instead we expand over the vector partitions of alpha (the multiset
 partitions of its label list) with Moebius coefficients, which turns each
 A_alpha into a combination of power sums
 S_beta(w) = sum_{j ~ w} prod_i B_i(j)^{beta_i}. Every S_beta is one sparse
-matvec against the adjacency of G2, so the full (N+1)^K moment table costs
-O(|E2|) per grid entry and shares the power sums across entries.
+matvec against the adjacency of G2, shared across all entries that need it.
+
+This module decides which moments exist: the table holds the multi-indices
+of total degree |alpha| <= N (`total_degree_indices`), the only ones the
+moment fit reads. Entries of higher total degree cost most of the expansion
+and are never computed; the table keeps them as exact zeros of its
+(N+1,) * K tensor.
 
 Normalized entries P_alpha estimate the joint eigenfunction moments
 int f_1^{a_1} ... f_K^{a_K}; P_kk (pair diagonal) must be positive for the
@@ -29,6 +34,13 @@ from .graph_sampler import SparseGraph
 
 class MomentTableTooLarge(MemoryError):
     pass
+
+
+def total_degree_indices(K: int, N: int) -> list[tuple[int, ...]]:
+    """Multi-indices alpha in {0..N}^K with |alpha| <= N, in lexicographic order."""
+    if K == 0:
+        return [()]
+    return [(a,) + rest for a in range(N + 1) for rest in total_degree_indices(K - 1, N - a)]
 
 
 def count_pair(G2: SparseGraph, bk: np.ndarray) -> float:
@@ -162,14 +174,19 @@ def normalize_star(
 
 @dataclass
 class MomentTable:
-    """All P_alpha on the (N+1)^K grid, plus the pair diagonal it was scaled by."""
+    """P_alpha for |alpha| <= N, plus the pair diagonal it was scaled by.
+
+    `entries` is the (N+1,) * K tensor; entries of total degree above N are
+    exact zeros. Mollification maps each alpha only to beta <= alpha, so they
+    never reach the fit.
+    """
 
     K: int
     N: int
     epsilon: float
     valid: bool
     pair_diagonal: np.ndarray
-    entries: np.ndarray  # shape (N+1,) * K
+    entries: np.ndarray  # shape (N+1,) * K, zero above total degree N
 
     def value(self, alpha) -> float:
         return float(self.entries[tuple(alpha)])
@@ -183,7 +200,7 @@ class MomentTable:
             "P_diag": self.pair_diagonal.tolist(),
             "entries": [
                 {"alpha": list(alpha), "value": float(self.entries[alpha])}
-                for alpha in np.ndindex(self.entries.shape)
+                for alpha in total_degree_indices(self.K, self.N)
             ],
         }
 
@@ -205,26 +222,20 @@ class MomentTable:
 
 def moment_table(
     G2: SparseGraph,
-    spectrum,
+    lambdas: np.ndarray,
+    aggregates: np.ndarray,
     N: int,
     epsilon: float,
-    aggregates: np.ndarray | None = None,
     max_entries: int = 20000,
 ) -> MomentTable:
-    """Compute every P_alpha for 0 <= alpha <= (N, ..., N).
+    """Compute every P_alpha with |alpha| <= N from the (n, K) vertex aggregates.
 
-    `spectrum` is either the spectral-stage result (carrying lambdas and the
-    (n, K) vertex-aggregate matrix) or a plain array of lambdas with the
-    aggregates passed separately. Power sums are computed once per grid point
-    and shared across all alpha.
+    Power sums are computed once per block beta and shared across all alpha.
+    `max_entries` caps the (N+1)^K cells of the stored tensor.
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    if aggregates is None:
-        lambdas = np.asarray(spectrum.lambdas, dtype=float)
-        aggregates = spectrum.vertex_aggregates
-    else:
-        lambdas = np.asarray(spectrum, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float)
     B = np.atleast_2d(np.asarray(aggregates, dtype=float))
     if B.shape[0] != G2.n:
         B = B.T
@@ -240,18 +251,11 @@ def moment_table(
     if np.any(p_diag <= 0):
         return MomentTable(K, N, epsilon, False, p_diag, np.zeros(shape))
 
-    all_alphas = list(np.ndindex(shape))
-    betas = sorted(
-        {
-            b
-            for alpha in all_alphas
-            for _, blocks in injective_profiles(tuple(alpha))
-            for b in blocks
-        }
-    )
+    alphas = total_degree_indices(K, N)
+    betas = sorted({b for alpha in alphas for _, blocks in injective_profiles(alpha) for b in blocks})
     sums = _power_sums(G2, B, betas)
 
     entries = np.zeros(shape)
-    for alpha in all_alphas:
+    for alpha in alphas:
         entries[alpha] = normalize_star(_profile_sum(alpha, sums, G2.n), alpha, G2.n, epsilon, lambdas, p_diag)
     return MomentTable(K, N, epsilon, True, p_diag, entries)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -344,6 +346,30 @@ class TestFitNodes:
             got = node_moments(fit.nodes, alphas) @ fit.weights
             want = np.array([M[a] for a in alphas])
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_total_degree_indices_match_product_filter(self):
+        for K in range(5):
+            for N in range(5):
+                want = [a for a in itertools.product(range(N + 1), repeat=K) if sum(a) <= N]
+                assert total_degree_indices(K, N) == want, (K, N)
+
+    def test_entries_above_total_degree_never_reach_the_fit(self):
+        # the table leaves entries with |alpha| > N at zero; whatever they hold,
+        # mollification and the fit give the same bits
+        N, K = 4, 2
+        entries = two_block_moments(N)
+        high = np.add.outer(np.arange(N + 1), np.arange(N + 1)) > N
+        entries[high] = 0.0
+        noisy = entries.copy()
+        noisy[high] = np.random.default_rng(8).standard_normal(int(high.sum()))
+        mm = mollifier_moments(0.2, N)
+        fits = [
+            fit_nodes(mollify_moments(table_from_entries(e), mm), 1.3, K, 64, delta=0.2)
+            for e in (entries, noisy)
+        ]
+        np.testing.assert_array_equal(fits[0].nodes, fits[1].nodes)
+        np.testing.assert_array_equal(fits[0].weights, fits[1].weights)
+        assert fits[0].residual == fits[1].residual
 
     def test_node_budget_for_every_K(self):
         assert node_resolution(128, 2) == 128

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphon_forge import nonbacktracking
 from graphon_forge.graph_sampler import SparseGraph, sample_graph, split_edges
 from graphon_forge.graphon_model import StepGraphon
 from graphon_forge.nonbacktracking import (
@@ -8,6 +9,7 @@ from graphon_forge.nonbacktracking import (
     Companion,
     DegenerateSpectrumError,
     OrientedEdgeSpace,
+    SpectrumConvergenceError,
     _radius_exceeds_one,
     build_nb_operator,
     classify_eigenvalues,
@@ -179,6 +181,50 @@ class TestTopSpectrum:
             np.testing.assert_allclose(spec.lambdas, lams, atol=1e-8)
             assert spec.residuals.size == 0 or spec.residuals.max() <= 1e-6
             done += 1
+
+    def test_dense_fallback_matches_oracle_on_tiny_graphs(self):
+        rng = np.random.default_rng(9)
+        ks = []
+        while len(ks) < 60:
+            n = int(rng.integers(3, 13))
+            edges = random_simple_graph(rng, n, rng.uniform(0.15, 0.7))
+            if edges.shape[0] == 0 or 2 * edges.shape[0] > DENSE_FALLBACK_DIM:
+                continue
+            gr = SparseGraph(n, edges)
+            mags = np.sort(np.abs(np.linalg.eigvals(dense_nb_matrix(build_nb_operator(gr)))))
+            if mags[-1] - mags[-2] <= 1e-6 * max(mags[-1], 1.0):
+                continue  # tied leading modulus: the accepted set is decided by rounding
+            _, lams, _ = spectrum_oracle(gr, n)
+            spec = top_spectrum(build_nb_operator(gr), n, seed=len(ks))
+            assert spec.iterations == 0 and spec.iterated_dim == 2 * gr.m  # solved densely
+            assert spec.K == lams.size
+            np.testing.assert_allclose(spec.lambdas, lams, atol=1e-10)
+            assert spec.residuals.size == 0 or spec.residuals.max() <= 1e-8
+            ks.append(spec.K)
+        assert 0 in ks and max(ks) >= 1
+
+    def test_dense_fallback_where_companion_differs(self, monkeypatch):
+        # 2m = 20: B's bulk has a fourfold eigenvalue 1 and two pairs at +-1.414i,
+        # on which the companion iteration fails to settle from these start blocks
+        edges = [[0, 4], [1, 2], [1, 3], [1, 4], [1, 5], [3, 5], [3, 6], [4, 5], [4, 6], [5, 6]]
+        gr = SparseGraph(7, np.array(edges))
+        op = build_nb_operator(gr)
+        assert op.dim <= DENSE_FALLBACK_DIM
+        _, lams, _ = spectrum_oracle(gr, gr.n)
+        assert lams.size == 1
+        seeds = (0, 1, 2)
+        for seed in seeds:
+            np.testing.assert_allclose(top_spectrum(op, gr.n, seed=seed).lambdas, lams, atol=1e-10)
+        monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
+        differs = 0
+        for seed in seeds:
+            try:
+                spec = top_spectrum(op, gr.n, seed=seed)
+            except (SpectrumConvergenceError, DegenerateSpectrumError):
+                differs += 1
+                continue
+            differs += spec.K != lams.size or not np.allclose(spec.lambdas, lams, atol=1e-8)
+        assert differs >= 1
 
     def test_residuals_and_unit_norm(self, assortative_2block):
         gr, _ = sample_graph(assortative_2block, 20000, seed=0)

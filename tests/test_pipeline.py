@@ -90,7 +90,6 @@ class TestConfigHash:
             "sample_grid": 64,
             "metrics_grid": 128,
             "h_ladder": (1.0, 3.0),
-            "determinism": False,
         }
         for field, value in changed.items():
             cfg = small_config(model_file, tmp_path)
@@ -103,6 +102,7 @@ class TestConfigHash:
         b = small_config(model_file, tmp_path)
         b.out = str(tmp_path / "elsewhere")
         b.threads = 4
+        b.determinism = False
         assert a.config_hash(b"m") == b.config_hash(b"m")
 
 
@@ -183,6 +183,16 @@ class TestRunPipeline:
         mean_deg = est.lambdas[0]
         assert 3.0 <= mean_deg <= 5.0  # observed mean degree of the sample
         np.testing.assert_array_equal(est.Z, 1.0)
+
+    def test_every_stage_is_timed(self, model_file, tmp_path):
+        # skipped stages of a degenerate run are timed too
+        cfg = small_config(model_file, tmp_path, e1_override=50.0)
+        res = run_pipeline(cfg)
+        assert res.degenerate
+        timings = res.manifest["timings_sec"]
+        assert set(timings) == {"generate", "spectrum", "moments", "fit", "estimate", "evaluate", "total"}
+        assert all(t >= 0 for t in timings.values())
+        assert timings["total"] >= sum(t for name, t in timings.items() if name != "total")
 
 
 class TestStagedExecution:

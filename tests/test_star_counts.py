@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from graphon_forge.star_counts import (
     moment_table,
     normalize_pair,
     normalize_star,
+    total_degree_indices,
 )
 from tests.conftest import random_simple_graph
 
@@ -207,6 +209,22 @@ class TestMomentTable:
         gr, B = self._graph_and_aggregates(3)
         with pytest.raises(MomentTableTooLarge):
             moment_table(gr, np.array([4.0, 3.0]), N=200, epsilon=0.4, aggregates=B, max_entries=100)
+
+    @pytest.mark.parametrize("K, N", [(2, 3), (3, 2)])
+    def test_only_total_degree_entries(self, K, N):
+        gr, B = self._graph_and_aggregates(5, K=K)
+        lambdas = np.array([4.0, 3.0, 2.5][:K])
+        table = moment_table(gr, lambdas, N=N, epsilon=0.4, aggregates=B)
+        assert table.valid
+        for alpha in np.ndindex(table.entries.shape):
+            if sum(alpha) > N:
+                assert table.entries[alpha] == 0.0, alpha
+            elif sum(alpha) > 0:
+                direct = normalize_star(count_star(gr, alpha, B), alpha, gr.n, 0.4, lambdas, table.pair_diagonal)
+                assert table.entries[alpha] == pytest.approx(direct, rel=1e-12), alpha
+        listed = [tuple(item["alpha"]) for item in table.to_dict()["entries"]]
+        assert len(listed) == math.comb(N + K, K)
+        assert listed == total_degree_indices(K, N)
 
     def test_round_trip_dict(self):
         gr, B = self._graph_and_aggregates(4)
