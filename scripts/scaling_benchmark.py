@@ -5,11 +5,18 @@ power iteration for the spectrum, one sparse matvec per moment-table entry,
 and O(m) sampling. This script measures it.
 
 Runs single-threaded: BLAS thread counts are pinned to 1 before numpy is
-imported. Next to the stage times, each size prints what the spectral solver
-did (iterations, block width, iterated dimension, cutoff, final Ritz values),
-as recorded in the run's manifest.
+imported. Each case is a size n and a degree scale h; h = 1 runs the pipeline
+on the model itself, and h != 1 runs it in scaled mode on h times the model.
+The defaults are the scale cases n = 2.5e4, 1e5 and 2e5 at h = 1, and
+n = 5e4 at h = 8. Next to the stage times, each case prints what the spectral
+solver did, as recorded in the run's manifest: iterations, the spectrum
+stage's milliseconds per iteration, block width, iterated dimension, cutoff,
+and the final block's Ritz values with their residuals. The last lines give
+the wall-time ratio between n = 1e5 and 2.5e4 at h = 1 (acceptance criterion
+9, bound 6) and the ratio between the smallest and largest h = 1 sizes
+against the n log n ideal.
 
-Usage: python scripts/scaling_benchmark.py [--sizes 25000 50000 100000] [--seed 0]
+Usage: python scripts/scaling_benchmark.py [--cases 25000:1 100000:1 200000:1 50000:8] [--seed 0]
 """
 import argparse
 import os
@@ -23,40 +30,55 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
 
 from graphon_forge.graphon_model import StepGraphon, save_graphon
-from graphon_forge.pipeline import PipelineConfig, run_pipeline
+from graphon_forge.pipeline import PipelineConfig, run_pipeline, run_scaled
+
+
+def parse_case(text: str) -> tuple[int, float]:
+    n, _, h = text.partition(":")
+    return int(n), float(h or 1)
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", type=int, nargs="+", default=[25_000, 50_000, 100_000])
+    ap.add_argument("--cases", type=parse_case, nargs="+", metavar="N[:H]",
+                    default=[(25_000, 1.0), (100_000, 1.0), (200_000, 1.0), (50_000, 8.0)])
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     model = StepGraphon(np.array([0.5, 0.5]), np.array([[7.0, 1.0], [1.0, 7.0]]))
     with tempfile.TemporaryDirectory() as td:
         save_graphon(model, Path(td) / "model.json")
-        rows = []
-        for n in args.sizes:
+        walls = {}
+        for n, h in args.cases:
             cfg = PipelineConfig(
                 model=str(Path(td) / "model.json"), n=n, seed=args.seed,
                 N_override=4, determinism=True, threads=1,
             )
+            out = Path(td) / f"bench-{n}-h{h:g}"
             t0 = time.perf_counter()
-            res = run_pipeline(cfg, out_dir=Path(td) / f"bench-{n}")
+            res = run_pipeline(cfg, out_dir=out) if h == 1 else run_scaled(cfg, h, out_dir=out)
             wall = time.perf_counter() - t0
-            rows.append((n, wall, res.manifest["timings_sec"]))
-            print(f"n={n:>8d}: {wall:6.2f}s  stages="
-                  f"{ {k: round(v, 2) for k, v in rows[-1][2].items()} }")
+            walls[n, h] = wall
+            timings = res.manifest["timings_sec"]
+            print(f"n={n:>8d} h={h:g}: {wall:6.2f}s  stages="
+                  f"{ {k: round(v, 2) for k, v in timings.items()} }")
             spec = res.manifest["spectrum"]
             if spec is not None:
+                per_it = 1e3 * timings["spectrum"] / max(spec["iterations"], 1)
                 ritz = ", ".join(f"{complex(re, im):.3g}" for re, im in spec["ritz_values"])
-                print(f"{'':12}spectrum: {spec['iterations']} iterations, block {spec['block']}, "
-                      f"dim {spec['iterated_dim']}, cutoff {spec['cutoff']:.3f}, ritz [{ritz}]")
-        if len(rows) >= 2:
-            n0, t0s, _ = rows[0]
-            n1, t1s, _ = rows[-1]
+                res_ = ", ".join(f"{r:.1e}" for r in spec.get("ritz_residuals", []))
+                print(f"{'':12}spectrum: {spec['iterations']} iterations, {per_it:.1f} ms/iteration, "
+                      f"block {spec['block']}, dim {spec['iterated_dim']}, cutoff {spec['cutoff']:.3f}")
+                print(f"{'':12}ritz [{ritz}]  residuals [{res_}]")
+        if (25_000, 1.0) in walls and (100_000, 1.0) in walls:
+            print(f"criterion 9: ratio {walls[100_000, 1.0] / walls[25_000, 1.0]:.2f} "
+                  f"(n = 1e5 vs 2.5e4, bound 6)")
+        sizes = sorted(n for n, h in walls if h == 1)
+        if len(sizes) >= 2:
+            n0, n1 = sizes[0], sizes[-1]
             ideal = (n1 * np.log(n1)) / (n0 * np.log(n0))
-            print(f"ratio {t1s / t0s:.2f} vs n log n ideal {ideal:.2f}")
+            print(f"ratio {walls[n1, 1.0] / walls[n0, 1.0]:.2f} (n = {n1} vs {n0}) "
+                  f"vs n log n ideal {ideal:.2f}")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,16 @@ Extraction uses block subspace iteration on the cubed operator (the power
 algorithm): cubing is cheap, preserves eigenvectors and magnitude order, and
 cubes the separation ratio between informative eigenvalues and the bulk,
 where a restarted Arnoldi iteration wastes its time converging continuum
-bulk modes to full tolerance. Eigenvalues are read off as Rayleigh quotients
+bulk modes to full tolerance. With s the operator scale, the cube is three
+steps of the recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1} on n-row
+blocks, each one sparse product with [s A, s^2 (I - D)] in a reused buffer,
+and the block is re-orthonormalized by LAPACK's economic Householder QR
+(geqrf + orgqr) in place. Eigenvalues are read off as Rayleigh quotients
 of the uncubed operator, so a complex bulk eigenvalue whose cube happens to
 land near the real axis still fails the residual test and cannot alias as
-informative.
+informative. The Ritz vectors, their Rayleigh quotients and residuals come
+from block products with the projected eigenvectors, with no apply per
+vector.
 
 `bulk_scale` handles spectra computed from a thinned edge subsample whose
 operator has been rescaled by 1/(1 - epsilon): the rescaled bulk disk has
@@ -40,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from .graph_sampler import SparseGraph
 from .rng import substream
@@ -138,34 +144,62 @@ class Companion:
     Built from the oriented-edge space: A has a 1 at (tail, head) of every
     oriented edge and D is the in-degree. Its eigenvalues are those of the
     equally scaled NbOperator, apart from trivial ones at +-scale.
+
+    With s = scale, C maps [x_t; s x_{t-1}] to [x_{t+1}; s x_t] where
+    x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}. That recurrence is one sparse
+    (n, 2n) product with [s A, s^2 (I - D)] on the stacked pair [x_t; x_{t-1}].
     """
 
     space: OrientedEdgeSpace
     scale: float = 1.0
-    _top: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _recurrence: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = self.space
+        s, scale = self.space, self.scale
         adjacency = sparse.csr_matrix(
-            (np.ones(s.m_oriented), (s.tails, s.heads)), shape=(s.n, s.n)
+            (np.full(s.m_oriented, scale), (s.tails, s.heads)), shape=(s.n, s.n)
         )
-        degree = np.bincount(s.heads, minlength=s.n)
-        self._top = sparse.hstack([adjacency, sparse.diags(1.0 - degree)], format="csr")
+        defect = scale**2 * (1.0 - np.bincount(s.heads, minlength=s.n))
+        self._recurrence = sparse.hstack([adjacency, sparse.diags(defect)], format="csr")
 
     @property
     def dim(self) -> int:
         return 2 * self.space.n
 
+    def _load_pair(self, X: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """Write [x_t; x_{t-1}] = [X_top; X_bottom / scale] into the C-ordered `pair`."""
+        n = self.space.n
+        pair[:n] = X[:n]
+        np.divide(X[n:], self.scale, out=pair[n:])
+        return pair
+
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """C X for a vector or a block of columns."""
         X = np.asarray(X)
-        y = np.concatenate([self._top @ X, X[: self.space.n]])
-        if self.scale != 1.0:
-            y *= self.scale
-        return y
+        n = self.space.n
+        out = self._load_pair(X, np.empty(X.shape))
+        out[:n] = self._recurrence @ out
+        np.multiply(X[:n], self.scale, out=out[n:])
+        return out
 
     matvec = matmat
     __matmul__ = matmat
+
+    def cube(self, Q: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """C^3 Q for a (2n, b) block, written into `out` (same shape, not Q) and returned.
+
+        Three steps of the recurrence from [x_0; s x_{-1}] = Q give
+        C^3 Q = [x_3; s x_2]. The iterates sit in `work`, a C-ordered (4n, b)
+        scratch block, ordered x_2, x_1, x_0, x_{-1}, so every step reads its
+        pair in place.
+        """
+        n = self.space.n
+        self._load_pair(Q, work[2 * n :])
+        work[n : 2 * n] = self._recurrence @ work[2 * n :]
+        work[:n] = self._recurrence @ work[n : 3 * n]
+        out[:n] = self._recurrence @ work[: 2 * n]
+        np.multiply(work[:n], self.scale, out=out[n:])
+        return out
 
     def lift(self, z: np.ndarray, rayleigh: float) -> np.ndarray:
         """Unit oriented-edge eigenvector of B from a companion eigenvector z = [a; a / lambda].
@@ -219,9 +253,20 @@ def _is_real(lam: complex) -> bool:
 def classify_eigenvalues(
     eigenvalues: np.ndarray, e1: float, k_cap: int, bulk_scale: float = 1.0
 ) -> tuple[float, list[int], float]:
-    """(lambda_1, indices accepted as informative, cutoff) for a |.|-sorted array."""
+    """(lambda_1, indices accepted as informative, cutoff), in |.|-descending order.
+
+    When the leading modulus is tied (within NEAR_MULTIPLICITY_RTOL), as
+    between +lambda_1 and -lambda_1 on a bipartite graph, the real positive
+    entry of the tie is lambda_1 and is listed first.
+    """
+    eigenvalues = np.asarray(eigenvalues)
     order = np.argsort(-np.abs(eigenvalues), kind="stable")
-    w = np.asarray(eigenvalues)[order]
+    w = eigenvalues[order]
+    tied = np.flatnonzero(np.abs(w) >= (1.0 - NEAR_MULTIPLICITY_RTOL) * np.abs(w[0]))
+    positive = [i for i in tied if _is_real(w[i]) and w[i].real > 0]
+    if positive:
+        order = np.concatenate([order[positive[:1]], np.delete(order, positive[0])])
+        w = eigenvalues[order]
     top = w[0]
     if not _is_real(top) or top.real <= 0:
         raise DegenerateSpectrumError(f"leading eigenvalue {top} is not real positive")
@@ -253,6 +298,8 @@ class NbSpectrum:
     iterations: int = 0             # subspace iterations, summed over restarts (0: dense solve)
     block: int = 0                  # final block width (0: dense solve)
     iterated_dim: int = 0           # dimension of the operator the solver ran on
+    # final-block Ritz residuals on the companion, as all_eigenvalues (empty: dense solve)
+    ritz_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _realify(vec: np.ndarray) -> np.ndarray:
@@ -270,31 +317,42 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _ritz_candidates(op, Q: np.ndarray):
+def _orthonormalize(Z: np.ndarray) -> np.ndarray:
+    """Q of the economic Householder QR of Z, computed in Z's buffer when Z is Fortran-ordered."""
+    return linalg.qr(Z, mode="economic", overwrite_a=True, check_finite=False)[0]
+
+
+def _ritz_candidates(op, Q: np.ndarray, scratch: np.ndarray | None = None):
     """Ritz pairs of the projected (uncubed) operator, |.|-descending.
 
-    Returns the projected eigenvalues, the realified Ritz vectors, their
-    Rayleigh quotients, and the Rayleigh residuals on the full operator.
+    Returns the projected eigenvalues, the realified unit Ritz vectors as the
+    columns of Y, their Rayleigh quotients y'By, and the residuals
+    |By - (y'By) y| on the full operator. A complex coefficient vector is
+    turned real by rotating its largest entry onto the positive axis, so
+    Y = Q S and BY = (BQ) S are block products with no apply per vector.
+    BY is formed in `scratch`, a spare block of Q's shape, when one is given.
     """
     BQ = op.matmat(Q)
-    H = Q.T @ BQ
-    w, S = np.linalg.eig(H)
+    w, S = np.linalg.eig(Q.T @ BQ)
     order = np.argsort(-np.abs(w), kind="stable")
     w, S = w[order], S[:, order]
-    vectors, rayleigh, residuals = [], [], []
-    for i in range(w.size):
-        y = _realify(Q @ S[:, i])
-        by = op.matvec(y)
-        lam = float(y @ by)
-        vectors.append(y)
-        rayleigh.append(lam)
-        residuals.append(float(np.linalg.norm(by - lam * y)))
-    return w, vectors, np.array(rayleigh), np.array(residuals)
+    if np.iscomplexobj(S):
+        pivots = S[np.argmax(np.abs(S), axis=0), np.arange(S.shape[1])]
+        S = (S * (np.abs(pivots) / pivots)).real
+    Y = (S.T @ Q.T).T  # Fortran-ordered, like Q: column passes stay contiguous
+    unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", Y, Y))
+    Y *= unit
+    BY = np.matmul(BQ, S * unit, out=scratch)
+    del BQ  # before the Y * rayleigh temporary, to keep the peak at two new blocks
+    rayleigh = np.einsum("ij,ij->j", Y, BY)
+    BY -= Y * rayleigh
+    residuals = np.sqrt(np.einsum("ij,ij->j", BY, BY))
+    return w, Y, rayleigh, residuals
 
 
 def _subspace_iterate(op, block: int, tol: float, max_iters: int, seed: int,
                       e1: float, k_cap: int, bulk_scale: float):
-    """Block subspace iteration on op^3; returns (result, converged, iterations).
+    """Block subspace iteration on op^3 (`op.cube`); returns (result, converged, iterations).
 
     Stops once the accepted set has been stable for several extraction
     rounds, its residuals on op meet tol, and no candidate is still climbing
@@ -303,22 +361,25 @@ def _subspace_iterate(op, block: int, tol: float, max_iters: int, seed: int,
     while one is in flight would undercount K. Bulk directions never gate
     the stop; their Ritz values do not grow.
     """
-    dim = op.dim
     rng = substream(seed, "subspace-init")
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, block)))
+    Q = _orthonormalize(np.asfortranarray(rng.standard_normal((op.dim, block))))
+    spare = np.empty_like(Q, order="F")
+    work = np.empty((2 * op.dim, block))
     stable = 0
     prev_key = None
     prev_mags = None
     result = None
     for it in range(1, max_iters + 1):
-        Z = op.matmat(op.matmat(op.matmat(Q)))
-        norms = np.linalg.norm(Z, axis=0)
+        Z = op.cube(Q, spare, work)
+        norms = np.sqrt(np.einsum("ij,ij->j", Z, Z))
         if not np.all(np.isfinite(norms)) or norms.max() <= 1e-290:
             raise DegenerateSpectrumError("operator power collapsed (nilpotent or empty spectrum)")
-        Q, _ = np.linalg.qr(Z)
+        # the QR overwrites Z, so the two (dim, block) buffers swap roles each round
+        Q, spare = _orthonormalize(Z), Q
         if it % EXTRACT_EVERY and it != max_iters:
             continue
-        w, vectors, rayleigh, residuals = _ritz_candidates(op, Q)
+        result = None  # only the last round's result is returned: free its vectors first
+        w, vectors, rayleigh, residuals = _ritz_candidates(op, Q, scratch=spare)
         try:
             lam1, accepted, cutoff = classify_eigenvalues(w, e1, k_cap, bulk_scale)
         except DegenerateSpectrumError:
@@ -412,43 +473,43 @@ def top_spectrum(
             continue
         break
 
+    # accepted keeps classify_eigenvalues' order: |.|-descending, lambda_1 first
     lambdas = np.array([ray[i] for i in accepted])
     vecs = (
-        np.stack([comp.lift(vectors[i], ray[i]) for i in accepted], axis=1)
+        np.stack([comp.lift(vectors[:, i], ray[i]) for i in accepted], axis=1)
         if accepted
         else np.empty((op.dim, 0))
     )
-    order = np.argsort(-np.abs(lambdas), kind="stable")
-    lambdas = lambdas[order]
-    vecs = vecs[:, order] if lambdas.size else vecs
-    all_eigs = np.asarray(w)[np.argsort(-np.abs(w), kind="stable")]
-    return _finish(
-        op, n, e1, lambdas, vecs, lam1, cutoff, all_eigs,
-        iterations=iterations, block=block_size, iterated_dim=comp.dim,
+    return _finish(  # w and residuals come |.|-descending from _ritz_candidates
+        op, n, e1, lambdas, vecs, lam1, cutoff, w,
+        iterations=iterations, block=block_size, iterated_dim=comp.dim, ritz_residuals=residuals,
     )
 
 
 def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpectrum:
     warnings: list[str] = []
     K = lambdas.size
-    # re-orthonormalize only inside near-degenerate clusters; across distinct
-    # eigenvalues Gram-Schmidt would break the eigen-residuals
-    i = 0
-    while i < K:
-        j = i + 1
-        while j < K and abs(abs(lambdas[j]) - abs(lambdas[i])) <= NEAR_MULTIPLICITY_RTOL * abs(
-            lambdas[i]
-        ):
-            j += 1
-        if j - i > 1:
-            warnings.append(
-                f"near-multiplicity among lambda_{i + 1}..lambda_{j}: eigenvector basis ambiguous"
-            )
-            qmat, _ = np.linalg.qr(vectors[:, i:j])
-            for c in range(qmat.shape[1]):
-                qmat[:, c] = _fix_sign(qmat[:, c])
-            vectors[:, i:j] = qmat
-        i = j
+    # re-orthonormalize only inside clusters of near-equal eigenvalues; across
+    # distinct ones, +-lambda included, Gram-Schmidt would break the eigen-residuals
+    for same_sign in (np.flatnonzero(lambdas > 0), np.flatnonzero(lambdas < 0)):
+        i = 0
+        while i < same_sign.size:
+            j = i + 1
+            lam = lambdas[same_sign[i]]
+            near = NEAR_MULTIPLICITY_RTOL * abs(lam)
+            while j < same_sign.size and abs(lambdas[same_sign[j]] - lam) <= near:
+                j += 1
+            if j - i > 1:
+                cols = same_sign[i:j]
+                warnings.append(
+                    f"near-multiplicity among lambda_{cols[0] + 1}..lambda_{cols[-1] + 1}: "
+                    "eigenvector basis ambiguous"
+                )
+                qmat, _ = np.linalg.qr(vectors[:, cols])
+                for c in range(qmat.shape[1]):
+                    qmat[:, c] = _fix_sign(qmat[:, c])
+                vectors[:, cols] = qmat
+            i = j
     residuals = np.array(
         [np.linalg.norm(op.matvec(vectors[:, c]) - lambdas[c] * vectors[:, c]) for c in range(K)]
     )

@@ -518,7 +518,7 @@ class RunResult:
 
 
 def spectrum_telemetry(spectrum: nonbacktracking.NbSpectrum | None) -> dict | None:
-    """What the spectral solver did: its work, cutoff and final-block Ritz values."""
+    """What the spectral solver did: its work, cutoff, and final-block Ritz values and residuals."""
     if spectrum is None:
         return None
     return {
@@ -527,6 +527,7 @@ def spectrum_telemetry(spectrum: nonbacktracking.NbSpectrum | None) -> dict | No
         "iterated_dim": spectrum.iterated_dim,
         "cutoff": spectrum.cutoff,
         "ritz_values": [[float(w.real), float(w.imag)] for w in spectrum.all_eigenvalues],
+        "ritz_residuals": spectrum.ritz_residuals.tolist(),
     }
 
 

@@ -12,6 +12,7 @@ from graphon_forge.nonbacktracking import (
     SpectrumConvergenceError,
     _radius_exceeds_one,
     build_nb_operator,
+    bulk_cutoff,
     classify_eigenvalues,
     default_e1,
     dense_nb_matrix,
@@ -340,6 +341,45 @@ class TestTopSpectrum:
         assert len(applies) <= 400
 
 
+def complete_bipartite(a: int, b: int, drop=()) -> SparseGraph:
+    """K_{a,b} on vertices 0..a-1 and a..a+b-1, less the edges listed by index in `drop`."""
+    edges = [[i, a + j] for i in range(a) for j in range(b)]
+    return SparseGraph(a + b, np.array([e for k, e in enumerate(edges) if k not in drop]))
+
+
+class TestBipartiteTies:
+    """On a bipartite graph -lambda_1 is an eigenvalue too, tied in modulus with lambda_1."""
+
+    def test_tie_is_broken_toward_the_real_positive_entry(self):
+        w = np.array([-2.0, 1j * 2.0, -1j * 2.0, 2.0 * (1 - 1e-9), 0.5])
+        lam1, accepted, cutoff = classify_eigenvalues(w, 0.1, 8)
+        assert lam1 == w[3].real and accepted == [3, 0]
+        assert cutoff == bulk_cutoff(lam1, 0.1)
+        # without a tie, a negative leading entry is still refused
+        with pytest.raises(DegenerateSpectrumError):
+            classify_eigenvalues(np.array([-2.0, 2.0 * (1 - 1e-5), 0.5]), 0.1, 8)
+
+    @pytest.mark.parametrize("a, b, drop", [(2, 4, ()), (3, 4, (0, 5))])
+    def test_tied_graphs_are_not_refused(self, a, b, drop):
+        gr = complete_bipartite(a, b, drop)
+        op = build_nb_operator(gr)
+        assert op.dim <= DENSE_FALLBACK_DIM
+        w = np.linalg.eigvals(dense_nb_matrix(op))
+        mags = np.abs(w)
+        assert np.sum(mags >= mags.max() * (1 - 1e-9)) >= 2
+        lam1, _, _ = classify_eigenvalues(w, default_e1(gr.n), 8)
+        assert lam1 == pytest.approx(w.real.max(), rel=1e-12)
+        assert top_spectrum(op, gr.n, seed=0).K == 0  # +-lambda_1 stay under the cutoff
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5)])  # 2m = 24 is solved densely
+    def test_both_signs_accepted_keep_their_eigenvectors(self, a, b):
+        gr = complete_bipartite(a, b)
+        root = np.sqrt((a - 1) * (b - 1))
+        spec = top_spectrum(build_nb_operator(gr), gr.n, seed=0)
+        np.testing.assert_allclose(spec.lambdas, [root, -root], rtol=1e-10)
+        assert spec.residuals.max() <= 1e-8 and not spec.warnings
+
+
 class TestIharaBass:
     def test_triangle_contains_nb_spectrum(self):
         w = np.linalg.eigvals(ihara_bass_dense(TRIANGLE))
@@ -398,3 +438,58 @@ class TestIharaBass:
             assert np.linalg.norm(xi) == pytest.approx(1.0)
             np.testing.assert_allclose(op.matvec(xi), w[i].real * xi, atol=1e-10)
             done += 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_cube_is_three_applies(self, scale):
+        rng = np.random.default_rng(10)
+        # vertex 30 is a leaf on vertex 0, and 31 and 32 are isolated, so I - D has 0 and 1
+        edges = np.concatenate([random_simple_graph(rng, 30, 0.15), [[0, 30]]])
+        space = OrientedEdgeSpace.from_graph(SparseGraph(33, edges))
+        assert {0, 1} <= set(np.bincount(space.heads, minlength=33).tolist())
+        comp = Companion(space, scale=scale)
+        Q = np.asfortranarray(rng.standard_normal((comp.dim, 5)))
+        start = Q.copy()
+        want = comp.matmat(comp.matmat(comp.matmat(Q)))
+        out = np.empty_like(Q, order="F")
+        assert comp.cube(Q, out, np.empty((2 * comp.dim, 5))) is out
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(Q, start)
+
+
+class TestSubspaceKernels:
+    def test_block_ritz_matches_per_vector_formula(self):
+        rng = np.random.default_rng(11)
+        gr = SparseGraph(200, random_simple_graph(rng, 200, 4.0 / 200))
+        comp = Companion(OrientedEdgeSpace.from_graph(gr), scale=1.3)
+        Q = nonbacktracking._orthonormalize(np.asfortranarray(rng.standard_normal((comp.dim, 6))))
+        w, Y, rayleigh, residuals = nonbacktracking._ritz_candidates(comp, Q)
+        assert np.abs(w.imag).max() > 1e-3  # the projection has a complex pair
+        assert np.all(np.diff(np.abs(w)) <= 0)
+        np.testing.assert_allclose(Q @ (Q.T @ Y), Y, atol=1e-12)
+        for i in range(w.size):
+            y = Y[:, i]
+            by = comp.matvec(y)
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+            assert rayleigh[i] == pytest.approx(y @ by, abs=1e-12)
+            assert residuals[i] == pytest.approx(np.linalg.norm(by - (y @ by) * y), abs=1e-12)
+
+    def test_orthonormalize_matches_numpy_qr(self):
+        Z = np.random.default_rng(12).standard_normal((500, 6))
+        want, _ = np.linalg.qr(Z)
+        got = nonbacktracking._orthonormalize(np.asfortranarray(Z))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_keeps_iteration_count_on_workload_graph(self, assortative_2block):
+        # sparse-2block's graph at graph seed 4, whose final block holds a complex
+        # bulk pair; the counts and lambdas are those of the iteration that applied
+        # the companion three times per step and took Ritz pairs one vector at a time
+        n, seed = 30000, 4
+        gr, _ = sample_graph(assortative_2block, n, seed=seed)
+        eps = default_epsilon(n)
+        g1, _ = split_edges(gr, eps, seed=seed)
+        scale = 1.0 / (1.0 - eps)
+        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        assert (spec.iterations, spec.block, spec.K) == (70, 6, 2)
+        np.testing.assert_allclose(spec.lambdas, [4.013184612169202, 2.95382969102282], rtol=1e-12)
+        assert spec.ritz_residuals.shape == (6,) and spec.ritz_residuals[:2].max() <= 1e-8
+        assert np.any(spec.all_eigenvalues.imag != 0)

@@ -145,6 +145,8 @@ class TestRunPipeline:
         assert len(spec["ritz_values"]) == spec["block"]
         top_re, top_im = spec["ritz_values"][0]
         assert top_im == 0.0 and top_re == pytest.approx(lambdas[0], rel=1e-6)
+        assert len(spec["ritz_residuals"]) == spec["block"]
+        assert 0 <= spec["ritz_residuals"][0] <= 1e-8  # the accepted top pair met the solver's tol
         assert lambdas[-1] > spec["cutoff"] > 0
 
     def test_determinism_byte_identical(self, model_file, tmp_path):
