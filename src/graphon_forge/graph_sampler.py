@@ -3,8 +3,12 @@
 Sampling is blockwise: vertices are bucketed by latent block, the edge count
 for each block pair is drawn from the exact Binomial law, and that many
 distinct pairs are placed uniformly. This is distribution-identical to
-independent Bernoulli thinning over all pairs but costs O(n + |E|) instead of
-O(n^2). All randomness flows through labeled substreams of one master seed.
+independent Bernoulli thinning over all pairs but costs O(n + |E| log |E|)
+instead of O(n^2): the log factor is the sort that removes repeated draws.
+Pairs are handled as 1-D int64 keys u * n + v, which sort like the (u, v)
+rows, so deduplication, edge ordering and the duplicate check are each one
+whole-array sort or scan. All randomness flows through labeled substreams of
+one master seed.
 """
 from __future__ import annotations
 
@@ -42,15 +46,20 @@ class SparseGraph:
     _adjacency: sparse.csr_matrix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         if e.size:
-            if np.any(e[:, 0] >= e[:, 1]):
+            if int(self.n) ** 2 > np.iinfo(np.int64).max:
+                raise ValueError("n too large for int64 pair keys")
+            u, v = e[:, 0], e[:, 1]
+            if np.any(u >= v):
                 raise ValueError("edges must satisfy u < v (no self-loops)")
-            if np.any(e < 0) or np.any(e >= self.n):
+            if np.any(u < 0) or np.any(v >= self.n):
                 raise ValueError("edge endpoint out of range")
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            e = e[order]
-            if np.any((np.diff(e[:, 0]) == 0) & (np.diff(e[:, 1]) == 0)):
+            key = u * self.n + v  # sorts like the (u, v) rows
+            if not np.all(np.diff(key) > 0):  # split subsets and loaded files arrive sorted
+                order = np.argsort(key, kind="stable")
+                e, key = e[order], key[order]
+            if np.any(np.diff(key) == 0):
                 raise ValueError("duplicate edges")
         self.edges = e
 
@@ -72,38 +81,41 @@ class SparseGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        if self.m:
-            np.add.at(d, self.edges[:, 0], 1)
-            np.add.at(d, self.edges[:, 1], 1)
-        return d
+        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64, copy=False)
 
     def neighbors(self, v: int) -> np.ndarray:
         a = self.adjacency
         return a.indices[a.indptr[v] : a.indptr[v + 1]]
 
 
-def _distinct_pairs(rng, count, draw_a, draw_b, same_pool: bool):
-    """`count` distinct unordered pairs, uniform over the pool, via redraw on collision."""
-    got = np.empty((0, 2), dtype=np.int64)
-    need = count
-    while need > 0:
-        k = int(need * 1.2) + 8
-        i, j = draw_a(rng, k), draw_b(rng, k)
-        if same_pool:
+def _distinct_pairs(rng, n: int, count: int, ma: np.ndarray, mb: np.ndarray | None = None):
+    """`count` distinct unordered pairs, uniform over the pool, via redraw on collision.
+
+    The pool is the pairs within `ma` when `mb` is None, else ma x mb. A draw
+    (i, j) is kept as the key i * n + j, and the keys are deduplicated by one
+    sort and an adjacent-difference mask. Rows come back as (min, max).
+    """
+    got = np.empty(0, dtype=np.int64)
+    while got.size < count:
+        k = int((count - got.size) * 1.2) + 8
+        i = ma[rng.integers(0, ma.size, size=k)]
+        if mb is None:
+            j = ma[rng.integers(0, ma.size, size=k)]
             keep = i != j
             i, j = i[keep], j[keep]
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            i, j = np.minimum(i, j), np.maximum(i, j)
         else:
-            lo, hi = i, j
-        cand = np.concatenate([got, np.stack([lo, hi], axis=1)])
-        got = np.unique(cand, axis=0)
-        need = count - got.shape[0]
-    if got.shape[0] > count:
+            j = mb[rng.integers(0, mb.size, size=k)]
+        keys = np.sort(np.concatenate([got, i * n + j]))
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        got = keys[fresh]
+    if got.size > count:
         # drop a uniformly chosen surplus so the kept set stays uniform
-        keep = rng.permutation(got.shape[0])[:count]
+        keep = rng.permutation(got.size)[:count]
         got = got[np.sort(keep)]
-    return got
+    i, j = np.divmod(got, n)
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
 def sample_graph(g: StepGraphon, n: int, seed: int) -> tuple[SparseGraph, LatentAssignment]:
@@ -145,27 +157,7 @@ def sample_graph(g: StepGraphon, n: int, seed: int) -> tuple[SparseGraph, Latent
                 keep = np.sort(rng_edges.permutation(n_pairs)[:count])
                 chunks.append(pool[keep])
                 continue
-            if a == b:
-                pairs = _distinct_pairs(
-                    rng_edges,
-                    count,
-                    lambda r, k, ma=ma: ma[r.integers(0, ma.size, size=k)],
-                    lambda r, k, ma=ma: ma[r.integers(0, ma.size, size=k)],
-                    same_pool=True,
-                )
-            else:
-                pairs = _distinct_pairs(
-                    rng_edges,
-                    count,
-                    lambda r, k, ma=ma: ma[r.integers(0, ma.size, size=k)],
-                    lambda r, k, mb=mb: mb[r.integers(0, mb.size, size=k)],
-                    same_pool=False,
-                )
-                pairs = np.stack(
-                    [np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])],
-                    axis=1,
-                )
-            chunks.append(pairs)
+            chunks.append(_distinct_pairs(rng_edges, n, count, ma, None if a == b else mb))
     edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
     return SparseGraph(n, edges), LatentAssignment(latents)
 
@@ -198,7 +190,7 @@ def degree_stats(gr: SparseGraph) -> DegreeStats:
 
 def save_edge_list(gr: SparseGraph, path) -> None:
     """Header line "n m", then one "u v" per line, 0-indexed with u < v."""
-    body = "".join(f"{u} {v}\n" for u, v in gr.edges.tolist())
+    body = ("%d %d\n" * gr.m) % tuple(gr.edges.ravel().tolist())
     with open(path, "w") as fh:
         fh.write(f"{gr.n} {gr.m}\n{body}")
 
@@ -213,7 +205,10 @@ def load_edge_list(path) -> SparseGraph:
 
 
 def save_latents(lat: LatentAssignment, path) -> None:
-    np.savetxt(path, lat.latents, fmt="%.17g")
+    """One latent per line, as np.savetxt(fmt="%.17g") writes them; %.17g round-trips exactly."""
+    body = ("%.17g\n" * lat.n) % tuple(lat.latents.tolist())
+    with open(path, "w") as fh:
+        fh.write(body)
 
 
 def load_latents(path) -> LatentAssignment:

@@ -33,6 +33,8 @@ EPSILON_CLAMP = (0.01, 0.5)
 DELTA_FLOOR = 0.05
 MANIFEST_NAME = "manifest.json"
 DEGENERATE_NAME = "degenerate.json"
+# generate-stage dumps by the PipelineState attribute that holds them
+GRAPH_DUMPS = {"graph": "graph.edges", "latents": "latents.txt", "g1": "g1.edges", "g2": "g2.edges"}
 
 
 class StageInputError(RuntimeError):
@@ -173,14 +175,19 @@ class PipelineState:
         self.timings: dict[str, float] = {}
 
     # -- disk round-trips ---------------------------------------------------
-    def require_graphs(self):
-        if self.g1 is None or self.g2 is None:
+    def require_graphs(self, names=tuple(GRAPH_DUMPS)):
+        """Load the named generate-stage dumps that are not in memory.
+
+        `names` are keys of GRAPH_DUMPS. epsilon comes from split.json, which
+        also vouches for the config the dumps were generated under.
+        """
+        if self.epsilon is None:
             doc = _load_stage(self.out / "split.json", self.config_hash)
             self.epsilon = doc["epsilon"]
-            self.g1 = graph_sampler.load_edge_list(self.out / "g1.edges")
-            self.g2 = graph_sampler.load_edge_list(self.out / "g2.edges")
-            self.graph = graph_sampler.load_edge_list(self.out / "graph.edges")
-            self.latents = graph_sampler.load_latents(self.out / "latents.txt")
+        for name in names:
+            if getattr(self, name) is None:
+                load = graph_sampler.load_latents if name == "latents" else graph_sampler.load_edge_list
+                setattr(self, name, load(self.out / GRAPH_DUMPS[name]))
 
     def require_spectrum(self):
         if self.spectrum is None:
@@ -282,7 +289,7 @@ def stage_generate(state: PipelineState) -> None:
 def stage_spectrum(state: PipelineState) -> None:
     """Informative non-backtracking eigenpairs of G1, rescaled by 1/(1 - epsilon)."""
     cfg = state.cfg
-    state.require_graphs()
+    state.require_graphs(["g1"])
     try:
         scale = 1.0 / (1.0 - state.epsilon)
         op = nonbacktracking.build_nb_operator(state.g1, scale=scale)
@@ -341,7 +348,7 @@ def stage_moments(state: PipelineState) -> None:
     cfg = state.cfg
     if state.degenerate:
         return
-    state.require_graphs()
+    state.require_graphs(["g2"])
     state.require_spectrum()
     N = effective_N(state)
     try:
@@ -371,7 +378,6 @@ def stage_fit(state: PipelineState) -> None:
     cfg = state.cfg
     if state.degenerate:
         return
-    state.require_graphs()
     state.require_spectrum()
     state.require_table()
     K = state.spectrum.K
@@ -429,7 +435,7 @@ def stage_estimate(state: PipelineState) -> None:
     cfg = state.cfg
     m = int(cfg.m_override) if cfg.m_override is not None else cfg.n
     if state.degenerate:
-        state.require_graphs()
+        state.require_graphs(["graph"])
         mean_deg = 2.0 * state.graph.m / state.graph.n
         state.estimate = est_mod.GraphonEstimate(
             np.array([mean_deg]),
@@ -467,7 +473,7 @@ def alignment_metrics(est: est_mod.GraphonEstimate, truth, g: int, rank: int) ->
 def stage_evaluate(state: PipelineState) -> None:
     """Alignment distance to the rank-r0 truth plus ground-truth diagnostics."""
     cfg = state.cfg
-    state.require_graphs()
+    state.require_graphs(["latents"])
     state.require_estimate()
     try:
         state.require_spectrum()
@@ -549,7 +555,7 @@ def write_manifest(state: PipelineState) -> dict:
         "warnings": state.warnings,
         "metrics": state.metrics,
         "stages": {
-            "generate": ["graph.edges", "latents.txt", "g1.edges", "g2.edges"],
+            "generate": list(GRAPH_DUMPS.values()),
             "spectrum": ["spectrum.json", "aggregates.bin"],
             "moments": ["moments.json"],
             "fit": ["fit.json"],

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from graphon_forge.estimator import (
+    FORMAT_VERSION,
     EstimateParseError,
     GraphonEstimate,
     assemble,
@@ -58,6 +61,26 @@ class TestSerialization:
         np.testing.assert_array_equal(back.lambdas, est.lambdas)
         assert back.m == est.m and back.kappa == est.kappa
         assert back.provenance["seed"] == 7
+
+    @pytest.mark.parametrize("kappa", [2.0, np.inf])
+    def test_bytes_match_streaming_json_dump(self, tmp_path, kappa):
+        rng = np.random.default_rng(3)
+        est = assemble(rng.standard_normal((60, 3)) * 1e-7, np.array([5.5, -0.25, 1e-300]),
+                       kappa=kappa, provenance={"seed": 2, "config_hash": "ab" * 32, "h": 8.0})
+        doc = {
+            "version": FORMAT_VERSION,
+            "lambdas": est.lambdas.tolist(),
+            "m": est.m,
+            "kappa": est.kappa,
+            "Z": est.Z.ravel().tolist(),
+            "provenance": est.provenance,
+        }
+        ref = tmp_path / "ref.json"
+        with open(ref, "w") as fh:
+            json.dump(doc, fh)
+        got = tmp_path / "got.json"
+        save_estimate(est, got)
+        assert got.read_bytes() == ref.read_bytes()
 
     def test_m_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphon_forge import graph_sampler
 from graphon_forge.graph_sampler import (
+    LatentAssignment,
     SparseGraph,
     degree_stats,
     load_edge_list,
@@ -18,6 +20,42 @@ from graphon_forge.graphon_model import StepGraphon
 
 def constant_graphon(c):
     return StepGraphon(np.array([1.0]), np.array([[float(c)]]))
+
+
+def distinct_pairs_by_rows(rng, count, draw_a, draw_b, same_pool: bool):
+    """Reference: the same redraw loop, deduplicating (lo, hi) rows with np.unique(axis=0)."""
+    got = np.empty((0, 2), dtype=np.int64)
+    need = count
+    while need > 0:
+        k = int(need * 1.2) + 8
+        i, j = draw_a(rng, k), draw_b(rng, k)
+        if same_pool:
+            keep = i != j
+            i, j = i[keep], j[keep]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+        else:
+            lo, hi = i, j
+        cand = np.concatenate([got, np.stack([lo, hi], axis=1)])
+        got = np.unique(cand, axis=0)
+        need = count - got.shape[0]
+    if got.shape[0] > count:
+        # drop a uniformly chosen surplus so the kept set stays uniform
+        keep = rng.permutation(got.shape[0])[:count]
+        got = got[np.sort(keep)]
+    return got
+
+
+def reference_pairs(rng, n, count, ma, mb=None):
+    """The reference behind `_distinct_pairs`' signature: the same draws, rows as (min, max)."""
+    pool_b = ma if mb is None else mb
+    pairs = distinct_pairs_by_rows(
+        rng,
+        count,
+        lambda r, k: ma[r.integers(0, ma.size, size=k)],
+        lambda r, k: pool_b[r.integers(0, pool_b.size, size=k)],
+        same_pool=mb is None,
+    )
+    return np.stack([pairs.min(axis=1), pairs.max(axis=1)], axis=1)
 
 
 class TestSampleGraph:
@@ -73,6 +111,63 @@ class TestSampleGraph:
         gr, _ = sample_graph(assortative_2block, 5000, seed=13)
         assert np.all(gr.edges[:, 0] < gr.edges[:, 1])
         assert np.unique(gr.edges, axis=0).shape[0] == gr.m
+
+
+@pytest.mark.parametrize(
+    "values, n",
+    [
+        ([[0.0, 5.0], [5.0, 0.0]], 4000),  # cross-block pairs only
+        ([[7.0, 1.0], [1.0, 7.0]], 4000),  # within- and cross-block
+        ([[60.0, 1.0], [1.0, 60.0]], 30),  # within-block pairs from the dense pool
+        ([[0.0, 3.0], [3.0, 5.0]], 1000),  # a zero block
+    ],
+)
+def test_key_dedup_draws_the_same_graph_as_row_dedup(values, n, monkeypatch):
+    g = StepGraphon(np.array([0.4, 0.6]), np.array(values))
+    got = []
+    for seed in range(3):
+        gr, _ = sample_graph(g, n, seed)
+        got.append((gr, *split_edges(gr, 0.3, seed)))
+    monkeypatch.setattr(graph_sampler, "_distinct_pairs", reference_pairs)
+    for seed, graphs in enumerate(got):
+        ref, _ = sample_graph(g, n, seed)
+        for a, b in zip(graphs, (ref, *split_edges(ref, 0.3, seed))):
+            np.testing.assert_array_equal(a.edges, b.edges)
+            assert a.edges.dtype == b.edges.dtype == np.int64
+
+
+class TestSparseGraph:
+    def test_unsorted_input_is_sorted(self):
+        gr = SparseGraph(6, np.array([[2, 5], [0, 4], [2, 3], [0, 1], [1, 5]]))
+        np.testing.assert_array_equal(gr.edges, [[0, 1], [0, 4], [1, 5], [2, 3], [2, 5]])
+
+    def test_sorted_input_comes_back_unchanged(self):
+        edges = np.array([[0, 1], [0, 4], [1, 5], [2, 3], [2, 5]])
+        gr = SparseGraph(6, edges)
+        np.testing.assert_array_equal(gr.edges, edges)
+        assert gr.edges.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1], [0, 1], [1, 2]], [[1, 2], [0, 1], [1, 2]], [[2, 3], [0, 3], [2, 3]]]
+    )
+    def test_duplicates_raise_sorted_or_not(self, edges):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseGraph(4, np.array(edges))
+
+    @pytest.mark.parametrize("n, edges", [(4, [[1, 1]]), (4, [[2, 1]]), (4, [[-1, 2]]), (4, [[0, 4]]),
+                                          (2**32, [[0, 1]])])
+    def test_bad_rows_raise(self, n, edges):
+        with pytest.raises(ValueError):
+            SparseGraph(n, np.array(edges))
+
+    def test_degrees_count_both_endpoints(self, assortative_2block):
+        gr, _ = sample_graph(assortative_2block, 2000, seed=4)
+        want = np.zeros(gr.n, dtype=np.int64)
+        np.add.at(want, gr.edges[:, 0], 1)
+        np.add.at(want, gr.edges[:, 1], 1)
+        np.testing.assert_array_equal(gr.degrees, want)
+        assert gr.degrees.dtype == np.int64
+        assert SparseGraph(3, np.empty((0, 2))).degrees.tolist() == [0, 0, 0]
 
 
 class TestSplitEdges:
@@ -167,3 +262,12 @@ def test_edge_list_bytes_match_per_line_writer(tmp_path, c):
     got = tmp_path / "got.edges"
     save_edge_list(gr, got)
     assert got.read_bytes() == ref.read_bytes()
+
+
+def test_latents_bytes_match_savetxt(tmp_path):
+    lat = LatentAssignment(
+        np.concatenate([np.random.default_rng(5).random(300), [0.0, 1.0, 5e-324, 0.1, 1 / 3]])
+    )
+    np.savetxt(tmp_path / "ref.txt", lat.latents, fmt="%.17g")
+    save_latents(lat, tmp_path / "got.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()

@@ -320,22 +320,27 @@ class TestTopSpectrum:
 
     def test_complex_bulk_pair_does_not_stall(self, assortative_2block, monkeypatch):
         # graph seed 4 at n = 3e4 has a complex bulk Ritz pair just above the
-        # cutoff, which can hold the stop rule open; graph seeds 0-4 need at
-        # most 308 applies
+        # cutoff, which can hold the stop rule open; its 70 iterations are 70
+        # cubes of three applies each plus 14 extraction applies: 224 applies
         n, seed = 30000, 4
         gr, _ = sample_graph(assortative_2block, n, seed=seed)
         eps = default_epsilon(n)
         g1, _ = split_edges(gr, eps, seed=seed)
         scale = 1.0 / (1.0 - eps)
         applies = []
-        apply = Companion.matmat
+        apply, cube = Companion.matmat, Companion.cube
 
         def counted(self, X):
             applies.append(1)
             return apply(self, X)
 
+        def counted_cube(self, Q, out, work):
+            applies.extend([1, 1, 1])
+            return cube(self, Q, out, work)
+
         monkeypatch.setattr(Companion, "matmat", counted)
         monkeypatch.setattr(Companion, "matvec", counted)
+        monkeypatch.setattr(Companion, "cube", counted_cube)
         spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
         assert spec.K == 2
         assert len(applies) <= 400

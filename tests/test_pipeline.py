@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphon_forge import cli
+from graphon_forge import cli, graph_sampler
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.pipeline import (
     DEGENERATE_NAME,
@@ -296,6 +296,32 @@ class TestStagedExecution:
             assert (
                 (tmp_path / "staged" / name).read_bytes() == (full.out_dir / name).read_bytes()
             ), name
+
+    @pytest.mark.parametrize(
+        "e1_override, loaded",
+        [
+            (None, ["g1.edges", "g2.edges", "latents.txt"]),
+            (50.0, ["g1.edges", "graph.edges", "latents.txt"]),  # K = 0: the constant estimator
+        ],
+    )
+    def test_stages_read_only_the_graph_dumps_they_use(
+        self, e1_override, loaded, model_file, tmp_path, monkeypatch
+    ):
+        cfg = small_config(model_file, tmp_path, e1_override=e1_override)
+        reads = []
+
+        def counted(load):
+            def wrapper(path):
+                reads.append(path.name)
+                return load(path)
+
+            return wrapper
+
+        for name in ("load_edge_list", "load_latents"):
+            monkeypatch.setattr(graph_sampler, name, counted(getattr(graph_sampler, name)))
+        for stage in ("generate", "spectrum", "moments", "fit", "estimate", "evaluate"):
+            run_stage(stage, cfg)
+        assert reads == loaded
 
     def test_generate_clears_degenerate_record(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path, e1_override=50.0)
