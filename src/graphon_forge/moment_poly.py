@@ -14,7 +14,9 @@ nonnegative weights on the midpoint grid of the same box whose moments of
 total degree <= N match the mollified table in least squares (`fit_nodes`).
 The positive part of a low-degree Legendre expansion cannot approach a law
 concentrated near a few points, while any nonnegative law matching those
-moments is close to it whenever they determine it.
+moments is close to it whenever they determine it. The weights come from an
+in-package Lawson-Hanson NNLS (`nnls`), so the package needs no
+scipy.optimize.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.optimize import nnls
 
 from .star_counts import MomentTable, total_degree_indices
 
@@ -260,12 +261,80 @@ def node_moments(nodes: np.ndarray, alphas) -> np.ndarray:
     return out
 
 
+class NnlsResult(tuple):
+    """`(x, rnorm)` as returned by `nnls`; `iterations` counts its least-squares solves."""
+
+    def __new__(cls, x: np.ndarray, rnorm: float, iterations: int):
+        out = super().__new__(cls, (x, rnorm))
+        out.iterations = iterations
+        return out
+
+
+def nnls(A, b, maxiter: int | None = None) -> NnlsResult:
+    """min ||A x - b||_2 over x >= 0 by the Lawson-Hanson active-set method.
+
+    Lawson and Hanson, Solving Least Squares Problems (1974), ch. 23, on A
+    itself rather than A'A. Each outer step moves the free column with the
+    largest dual w = A'(b - A x) into the passive set and solves least
+    squares on the passive columns; while a passive coefficient comes out
+    nonpositive, x steps back towards the solution by the largest feasible
+    alpha and the columns it zeroes return to the free set. A new column
+    that is numerically dependent on the passive ones, or whose own
+    coefficient is not positive, is rejected and the next one tried (the
+    book's two guards against rounding). The method stops when no free
+    column has a positive dual. `maxiter` (default 3 * columns) bounds the
+    least-squares solves; exhausting it, or a non-finite A or b, raises
+    UnusableFitError.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise UnusableFitError("NNLS system has non-finite entries")
+    n = A.shape[1]
+    maxiter = 3 * n if maxiter is None else maxiter
+    x = np.zeros(n)
+    P = np.empty(0, dtype=np.intp)  # passive columns; x > 0 exactly there
+    solves = 0
+
+    def solve(cols: np.ndarray) -> tuple[np.ndarray, int]:
+        nonlocal solves
+        if solves == maxiter:
+            raise UnusableFitError(f"NNLS did not converge within {maxiter} least-squares solves")
+        solves += 1
+        z, _, rank, _ = np.linalg.lstsq(A[:, cols], b, rcond=None)
+        return z, rank
+
+    w = A.T @ b  # the dual, with passive and rejected columns masked to -inf
+    while True:
+        t = int(np.argmax(w))
+        if not w[t] > 0:
+            break
+        w[t] = -np.inf
+        z, rank = solve(np.append(P, t))
+        if rank <= P.size or not z[-1] > 0:
+            continue  # dependent column, or its coefficient is not positive: try the next
+        P = np.append(P, t)
+        while (blocked := np.flatnonzero(z <= 0)).size:
+            xP = x[P]
+            ratios = xP[blocked] / (xP[blocked] - z[blocked])
+            xP += ratios.min() * (z - xP)
+            xP[blocked[np.argmin(ratios)]] = 0.0
+            x[P] = np.maximum(xP, 0.0)
+            P = P[xP > 0]
+            z, _ = solve(P)
+        x[P] = z
+        w = A.T @ (b - A[:, P] @ z)
+        w[P] = -np.inf
+    return NnlsResult(x, float(np.linalg.norm(A @ x - b)), solves)
+
+
 @dataclass
 class NodeFit:
     """Discrete feature law: nonnegative weights, summing to 1, on box grid nodes.
 
     Only nodes with positive weight are kept; `residual` is the least-squares
-    misfit of the unnormalised weights' moments.
+    misfit of the unnormalised weights' moments, and `iterations` the number
+    of least-squares solves the NNLS took.
     """
 
     K: int
@@ -276,18 +345,20 @@ class NodeFit:
     nodes: np.ndarray    # (s, K) support nodes
     weights: np.ndarray  # (s,) positive, summing to 1
     residual: float
+    iterations: int
 
 
 def fit_nodes(M: np.ndarray, kappa: float, K: int, resolution: int, delta: float = 0.0) -> NodeFit:
     """Nonnegative grid-node law whose total-degree <= N moments match M.
 
-    Solves min ||A w - m||_2 over w >= 0 (scipy.optimize.nnls), where A holds
+    Solves min ||A w - m||_2 over w >= 0 (`nnls`, Lawson-Hanson), where A holds
     the monomials of the midpoint-grid nodes of [-kappa, kappa]^K and m the
     entries M_alpha with |alpha| <= N, the moments the star-count table
     computes (`star_counts.total_degree_indices`). Each such entry of the
     mollified table combines only table entries beta <= alpha, so it never
     reads the table's zeros above total degree N. The weights are then
-    normalised to sum to 1.
+    normalised to sum to 1. Non-finite moments, a solve that does not
+    converge, and a fit with no weight raise UnusableFitError.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != K or len(set(M.shape)) != 1:
@@ -297,7 +368,8 @@ def fit_nodes(M: np.ndarray, kappa: float, K: int, resolution: int, delta: float
     N = M.shape[0] - 1
     alphas = total_degree_indices(K, N)
     nodes = grid_nodes(kappa, K, resolution)
-    w, residual = nnls(node_moments(nodes, alphas), np.array([M[a] for a in alphas]))
+    solved = nnls(node_moments(nodes, alphas), np.array([M[a] for a in alphas]))
+    w, residual = solved
     total = w.sum()
     if not total > 0:
         raise UnusableFitError("nonnegative moment fit put no weight on any node")
@@ -311,4 +383,5 @@ def fit_nodes(M: np.ndarray, kappa: float, K: int, resolution: int, delta: float
         nodes=nodes[keep],
         weights=w[keep] / total,
         residual=float(residual),
+        iterations=solved.iterations,
     )

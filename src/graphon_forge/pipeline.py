@@ -225,6 +225,7 @@ class PipelineState:
                 nodes=np.array(doc["nodes"], dtype=float).reshape(-1, K),
                 weights=np.array(doc["weights"], dtype=float),
                 residual=doc["residual"],
+                iterations=doc["iterations"],
             )
 
     def read_degeneracy(self, stage: str) -> None:
@@ -426,6 +427,7 @@ def stage_fit(state: PipelineState) -> None:
                 "nodes": fit.nodes.ravel().tolist(),
                 "weights": fit.weights.tolist(),
                 "residual": fit.residual,
+                "iterations": fit.iterations,
             },
         )
 
@@ -537,6 +539,19 @@ def spectrum_telemetry(spectrum: nonbacktracking.NbSpectrum | None) -> dict | No
     }
 
 
+def fit_telemetry(fit: moment_poly.NodeFit | None) -> dict | None:
+    """What the node fit did: its grid, support, least-squares misfit and NNLS solves."""
+    if fit is None:
+        return None
+    return {
+        "resolution": fit.resolution,
+        "grid_nodes": fit.resolution**fit.K,
+        "support": fit.weights.size,
+        "residual": fit.residual,
+        "iterations": fit.iterations,
+    }
+
+
 def write_manifest(state: PipelineState) -> dict:
     manifest = {
         "config": state.cfg.semantic_dict(),
@@ -552,6 +567,7 @@ def write_manifest(state: PipelineState) -> dict:
         "K": 0 if state.degenerate or state.spectrum is None else state.spectrum.K,
         "degenerate": state.degenerate,
         "spectrum": spectrum_telemetry(state.spectrum),
+        "fit": fit_telemetry(state.fit),
         "warnings": state.warnings,
         "metrics": state.metrics,
         "stages": {

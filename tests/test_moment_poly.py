@@ -13,10 +13,12 @@ from graphon_forge.moment_poly import (
     eval_density,
     fit_density,
     fit_nodes,
+    grid_nodes,
     l1_norm_plus,
     legendre_basis,
     mollifier_moments,
     mollify_moments,
+    nnls,
     node_moments,
     node_resolution,
     total_degree_indices,
@@ -377,8 +379,93 @@ class TestFitNodes:
             r = node_resolution(128, K)
             assert 1 <= r <= 128 and r**K <= NODE_BUDGET, K
 
+    def test_records_its_least_squares_solves(self):
+        M = mollify_moments(table_from_entries(two_block_moments(4)), mollifier_moments(0.2, 4))
+        fit = fit_nodes(M, 1.3, 2, 64)
+        assert fit.iterations >= fit.weights.size  # one solve at least per support node
+
+    def test_non_finite_moments_rejected(self):
+        M = two_block_moments(4)
+        M[1, 2] = np.nan
+        with pytest.raises(UnusableFitError, match="non-finite"):
+            fit_nodes(M, 1.3, 2, 16)
+
     def test_no_positive_weight_rejected(self):
         M = np.zeros((3, 3))
         M[0, 0] = -1.0  # only the zero vector is closest in the nonnegative cone
         with pytest.raises(UnusableFitError):
             fit_nodes(M, 1.0, 2, 16)
+
+
+class TestNnls:
+    """The in-package Lawson-Hanson solver, with scipy's as the oracle."""
+
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(12)
+        for m, n in ((30, 8), (8, 30), (20, 20)):  # tall, wide, square
+            for _ in range(10):
+                yield rng.standard_normal((m, n)), rng.standard_normal(m)
+        for rank in (1, 3, 6):  # rank-deficient, columns repeated
+            for _ in range(10):
+                A = rng.standard_normal((15, rank)) @ rng.standard_normal((rank, 12))
+                yield np.hstack([A, A[:, :3]]), rng.standard_normal(15)
+
+    def test_matches_scipy(self):
+        from scipy.optimize import nnls as scipy_nnls
+
+        for A, b in self.problems():
+            x, rnorm = nnls(A, b)
+            want, want_rnorm = scipy_nnls(A, b)
+            assert rnorm == pytest.approx(want_rnorm, rel=1e-9, abs=1e-12)
+            assert rnorm == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-12, abs=1e-14)
+            if np.linalg.matrix_rank(A) == A.shape[1]:  # unique minimiser
+                np.testing.assert_allclose(x, want, atol=1e-9)
+
+    def test_kkt_conditions(self):
+        for A, b in self.problems():
+            x, _ = nnls(A, b)
+            dual = A.T @ (b - A @ x)
+            tol = 1e-9 * np.linalg.norm(A) * np.linalg.norm(b)
+            assert np.all(x >= 0)
+            assert np.all(dual[x == 0] <= tol)
+            np.testing.assert_allclose(dual[x > 0], 0.0, atol=tol)
+
+    def test_b_against_every_column_gives_zero(self):
+        rng = np.random.default_rng(3)
+        A = np.abs(rng.standard_normal((12, 7)))
+        b = -np.abs(rng.standard_normal(12))
+        x, rnorm = nnls(A, b)
+        np.testing.assert_array_equal(x, 0.0)
+        assert nnls(A, b).iterations == 0
+        assert rnorm == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+    def test_grid_fit_support_matches_scipy(self):
+        from scipy.optimize import nnls as scipy_nnls
+
+        N, K = 4, 2
+        alphas = total_degree_indices(K, N)
+        A = node_moments(grid_nodes(1.3, K, 128), alphas)
+        M = mollify_moments(table_from_entries(two_block_moments(N)), mollifier_moments(0.2, N))
+        M = M + 0.01 * np.random.default_rng(4).standard_normal(M.shape)
+        b = np.array([M[a] for a in alphas])
+        assert A.shape == (15, 16384)
+        x, rnorm = nnls(A, b)
+        want, want_rnorm = scipy_nnls(A, b)
+        np.testing.assert_array_equal(np.flatnonzero(x), np.flatnonzero(want))
+        np.testing.assert_allclose(x, want, rtol=1e-8, atol=1e-12)
+        assert rnorm == pytest.approx(want_rnorm, rel=1e-9)
+
+    def test_exhausted_maxiter_rejected(self):
+        rng = np.random.default_rng(6)
+        A, b = rng.standard_normal((20, 10)), rng.standard_normal(20)
+        assert nnls(A, b).iterations > 1
+        with pytest.raises(UnusableFitError, match="within 1 least-squares solves"):
+            nnls(A, b, maxiter=1)
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_non_finite_input_rejected(self, where):
+        A, b = np.eye(3), np.ones(3)
+        (A if where == "A" else b)[1] = np.inf
+        with pytest.raises(UnusableFitError, match="non-finite"):
+            nnls(A, b)

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphon_forge import cli, graph_sampler
+from graphon_forge import cli, graph_sampler, moment_poly
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.pipeline import (
     DEGENERATE_NAME,
@@ -14,6 +15,7 @@ from graphon_forge.pipeline import (
     PipelineState,
     StageInputError,
     default_epsilon,
+    fit_telemetry,
     formula_N,
     run_pipeline,
     run_scaled,
@@ -149,6 +151,22 @@ class TestRunPipeline:
         assert 0 <= spec["ritz_residuals"][0] <= 1e-8  # the accepted top pair met the solver's tol
         assert lambdas[-1] > spec["cutoff"] > 0
 
+    def test_manifest_records_fit_telemetry(self, model_file, tmp_path):
+        res = run_pipeline(small_config(model_file, tmp_path))
+        block = res.manifest["fit"]
+        doc = read_json(res.out_dir / "fit.json")
+        assert block == {
+            "resolution": doc["resolution"],
+            "grid_nodes": doc["resolution"] ** doc["K"],
+            "support": len(doc["weights"]),
+            "residual": doc["residual"],
+            "iterations": doc["iterations"],
+        }
+        assert block["iterations"] >= block["support"] >= 1
+        staged = PipelineState(res.config, res.out_dir)
+        staged.require_fit()
+        assert fit_telemetry(staged.fit) == block
+
     def test_determinism_byte_identical(self, model_file, tmp_path):
         cfg_a = small_config(model_file, tmp_path)
         cfg_a.out = str(tmp_path / "a")
@@ -244,7 +262,7 @@ class TestStagedExecution:
         assert fitted.weights.sum() == pytest.approx(1.0, abs=1e-12)
         reloaded = PipelineState(cfg, cfg.out)
         reloaded.require_fit()
-        for name in ("K", "N", "kappa", "delta", "resolution", "residual"):
+        for name in ("K", "N", "kappa", "delta", "resolution", "residual", "iterations"):
             assert getattr(reloaded.fit, name) == getattr(fitted, name), name
         np.testing.assert_array_equal(reloaded.fit.nodes, fitted.nodes)
         np.testing.assert_array_equal(reloaded.fit.weights, fitted.weights)
@@ -256,6 +274,29 @@ class TestStagedExecution:
         res = run_pipeline(small_config(model_file, tmp_path))
         assert res.degenerate
         assert any("moment fit unusable" in w for w in res.manifest["warnings"])
+        assert not (res.out_dir / "fit.json").exists()
+        np.testing.assert_array_equal(res.estimate.Z, 1.0)
+
+    @pytest.mark.parametrize("case", ["non-finite-moments", "maxiter-exhausted"])
+    def test_fit_failures_take_degenerate_path(self, case, model_file, tmp_path, monkeypatch):
+        if case == "non-finite-moments":
+            monkeypatch.setattr(
+                "graphon_forge.moment_poly.mollify_moments",
+                lambda table, mm: np.full(table.entries.shape, np.nan),
+            )
+            detail = "non-finite"
+        else:
+            monkeypatch.setattr(
+                "graphon_forge.moment_poly.nnls", functools.partial(moment_poly.nnls, maxiter=1)
+            )
+            detail = "did not converge within 1 least-squares solves"
+        res = run_pipeline(small_config(model_file, tmp_path))
+        assert res.degenerate
+        record = read_json(res.out_dir / DEGENERATE_NAME)
+        assert record["stage"] == "fit"
+        assert record["reason"].startswith("moment fit unusable: ") and detail in record["reason"]
+        assert record["reason"] in res.manifest["warnings"]
+        assert res.manifest["fit"] is None
         assert not (res.out_dir / "fit.json").exists()
         np.testing.assert_array_equal(res.estimate.Z, 1.0)
 
