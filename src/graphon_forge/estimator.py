@@ -107,7 +107,3 @@ def load_estimate(path) -> GraphonEstimate:
         raise EstimateParseError(f"m={doc['m']} does not match {Z.shape[0]} Z rows")
     return GraphonEstimate(lambdas, Z, float(doc["kappa"]), doc.get("provenance", {}))
 
-
-def export_kernel_csv(est: GraphonEstimate, path, g: int = 128) -> None:
-    """g x g uniform-grid kernel values as CSV, for plotting."""
-    np.savetxt(path, est.kernel_grid(g), delimiter=",", fmt="%.17g")

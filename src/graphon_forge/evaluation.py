@@ -20,11 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
 from .estimator import GraphonEstimate
 from .graphon_model import SpectralGraphon
+
+# cap on r! 2^r (m + g^2), the sort and grid work of delta2_upper's search;
+# 10^9 is about 20 s on one core (K = 5, m = 10^4, g = 256 takes 6 s)
+ALIGNMENT_BUDGET = 10**9
 
 
 def l2_distance_grid(a, b, g: int) -> float:
@@ -38,7 +43,6 @@ class AlignmentReport:
     delta2_upper: float
     sign_pattern: np.ndarray
     method: str
-    grid: int
     priority_order: tuple[int, ...]
 
 
@@ -67,12 +71,19 @@ def delta2_upper(
     for the spectral mass it missed. Each candidate relabeling sorts all m
     feature rows of the estimate and the g grid cells of the truth, then
     compares the two kernels on the g x g midpoint grid. Errors when the
-    truth has fewer eigenpairs than the estimate has features.
+    truth has fewer eigenpairs than the estimate has features, and before any
+    sort when the search would cost more than ALIGNMENT_BUDGET.
     """
     K = estimate.K
     r = max(K if rank is None else rank, K)
     if truth.rank < r:
         raise ValueError(f"truth has {truth.rank} eigenpairs, need >= {r}")
+    cost = factorial(r) * 2**r * (estimate.m + g * g)
+    if cost > ALIGNMENT_BUDGET:
+        raise ValueError(
+            f"alignment search r!*2^r*(m + g^2) = {cost:.3g} at r={r}, m={estimate.m}, g={g} "
+            f"exceeds the budget {ALIGNMENT_BUDGET:.3g}"
+        )
 
     f_true = truth.feature_grid(g, r)
     mu = truth.eigenvalues[:r]
@@ -99,7 +110,6 @@ def delta2_upper(
         delta2_upper=best,
         sign_pattern=best_signs,
         method="canonical-sort",
-        grid=g,
         priority_order=best_order,
     )
 
@@ -149,7 +159,7 @@ def diagnostics_C(aggregates: np.ndarray, latents, truth: SpectralGraphon) -> Fe
         B = B.T
     n, K = B.shape
     L = truth.rank
-    fvals = np.stack([truth.eigenfunctions[j](x) for j in range(L)], axis=1)  # (n, L)
+    fvals = truth.features_at(x)  # (n, L)
     C = (B.T @ fvals) / np.sqrt(n)
     mu = truth.eigenvalues
     contraction = (C**2) @ mu

@@ -171,23 +171,6 @@ def split_edges(gr: SparseGraph, epsilon: float, seed: int) -> tuple[SparseGraph
     return SparseGraph(gr.n, gr.edges[~to_g2]), SparseGraph(gr.n, gr.edges[to_g2])
 
 
-@dataclass
-class DegreeStats:
-    mean: float
-    max: int
-    histogram: np.ndarray  # histogram[d] = number of vertices with degree d
-
-
-def degree_stats(gr: SparseGraph) -> DegreeStats:
-    d = gr.degrees
-    dmax = int(d.max()) if d.size else 0
-    return DegreeStats(
-        mean=float(d.mean()) if d.size else 0.0,
-        max=dmax,
-        histogram=np.bincount(d, minlength=dmax + 1),
-    )
-
-
 def save_edge_list(gr: SparseGraph, path) -> None:
     """Header line "n m", then one "u v" per line, 0-indexed with u < v."""
     body = ("%d %d\n" * gr.m) % tuple(gr.edges.ravel().tolist())

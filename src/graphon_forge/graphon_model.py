@@ -10,53 +10,35 @@ immutable after construction and are safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MEASURE_TOL = 1e-12
-ORTHO_TOL = 1e-9
 
 
 class GraphonValidationError(ValueError):
     """Raised when a kernel or decomposition violates its invariants."""
 
 
-class AmbiguousTruncationError(ValueError):
-    """Raised when a rank cut falls inside a tied pair of eigenvalues."""
+class _Blocks:
+    """Right-open blocks laid out in order on [0,1], sized by the `block_measures` field."""
 
+    @property
+    def n_blocks(self) -> int:
+        return self.block_measures.size
 
-@dataclass
-class StepFunction:
-    """Piecewise-constant function on [0,1] with right-open pieces."""
-
-    breakpoints: np.ndarray  # length p+1, starts at 0, ends at 1, increasing
-    values: np.ndarray       # length p
-
-    def __post_init__(self):
-        self.breakpoints = np.asarray(self.breakpoints, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        b = self.breakpoints
-        if b.ndim != 1 or b.size != self.values.size + 1:
-            raise GraphonValidationError("breakpoints must have one more entry than values")
-        if abs(b[0]) > MEASURE_TOL or abs(b[-1] - 1.0) > MEASURE_TOL:
-            raise GraphonValidationError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(b) <= 0):
-            raise GraphonValidationError("breakpoints must be strictly increasing")
-
-    def piece_of(self, x) -> np.ndarray:
+    def block_of(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0) or np.any(x > 1):
-            raise GraphonValidationError("argument outside [0,1]")
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(idx, 0, self.values.size - 1)
-
-    def __call__(self, x):
-        return self.values[self.piece_of(x)]
+            raise GraphonValidationError("coordinate outside [0,1]")
+        breakpoints = np.concatenate([[0.0], np.cumsum(self.block_measures[:-1]), [1.0]])
+        idx = np.searchsorted(breakpoints, x, side="right") - 1
+        return np.clip(idx, 0, self.n_blocks - 1)
 
 
 @dataclass
-class StepGraphon:
+class StepGraphon(_Blocks):
     """Block kernel: `values[a, b]` on block pair (a, b), blocks sized by `block_measures`."""
 
     block_measures: np.ndarray
@@ -78,24 +60,9 @@ class StepGraphon:
             raise GraphonValidationError("values must be nonnegative")
 
     @property
-    def n_blocks(self) -> int:
-        return self.block_measures.size
-
-    @property
     def bound(self) -> float:
         """Sup of the kernel (the constant M of the boundedness assumption)."""
         return float(self.values.max()) if self.values.size else 0.0
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.block_measures[:-1]), [1.0]])
-
-    def block_of(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0) or np.any(x > 1):
-            raise GraphonValidationError("coordinate outside [0,1]")
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(idx, 0, self.n_blocks - 1)
 
     def evaluate(self, x, y):
         return self.values[self.block_of(x), self.block_of(y)]
@@ -108,47 +75,45 @@ class StepGraphon:
 
 
 @dataclass
-class SpectralGraphon:
+class SpectralGraphon(_Blocks):
     """Eigenpairs (mu_i, f_i) of a step kernel, |mu| descending, mu_1 > 0.
 
-    Eigenfunctions are step functions on the source blocks, orthonormal under
-    the block-measure-weighted inner product.
+    Eigenfunctions are constant on the source blocks, `features[b, i]` being
+    f_i on block b, and orthonormal under the block-measure-weighted inner
+    product.
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: tuple[StepFunction, ...]
+    features: np.ndarray  # (n_blocks, rank)
     degree_constant: float
-    block_measures: np.ndarray = field(default=None)
+    block_measures: np.ndarray
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
+        self.features = np.asarray(self.features, dtype=float)
+        self.block_measures = np.asarray(self.block_measures, dtype=float)
         mu = self.eigenvalues
         if mu.size == 0 or mu[0] <= 0:
             raise GraphonValidationError("leading eigenvalue must be positive")
         if np.any(np.abs(mu[:-1]) < np.abs(mu[1:]) - 1e-12):
             raise GraphonValidationError("eigenvalues must be |.|-descending")
-        if self.block_measures is None:
-            bp = self.eigenfunctions[0].breakpoints
-            self.block_measures = np.diff(bp)
-        self.block_measures = np.asarray(self.block_measures, dtype=float)
+        if self.features.shape != (self.n_blocks, mu.size):
+            raise GraphonValidationError("features must be (blocks, rank)")
 
     @property
     def rank(self) -> int:
         return self.eigenvalues.size
 
-    def feature_matrix(self) -> np.ndarray:
-        """Per-block eigenfunction values, shape (n_blocks, rank)."""
-        return np.stack([f.values for f in self.eigenfunctions], axis=1)
+    def features_at(self, x, rank: int | None = None) -> np.ndarray:
+        """Values of the first `rank` (default: all) eigenfunctions at x, one per last axis."""
+        r = self.rank if rank is None else rank
+        return self.features[:, :r][self.block_of(x)]
 
     def evaluate(self, x, y):
-        fx = np.stack([f(x) for f in self.eigenfunctions], axis=-1)
-        fy = np.stack([f(y) for f in self.eigenfunctions], axis=-1)
-        return np.einsum("...i,...i->...", fx * self.eigenvalues, fy)
+        return np.einsum("...i,...i->...", self.features_at(x) * self.eigenvalues, self.features_at(y))
 
     def feature_grid(self, g: int, rank: int | None = None) -> np.ndarray:
-        mid = (np.arange(g) + 0.5) / g
-        r = self.rank if rank is None else rank
-        return np.stack([self.eigenfunctions[i](mid) for i in range(r)], axis=1)
+        return self.features_at((np.arange(g) + 0.5) / g, rank)
 
     def kernel_grid(self, g: int) -> np.ndarray:
         f = self.feature_grid(g)
@@ -178,11 +143,8 @@ def spectral_decompose(g: StepGraphon) -> SpectralGraphon:
     # |.|-descending; positive first on magnitude ties (Perron value leads)
     order = np.lexsort((-w, -np.abs(w)))
     w, v = w[order], v[:, order]
-    funcs = _fix_signs(v / d[:, None])
-    bp = g.breakpoints
-    eigenfunctions = tuple(StepFunction(bp, funcs[:, i]) for i in range(w.size))
     q = float(np.dot(g.values @ g.block_measures, g.block_measures))
-    return SpectralGraphon(w, eigenfunctions, degree_constant=q, block_measures=g.block_measures)
+    return SpectralGraphon(w, _fix_signs(v / d[:, None]), degree_constant=q, block_measures=g.block_measures)
 
 
 @dataclass
@@ -228,22 +190,6 @@ def check_assumptions(g: StepGraphon, tol: float = 1e-9, simple_tol: float = 1e-
     )
 
 
-def rank_truncate(s: SpectralGraphon, K: int) -> SpectralGraphon:
-    """Keep the top-K eigenpairs; error on a tie straddling the cut."""
-    if K < 1 or K > s.rank:
-        raise GraphonValidationError(f"K={K} outside [1, {s.rank}]")
-    if K < s.rank:
-        lo, hi = abs(s.eigenvalues[K]), abs(s.eigenvalues[K - 1])
-        if abs(hi - lo) <= 1e-12 * max(hi, 1e-300):
-            raise AmbiguousTruncationError(f"|mu_{K}| == |mu_{K + 1}|: truncation not unique")
-    return SpectralGraphon(
-        s.eigenvalues[:K].copy(),
-        s.eigenfunctions[:K],
-        degree_constant=s.degree_constant,
-        block_measures=s.block_measures,
-    )
-
-
 def scale(g: StepGraphon, h: float) -> StepGraphon:
     """Multiply the kernel by h > 0 (eigenvalues scale by h, eigenfunctions fixed)."""
     if h <= 0:
@@ -264,29 +210,3 @@ def load_graphon(path) -> StepGraphon:
     with open(path) as fh:
         doc = json.load(fh)
     return StepGraphon(np.array(doc["block_measures"]), np.array(doc["values"]))
-
-
-def save_spectral(s: SpectralGraphon, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "eigenvalues": s.eigenvalues.tolist(),
-                "block_measures": s.block_measures.tolist(),
-                "eigenfunctions": [f.values.tolist() for f in s.eigenfunctions],
-                "degree_constant": s.degree_constant,
-            },
-            fh,
-            indent=1,
-        )
-
-
-def load_spectral(path) -> SpectralGraphon:
-    with open(path) as fh:
-        doc = json.load(fh)
-    measures = np.array(doc["block_measures"])
-    bp = np.concatenate([[0.0], np.cumsum(measures)])
-    bp[-1] = 1.0
-    funcs = tuple(StepFunction(bp, np.array(v)) for v in doc["eigenfunctions"])
-    return SpectralGraphon(
-        np.array(doc["eigenvalues"]), funcs, doc["degree_constant"], block_measures=measures
-    )

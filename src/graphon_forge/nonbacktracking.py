@@ -57,6 +57,8 @@ REAL_REL_TOL = 1e-3
 NEAR_MULTIPLICITY_RTOL = 1e-6
 EXTRACT_EVERY = 5
 STABLE_ROUNDS = 3
+RESIDUAL_TOL = 1e-8  # accepted Ritz residuals on the companion
+MAX_ITERATIONS = 300 * EXTRACT_EVERY  # per subspace iteration run
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -64,9 +66,7 @@ class DegenerateSpectrumError(RuntimeError):
 
 
 class SpectrumConvergenceError(RuntimeError):
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """The subspace iteration ran out of iterations before the accepted set settled."""
 
 
 @dataclass
@@ -283,15 +283,16 @@ def classify_eigenvalues(
 
 @dataclass
 class NbSpectrum:
-    """Accepted real informative eigenpairs of the non-backtracking operator."""
+    """Accepted real informative eigenvalues of the non-backtracking operator.
+
+    The eigenvectors themselves are not kept, only their vertex aggregates.
+    """
 
     K: int
     lambdas: np.ndarray
-    eigenvectors: np.ndarray        # (m_oriented, K), unit columns
     vertex_aggregates: np.ndarray   # (n, K): column k sums xi_k over edges into v
     e1: float
     residuals: np.ndarray
-    n: int
     cutoff: float = 0.0
     all_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     warnings: tuple[str, ...] = ()
@@ -350,16 +351,17 @@ def _ritz_candidates(op, Q: np.ndarray, scratch: np.ndarray | None = None):
     return w, Y, rayleigh, residuals
 
 
-def _subspace_iterate(op, block: int, tol: float, max_iters: int, seed: int,
-                      e1: float, k_cap: int, bulk_scale: float):
+def _subspace_iterate(op, block: int, seed: int, e1: float, k_cap: int, bulk_scale: float):
     """Block subspace iteration on op^3 (`op.cube`); returns (result, converged, iterations).
 
     Stops once the accepted set has been stable for several extraction
-    rounds, its residuals on op meet tol, and no candidate is still climbing
-    toward the cutoff: an informative eigenvalue entering the subspace shows
-    up as a Ritz value growing geometrically round over round, and stopping
-    while one is in flight would undercount K. Bulk directions never gate
-    the stop; their Ritz values do not grow.
+    rounds, its residuals on op meet RESIDUAL_TOL, and no candidate is still
+    climbing toward the cutoff: an informative eigenvalue entering the
+    subspace shows up as a Ritz value growing geometrically round over round,
+    and stopping while one is in flight would undercount K. Bulk directions
+    never gate the stop; their Ritz values do not grow. The last of the
+    MAX_ITERATIONS iterations always extracts, so a run that does not raise
+    returns a result.
     """
     rng = substream(seed, "subspace-init")
     Q = _orthonormalize(np.asfortranarray(rng.standard_normal((op.dim, block))))
@@ -369,21 +371,21 @@ def _subspace_iterate(op, block: int, tol: float, max_iters: int, seed: int,
     prev_key = None
     prev_mags = None
     result = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         Z = op.cube(Q, spare, work)
         norms = np.sqrt(np.einsum("ij,ij->j", Z, Z))
         if not np.all(np.isfinite(norms)) or norms.max() <= 1e-290:
             raise DegenerateSpectrumError("operator power collapsed (nilpotent or empty spectrum)")
         # the QR overwrites Z, so the two (dim, block) buffers swap roles each round
         Q, spare = _orthonormalize(Z), Q
-        if it % EXTRACT_EVERY and it != max_iters:
+        if it % EXTRACT_EVERY and it != MAX_ITERATIONS:
             continue
         result = None  # only the last round's result is returned: free its vectors first
         w, vectors, rayleigh, residuals = _ritz_candidates(op, Q, scratch=spare)
         try:
             lam1, accepted, cutoff = classify_eigenvalues(w, e1, k_cap, bulk_scale)
         except DegenerateSpectrumError:
-            if it >= max_iters:
+            if it >= MAX_ITERATIONS:
                 raise
             prev_mags = np.abs(w)
             continue
@@ -400,23 +402,20 @@ def _subspace_iterate(op, block: int, tol: float, max_iters: int, seed: int,
         key = tuple(accepted)
         stable = stable + 1 if key == prev_key else 1
         prev_key = key
-        converged = all(residuals[i] <= tol for i in accepted)
+        converged = all(residuals[i] <= RESIDUAL_TOL for i in accepted)
         result = (w, vectors, residuals, rayleigh, accepted, lam1, cutoff)
         if stable >= STABLE_ROUNDS and converged and not rising and it >= 2 * EXTRACT_EVERY:
             return result, True, it
-    return result, False, max_iters
+    return result, False, MAX_ITERATIONS
 
 
 def top_spectrum(
     op: NbOperator,
     n: int,
     e1_override: float | None = None,
-    tol: float = 1e-8,
-    max_restarts: int = 300,
     seed: int = 0,
     k_cap: int = 8,
     bulk_scale: float = 1.0,
-    block: int | None = None,
 ) -> NbSpectrum:
     """Extract eigenvalues above the Kesten-Stigum-style cutoff.
 
@@ -425,11 +424,11 @@ def top_spectrum(
     accepted eigenvectors are lifted back to op's oriented edges. Accepted
     eigenvalues are real (imaginary part below the realness
     tolerance, enforced through the Rayleigh residual) with magnitude above
-    the cutoff; eigenvectors are unit norm with the first non-negligible
-    coordinate positive. Deterministic given `seed`. Raises
-    DegenerateSpectrumError when the leading eigenvalue is not real positive
-    and SpectrumConvergenceError (carrying partial results) when the
-    iteration budget runs out.
+    the cutoff and companion residuals within RESIDUAL_TOL. The vertex
+    aggregates sum unit eigenvectors whose first non-negligible coordinate
+    is positive. Deterministic given `seed`. Raises DegenerateSpectrumError
+    when the leading eigenvalue is not real positive and
+    SpectrumConvergenceError when a run exhausts MAX_ITERATIONS.
     """
     e1 = default_e1(n) if e1_override is None else float(e1_override)
 
@@ -443,7 +442,7 @@ def top_spectrum(
             else np.empty((op.dim, 0))
         )
         all_eigs = w_all[np.argsort(-np.abs(w_all), kind="stable")]
-        return _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, iterated_dim=op.dim)
+        return _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, iterated_dim=op.dim)
 
     # the companion's trivial eigenvalues +-scale clear no cutoff once B's
     # radius exceeds 1; below that the run is degenerate whatever they do
@@ -452,21 +451,15 @@ def top_spectrum(
             "non-backtracking spectral radius is at most 1 (2-core empty or all cycles)"
         )
     comp = Companion(op.space, op.scale)
-    block_size = block if block is not None else min(max(6, k_cap // 2 + 2), comp.dim - 1)
+    block_size = min(max(6, k_cap // 2 + 2), comp.dim - 1)
     iterations = 0
     while True:
-        out, ok, its = _subspace_iterate(
-            comp, block_size, tol, max_restarts * EXTRACT_EVERY, seed, e1, k_cap, bulk_scale
-        )
+        out, ok, its = _subspace_iterate(comp, block_size, seed, e1, k_cap, bulk_scale)
         iterations += its
-        if out is None:
-            raise SpectrumConvergenceError("no extraction rounds completed", partial=None)
         w, vectors, residuals, ray, accepted, lam1, cutoff = out
         if not ok:
-            partial = np.array([ray[i] for i in accepted])
             raise SpectrumConvergenceError(
-                f"subspace iteration did not converge within {max_restarts * EXTRACT_EVERY} iterations",
-                partial=partial,
+                f"subspace iteration did not converge within {MAX_ITERATIONS} iterations"
             )
         if len(accepted) == block_size and block_size < min(k_cap + 4, comp.dim - 1):
             block_size = min(k_cap + 4, comp.dim - 1)  # everything cleared the cutoff: widen once
@@ -481,12 +474,12 @@ def top_spectrum(
         else np.empty((op.dim, 0))
     )
     return _finish(  # w and residuals come |.|-descending from _ritz_candidates
-        op, n, e1, lambdas, vecs, lam1, cutoff, w,
+        op, e1, lambdas, vecs, lam1, cutoff, w,
         iterations=iterations, block=block_size, iterated_dim=comp.dim, ritz_residuals=residuals,
     )
 
 
-def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpectrum:
+def _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpectrum:
     warnings: list[str] = []
     K = lambdas.size
     # re-orthonormalize only inside clusters of near-equal eigenvalues; across
@@ -517,11 +510,9 @@ def _finish(op, n, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> Nb
     return NbSpectrum(
         K=K,
         lambdas=lambdas,
-        eigenvectors=vectors,
         vertex_aggregates=aggregates,
         e1=e1,
         residuals=residuals,
-        n=n,
         cutoff=cutoff,
         all_eigenvalues=all_eigs,
         warnings=tuple(warnings),
@@ -543,11 +534,6 @@ def vertex_aggregates(vectors, space: OrientedEdgeSpace) -> np.ndarray:
         for k in range(vectors.shape[1])
     ]
     return np.stack(cols, axis=1) if cols else np.empty((space.n, 0))
-
-
-def ihara_bass_reduce(G1: SparseGraph) -> Companion:
-    """Companion operator [[A, I - D], [I, 0]] of G1 on 2n coordinates."""
-    return Companion(OrientedEdgeSpace.from_graph(G1))
 
 
 def ihara_bass_dense(G1: SparseGraph) -> np.ndarray:

@@ -80,12 +80,14 @@ class PipelineConfig:
         return cls(**doc)
 
     def semantic_dict(self) -> dict:
-        """Fields that affect outputs (excludes the output directory, threads and determinism)."""
+        """Fields that affect a run's dumps.
+
+        Leaves out the output directory, threads, determinism and h_ladder,
+        which only chooses the runs of `run_scaled_ladder`.
+        """
         d = asdict(self)
-        d.pop("out")
-        d.pop("threads")
-        d.pop("determinism")
-        d["h_ladder"] = list(d["h_ladder"])
+        for name in ("out", "threads", "determinism", "h_ladder"):
+            d.pop(name)
         return d
 
     def config_hash(self, model_bytes: bytes) -> str:
@@ -200,11 +202,9 @@ class PipelineState:
             self.spectrum = nonbacktracking.NbSpectrum(
                 K=K,
                 lambdas=lambdas,
-                eigenvectors=np.empty((0, K)),
                 vertex_aggregates=aggregates,
                 e1=doc["e1"],
                 residuals=np.array(doc["residuals"], dtype=float),
-                n=n,
             )
 
     def require_table(self):
@@ -241,8 +241,7 @@ class PipelineState:
             if not path.exists():
                 raise StageInputError(f"missing stage input {path}")
             self.estimate = est_mod.load_estimate(path)
-            prov_hash = self.estimate.provenance.get("config_hash")
-            if prov_hash is not None and prov_hash != self.config_hash:
+            if self.estimate.provenance.get("config_hash") != self.config_hash:
                 raise StageInputError(f"{path} was produced under a different config; refusing")
 
 
@@ -272,10 +271,6 @@ def stage_generate(state: PipelineState) -> None:
     graph_sampler.save_latents(state.latents, state.out / "latents.txt")
     graph_sampler.save_edge_list(state.g1, state.out / "g1.edges")
     graph_sampler.save_edge_list(state.g2, state.out / "g2.edges")
-    _write_json(
-        state.out / "generate.json",
-        {"config_hash": state.config_hash, "n": state.graph.n, "m": state.graph.m},
-    )
     _write_json(
         state.out / "split.json",
         {
@@ -571,7 +566,7 @@ def write_manifest(state: PipelineState) -> dict:
         "warnings": state.warnings,
         "metrics": state.metrics,
         "stages": {
-            "generate": list(GRAPH_DUMPS.values()),
+            "generate": [*GRAPH_DUMPS.values(), "split.json"],
             "spectrum": ["spectrum.json", "aggregates.bin"],
             "moments": ["moments.json"],
             "fit": ["fit.json"],
@@ -640,7 +635,6 @@ def run_scaled(
     res = run_pipeline(cfg, model=scaled_model, out_dir=out)
 
     truth = graphon_model.spectral_decompose(model)
-    report = graphon_model.check_assumptions(model)
     unscaled = est_mod.GraphonEstimate(
         res.estimate.lambdas / h,
         res.estimate.Z,

@@ -8,7 +8,6 @@ from graphon_forge.estimator import (
     EstimateParseError,
     GraphonEstimate,
     assemble,
-    export_kernel_csv,
     load_estimate,
     save_estimate,
 )
@@ -100,9 +99,3 @@ class TestSerialization:
         with pytest.raises(EstimateParseError, match="line"):
             load_estimate(p)
 
-    def test_kernel_csv_export(self, tmp_path):
-        est = assemble(np.full((5, 1), 2.0), np.array([1.0]))
-        p = tmp_path / "k.csv"
-        export_kernel_csv(est, p, g=4)
-        grid = np.loadtxt(p, delimiter=",")
-        np.testing.assert_allclose(grid, 4.0)

@@ -1,17 +1,21 @@
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
 
+from graphon_forge import evaluation
 from graphon_forge.estimator import assemble
 from graphon_forge.evaluation import (
+    ALIGNMENT_BUDGET,
     delta2_exact_cells,
     delta2_upper,
     diagnostics_C,
     l2_distance_grid,
 )
 from graphon_forge.graph_sampler import LatentAssignment
-from graphon_forge.graphon_model import StepGraphon, rank_truncate, spectral_decompose
+from graphon_forge.graphon_model import SpectralGraphon, StepGraphon, spectral_decompose
+from graphon_forge.pipeline import alignment_metrics
 
 
 def constant_kernel(c):
@@ -36,7 +40,7 @@ class TestL2DistanceGrid:
 
     def test_rank_one_truncation_residual(self, assortative_2block):
         s = spectral_decompose(assortative_2block)
-        t = rank_truncate(s, 1)
+        t = SpectralGraphon(s.eigenvalues[:1], s.features[:, :1], s.degree_constant, s.block_measures)
         assert l2_distance_grid(assortative_2block, t, 256) == pytest.approx(3.0, abs=1e-9)
 
     def test_triangle_inequality(self):
@@ -105,12 +109,36 @@ class TestDelta2Upper:
             exact = delta2_exact_cells(a.values, b.values)
             assert upper >= exact - 1e-9
 
+    def test_budget_admits_k5_and_refuses_r6_at_panel_size(self):
+        def cost(r, m, g):
+            return factorial(r) * 2**r * (m + g * g)
+
+        assert cost(6, 48, 48) <= ALIGNMENT_BUDGET  # the small-cell search above
+        assert cost(5, 10_000, 256) <= ALIGNMENT_BUDGET
+        assert cost(6, 10_000, 256) > ALIGNMENT_BUDGET
+        assert cost(7, 48, 48) > ALIGNMENT_BUDGET
+
+    @pytest.mark.parametrize("r, m, g", [(6, 10_000, 256), (7, 10_000, 256), (7, 48, 48)])
+    def test_over_budget_refused_before_the_search(self, r, m, g, monkeypatch):
+        def started(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(evaluation, "_canonical_order", started)
+        monkeypatch.setattr(evaluation, "_kernel", started)
+        w = np.random.default_rng(r).random((r, r))
+        truth = spectral_decompose(StepGraphon(np.full(r, 1 / r), w + w.T))
+        est = assemble(np.ones((m, r)), truth.eigenvalues)
+        with pytest.raises(ValueError, match="budget"):
+            delta2_upper(est, truth, g=g)
+        metrics = alignment_metrics(est, truth, g, r)
+        assert metrics["delta2_upper"] is None and "budget" in metrics["alignment_warning"]
+
     def test_many_pieces_sorted_before_gridding(self, assortative_2block):
         # i.i.d. draws of the true features: only sorting all m pieces (not
         # g grid samples of them) brings the bound near the 1/sqrt(m) scale
         truth = spectral_decompose(assortative_2block)
         x = np.random.default_rng(6).random(80_000)
-        F = np.stack([truth.eigenfunctions[i](x) for i in range(2)], axis=1)
+        F = truth.features_at(x)
         rep = delta2_upper(assemble(F, truth.eigenvalues), truth, g=256)
         assert rep.delta2_upper <= 0.1
 
@@ -189,7 +217,7 @@ class TestDiagnostics:
         truth = spectral_decompose(assortative_2block)
         rng = np.random.default_rng(4)
         x = rng.random(4000)
-        F = np.stack([truth.eigenfunctions[0](x), truth.eigenfunctions[1](x)], axis=1)
+        F = truth.features_at(x)
         d = diagnostics_C(0.3 * F, LatentAssignment(x), truth)
         n = x.size
         # C[i, j] = 0.3 n^{-1/2} sum f_i f_j ~ 0.3 sqrt(n) delta_ij

@@ -7,7 +7,6 @@ from graphon_forge import graph_sampler
 from graphon_forge.graph_sampler import (
     LatentAssignment,
     SparseGraph,
-    degree_stats,
     load_edge_list,
     load_latents,
     sample_graph,
@@ -217,21 +216,6 @@ def test_property_split_partitions_exactly(seed, eps):
     assert g1.m + g2.m == gr.m
     seen = {tuple(e) for e in g1.edges} | {tuple(e) for e in g2.edges}
     assert len(seen) == gr.m
-
-
-class TestDegreeStats:
-    def test_empty(self):
-        s = degree_stats(SparseGraph(4, np.empty((0, 2), dtype=np.int64)))
-        assert s.mean == 0.0 and s.max == 0
-
-    def test_triangle(self):
-        s = degree_stats(SparseGraph(3, np.array([[0, 1], [0, 2], [1, 2]])))
-        assert s.mean == pytest.approx(2.0) and s.max == 2
-
-    def test_star(self):
-        s = degree_stats(SparseGraph(5, np.array([[0, 1], [0, 2], [0, 3], [0, 4]])))
-        assert s.mean == pytest.approx(8 / 5) and s.max == 4
-        assert s.histogram[1] == 4 and s.histogram[4] == 1
 
 
 def test_edge_list_round_trip(tmp_path, assortative_2block):

@@ -4,25 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_forge.graphon_model import (
-    AmbiguousTruncationError,
     GraphonValidationError,
     SpectralGraphon,
     StepGraphon,
     check_assumptions,
     load_graphon,
-    load_spectral,
-    rank_truncate,
     save_graphon,
-    save_spectral,
     scale,
     spectral_decompose,
 )
 
 
 def weighted_inner(s: SpectralGraphon, i: int, j: int) -> float:
-    fi = s.eigenfunctions[i].values
-    fj = s.eigenfunctions[j].values
-    return float(np.sum(fi * fj * s.block_measures))
+    return float(np.sum(s.features[:, i] * s.features[:, j] * s.block_measures))
+
+
+def truncated(s: SpectralGraphon, k: int) -> SpectralGraphon:
+    """The top-k eigenpairs of s."""
+    return SpectralGraphon(s.eigenvalues[:k], s.features[:, :k], s.degree_constant, s.block_measures)
 
 
 def random_step_graphon(rng, k):
@@ -37,14 +36,13 @@ class TestSpectralDecompose:
     def test_two_block_analytic(self, assortative_2block):
         s = spectral_decompose(assortative_2block)
         np.testing.assert_allclose(s.eigenvalues, [4.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(s.eigenfunctions[0].values, [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(s.eigenfunctions[1].values, [1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(s.features, [[1.0, 1.0], [1.0, -1.0]], atol=1e-12)
 
     def test_constant_kernel(self):
         g = StepGraphon(np.array([1.0]), np.array([[5.0]]))
         s = spectral_decompose(g)
         np.testing.assert_allclose(s.eigenvalues, [5.0])
-        np.testing.assert_allclose(s.eigenfunctions[0].values, [1.0])
+        np.testing.assert_allclose(s.features, [[1.0]])
 
     def test_matches_dense_oracle_three_blocks(self):
         rng = np.random.default_rng(0)
@@ -98,18 +96,21 @@ class TestCheckAssumptions:
 
     def test_perron_eigenfunction_constant_under_assumption2(self, assortative_2block):
         s = spectral_decompose(assortative_2block)
-        assert np.ptp(s.eigenfunctions[0].values) <= 1e-9
+        assert np.ptp(s.features[:, 0]) <= 1e-9
         assert s.eigenvalues[0] == pytest.approx(s.degree_constant, abs=1e-9)
 
 
 class TestRankTruncate:
+    """Top-k truncations sliced from the decomposition."""
+
     def test_identity_at_full_rank(self, assortative_2block):
         s = spectral_decompose(assortative_2block)
-        t = rank_truncate(s, 2)
+        t = truncated(s, 2)
         np.testing.assert_allclose(t.eigenvalues, s.eigenvalues)
+        np.testing.assert_allclose(t.kernel_grid(16), assortative_2block.kernel_grid(16), atol=1e-12)
 
     def test_rank_one_is_constant(self, assortative_2block):
-        t = rank_truncate(spectral_decompose(assortative_2block), 1)
+        t = truncated(spectral_decompose(assortative_2block), 1)
         grid = t.kernel_grid(16)
         np.testing.assert_allclose(grid, 4.0, atol=1e-12)
 
@@ -119,16 +120,10 @@ class TestRankTruncate:
         w = rng.random((3, 3)) * 5
         g = StepGraphon(np.full(3, 1 / 3), (w + w.T) / 2)
         s = spectral_decompose(g)
-        t = rank_truncate(s, 2)
+        t = truncated(s, 2)
         g_grid = 3 * 128
         err = np.sqrt(np.mean((g.kernel_grid(g_grid) - t.kernel_grid(g_grid)) ** 2))
         assert abs(err - abs(s.eigenvalues[2])) <= 1e-9
-
-    def test_tie_rejected(self):
-        g = StepGraphon(np.array([0.5, 0.5]), np.array([[0.0, 3.0], [3.0, 0.0]]))
-        s = spectral_decompose(g)  # eigenvalues (3, -3)
-        with pytest.raises(AmbiguousTruncationError):
-            rank_truncate(s, 1)
 
 
 class TestScaleAndEvaluate:
@@ -187,10 +182,3 @@ def test_json_round_trip(tmp_path, assortative_2block):
     g = load_graphon(p)
     np.testing.assert_array_equal(g.values, assortative_2block.values)
     np.testing.assert_array_equal(g.block_measures, assortative_2block.block_measures)
-
-    s = spectral_decompose(assortative_2block)
-    ps = tmp_path / "s.json"
-    save_spectral(s, ps)
-    s2 = load_spectral(ps)
-    np.testing.assert_array_equal(s2.eigenvalues, s.eigenvalues)
-    np.testing.assert_array_equal(s2.eigenfunctions[1].values, s.eigenfunctions[1].values)

@@ -17,7 +17,6 @@ from graphon_forge.nonbacktracking import (
     default_e1,
     dense_nb_matrix,
     ihara_bass_dense,
-    ihara_bass_reduce,
     top_spectrum,
     vertex_aggregates,
 )
@@ -231,7 +230,6 @@ class TestTopSpectrum:
         gr, _ = sample_graph(assortative_2block, 20000, seed=0)
         spec = top_spectrum(build_nb_operator(gr), 20000, seed=0)
         assert spec.K == 2
-        np.testing.assert_allclose(np.linalg.norm(spec.eigenvectors, axis=0), 1.0, atol=1e-10)
         assert spec.residuals.max() <= 1e-6
 
     def test_k_monotone_in_e1(self, assortative_2block):
@@ -417,7 +415,7 @@ class TestIharaBass:
     def test_operator_matches_dense(self):
         rng = np.random.default_rng(6)
         gr = SparseGraph(10, random_simple_graph(rng, 10, 0.4))
-        lo = ihara_bass_reduce(gr)
+        lo = Companion(OrientedEdgeSpace.from_graph(gr))
         dense = ihara_bass_dense(gr)
         x = rng.standard_normal(2 * gr.n)
         np.testing.assert_allclose(lo @ x, dense @ x, atol=1e-12)

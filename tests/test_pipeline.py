@@ -91,7 +91,6 @@ class TestConfigHash:
             "moment_entries_cap": 123,
             "sample_grid": 64,
             "metrics_grid": 128,
-            "h_ladder": (1.0, 3.0),
         }
         for field, value in changed.items():
             cfg = small_config(model_file, tmp_path)
@@ -105,6 +104,7 @@ class TestConfigHash:
         b.out = str(tmp_path / "elsewhere")
         b.threads = 4
         b.determinism = False
+        b.h_ladder = (1.0, 3.0)  # chooses the runs of a ladder, changes no run's dumps
         assert a.config_hash(b"m") == b.config_hash(b"m")
 
 
@@ -129,6 +129,13 @@ class TestRunPipeline:
             MANIFEST_NAME,
         ):
             assert (res.out_dir / name).exists(), name
+
+    def test_run_directory_holds_exactly_the_stage_map(self, model_file, tmp_path):
+        res = run_pipeline(small_config(model_file, tmp_path))
+        assert not res.degenerate
+        listed = [name for names in res.manifest["stages"].values() for name in names]
+        assert len(listed) == len(set(listed))
+        assert sorted(p.name for p in res.out_dir.iterdir()) == sorted([*listed, MANIFEST_NAME])
 
     def test_manifest_logs_formula_and_effective(self, model_file, tmp_path):
         res = run_pipeline(small_config(model_file, tmp_path))
@@ -239,6 +246,17 @@ class TestStagedExecution:
         (tmp_path / "out" / "split.json").write_text(json.dumps(split))
         with pytest.raises(StageInputError, match="refus"):
             run_stage("spectrum", cfg)
+
+    def test_estimate_without_hash_refused(self, model_file, tmp_path):
+        cfg = small_config(model_file, tmp_path)
+        for stage in ("generate", "spectrum", "moments", "fit", "estimate"):
+            run_stage(stage, cfg)
+        path = tmp_path / "out" / "estimate.json"
+        doc = read_json(path)
+        del doc["provenance"]["config_hash"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StageInputError, match="refus"):
+            run_stage("evaluate", cfg)
 
     def test_missing_inputs_refused(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path)
