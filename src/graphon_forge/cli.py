@@ -26,7 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--deterministic", action="store_true")
         if name == "scaled":
             p.add_argument("--h", type=float, default=None, help="single scale; omit for the ladder")
@@ -35,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.deterministic or args.threads == 1:
+    if args.deterministic:
         os.environ.setdefault("OMP_NUM_THREADS", "1")
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -46,10 +45,6 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
     if args.n is not None:
         cfg.n = args.n
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.deterministic:
-        cfg.determinism = True
     out = args.out or cfg.out or os.environ.get("GRAPHON_FORGE_OUT") or "run-out"
     cfg.out = out
 

@@ -1,22 +1,21 @@
-"""Mollified moment matching in a scaled orthonormal Legendre basis.
+"""Mollified moment matching: the pipeline's node fit and a Legendre reference.
 
 The estimated joint moments describe a distribution supported on a curve in
 R^K (the image of the eigenfunctions), so it is first convolved with a
-compactly supported bump of width delta, which turns moment matching into a
-well-posed density-fitting problem. The density is then expanded on the box
-[-kappa, kappa]^K in tensor products of Legendre polynomials normalized to
-unit L2 norm; because moments determine the expansion coefficients linearly
-through the triangular coefficient matrix, the fit is a pair of tensor
-contractions.
+compactly supported bump of width delta, which makes moment matching
+well-posed.
 
-The pipeline samples from a fit that is nonnegative by construction instead:
-nonnegative weights on the midpoint grid of the same box whose moments of
-total degree <= N match the mollified table in least squares (`fit_nodes`).
-The positive part of a low-degree Legendre expansion cannot approach a law
-concentrated near a few points, while any nonnegative law matching those
-moments is close to it whenever they determine it. The weights come from an
-in-package Lawson-Hanson NNLS (`nnls`), so the package needs no
-scipy.optimize.
+The pipeline fits with `fit_nodes`: nonnegative weights on the midpoint grid
+of the box [-kappa, kappa]^K whose moments of total degree <= N match the
+mollified table in least squares, solved by an in-package Lawson-Hanson NNLS
+(`nnls`). Any nonnegative law matching those moments is close to the target
+whenever they determine it.
+
+The Legendre path (`fit_density`) is acceptance criterion 5's reference and
+is never run by the pipeline: the density on the same box in tensor products
+of unit-norm Legendre polynomials, whose coefficients the moments determine
+linearly. The positive part of such a low-degree expansion cannot approach a
+law concentrated near a few points.
 """
 from __future__ import annotations
 
@@ -29,6 +28,7 @@ from numpy.polynomial import legendre as npleg
 from .star_counts import MomentTable, total_degree_indices
 
 
+SAMPLE_GRID = 128  # per-axis node count of the fit grid, lowered to meet NODE_BUDGET
 NODE_BUDGET = 1 << 14  # cap on the number of grid nodes a node fit may weight
 BUMP_RULE = 200  # Gauss-Legendre nodes for the bump moments; 100 agree only to ~5e-13
 

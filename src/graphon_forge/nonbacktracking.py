@@ -59,6 +59,7 @@ EXTRACT_EVERY = 5
 STABLE_ROUNDS = 3
 RESIDUAL_TOL = 1e-8  # accepted Ritz residuals on the companion
 MAX_ITERATIONS = 300 * EXTRACT_EVERY  # per subspace iteration run
+K_CAP = 8  # most informative eigenpairs a spectrum keeps
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -414,7 +415,7 @@ def top_spectrum(
     n: int,
     e1_override: float | None = None,
     seed: int = 0,
-    k_cap: int = 8,
+    k_cap: int = K_CAP,
     bulk_scale: float = 1.0,
 ) -> NbSpectrum:
     """Extract eigenvalues above the Kesten-Stigum-style cutoff.

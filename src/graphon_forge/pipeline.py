@@ -31,10 +31,12 @@ from . import evaluation, graph_sampler, graphon_model, moment_poly, nonbacktrac
 
 EPSILON_CLAMP = (0.01, 0.5)
 DELTA_FLOOR = 0.05
+N_CAP = 4  # desk-scale cap on the formula N
+KAPPA_PAD = 1.1  # pad on the moment-implied feature scale
 MANIFEST_NAME = "manifest.json"
 DEGENERATE_NAME = "degenerate.json"
 # generate-stage dumps by the PipelineState attribute that holds them
-GRAPH_DUMPS = {"graph": "graph.edges", "latents": "latents.txt", "g1": "g1.edges", "g2": "g2.edges"}
+GRAPH_DUMPS = {"latents": "latents.txt", "g1": "g1.edges", "g2": "g2.edges"}
 
 
 class StageInputError(RuntimeError):
@@ -56,15 +58,8 @@ class PipelineConfig:
     delta_override: float | None = None
     m_override: int | None = None
     kappa_override: float | None = None
-    kappa_pad: float = 1.1          # pad on the moment-implied feature scale
-    K_cap: int = 8
-    N_cap: int = 4                  # desk-scale cap on the formula N
-    moment_entries_cap: int = 20000
-    sample_grid: int = 128          # per-axis node count of the fit grid (capped by a node budget)
     metrics_grid: int = 256
     h_ladder: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    determinism: bool = True        # runs are always deterministic; not hashed
-    threads: int = 1
     out: str = ""
 
     @classmethod
@@ -82,11 +77,11 @@ class PipelineConfig:
     def semantic_dict(self) -> dict:
         """Fields that affect a run's dumps.
 
-        Leaves out the output directory, threads, determinism and h_ladder,
-        which only chooses the runs of `run_scaled_ladder`.
+        Leaves out the output directory and h_ladder, which only chooses the
+        runs of `run_scaled_ladder`.
         """
         d = asdict(self)
-        for name in ("out", "threads", "determinism", "h_ladder"):
+        for name in ("out", "h_ladder"):
             d.pop(name)
         return d
 
@@ -146,6 +141,8 @@ class PipelineState:
     """Shared context between stages; loads whatever is not in memory from disk."""
 
     def __init__(self, cfg: PipelineConfig, out_dir, model: graphon_model.StepGraphon | None = None):
+        if cfg.n < 100:
+            raise ValueError("need n >= 100")
         self.cfg = cfg
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
@@ -161,11 +158,11 @@ class PipelineState:
         self.truth = graphon_model.spectral_decompose(self.model)
         self.report = graphon_model.check_assumptions(self.model)
         self.M = float(cfg.M) if cfg.M is not None else self.model.bound
-        self.graph = None
         self.latents = None
         self.g1 = None
         self.g2 = None
         self.epsilon = None
+        self.n_edges = None  # m1 + m2, the edge count of the sampled graph
         self.spectrum = None
         self.table = None
         self.fit = None
@@ -180,12 +177,14 @@ class PipelineState:
     def require_graphs(self, names=tuple(GRAPH_DUMPS)):
         """Load the named generate-stage dumps that are not in memory.
 
-        `names` are keys of GRAPH_DUMPS. epsilon comes from split.json, which
-        also vouches for the config the dumps were generated under.
+        `names` are keys of GRAPH_DUMPS. epsilon and the edge count come from
+        split.json, which also vouches for the config the dumps were generated
+        under.
         """
         if self.epsilon is None:
             doc = _load_stage(self.out / "split.json", self.config_hash)
             self.epsilon = doc["epsilon"]
+            self.n_edges = doc["m1"] + doc["m2"]
         for name in names:
             if getattr(self, name) is None:
                 load = graph_sampler.load_latents if name == "latents" else graph_sampler.load_edge_list
@@ -261,13 +260,13 @@ def mark_degenerate(state: PipelineState, stage: str, reason: str) -> None:
 def stage_generate(state: PipelineState) -> None:
     """Sample the graph and latents, then split the edges."""
     cfg = state.cfg
-    state.graph, state.latents = graph_sampler.sample_graph(state.model, cfg.n, cfg.seed)
+    graph, state.latents = graph_sampler.sample_graph(state.model, cfg.n, cfg.seed)
     state.epsilon = (
         cfg.epsilon_override if cfg.epsilon_override is not None else default_epsilon(cfg.n)
     )
-    state.g1, state.g2 = graph_sampler.split_edges(state.graph, state.epsilon, cfg.seed)
+    state.g1, state.g2 = graph_sampler.split_edges(graph, state.epsilon, cfg.seed)
+    state.n_edges = graph.m
     (state.out / DEGENERATE_NAME).unlink(missing_ok=True)
-    graph_sampler.save_edge_list(state.graph, state.out / "graph.edges")
     graph_sampler.save_latents(state.latents, state.out / "latents.txt")
     graph_sampler.save_edge_list(state.g1, state.out / "g1.edges")
     graph_sampler.save_edge_list(state.g2, state.out / "g2.edges")
@@ -294,7 +293,6 @@ def stage_spectrum(state: PipelineState) -> None:
             cfg.n,
             e1_override=cfg.e1_override,
             seed=cfg.seed,
-            k_cap=cfg.K_cap,
             bulk_scale=scale,
         )
         state.warnings.extend(state.spectrum.warnings)
@@ -314,7 +312,6 @@ def stage_spectrum(state: PipelineState) -> None:
                 "K": state.spectrum.K,
                 "e1": state.spectrum.e1,
                 "residuals": state.spectrum.residuals.tolist(),
-                "epsilon_adjusted": True,
             },
         )
         with open(state.out / "aggregates.bin", "wb") as fh:
@@ -325,7 +322,7 @@ def effective_N(state: PipelineState) -> int:
     cfg = state.cfg
     K = state.spectrum.K
     n_formula = formula_N(K, state.M, cfg.e0)
-    N = int(cfg.N_override) if cfg.N_override is not None else int(min(n_formula, cfg.N_cap))
+    N = int(cfg.N_override) if cfg.N_override is not None else int(min(n_formula, N_CAP))
     state.constants.update(
         {
             "epsilon_formula": 1.0 / math.log(math.log(cfg.n)),
@@ -341,7 +338,6 @@ def effective_N(state: PipelineState) -> int:
 
 def stage_moments(state: PipelineState) -> None:
     """Normalized star-count table on G2, every entry of total degree <= N."""
-    cfg = state.cfg
     if state.degenerate:
         return
     state.require_graphs(["g2"])
@@ -354,7 +350,7 @@ def stage_moments(state: PipelineState) -> None:
             state.spectrum.vertex_aggregates,
             N,
             state.epsilon,
-            max_entries=cfg.moment_entries_cap,
+            max_entries=star_counts.TABLE_BUDGET,
         )
     except star_counts.MomentTableTooLarge as exc:
         mark_degenerate(state, "moments", f"moment table refused: {exc}; constant estimator emitted")
@@ -389,12 +385,12 @@ def stage_fit(state: PipelineState) -> None:
     if cfg.kappa_override is not None:
         kappa = float(cfg.kappa_override)
     elif scale_est > 0:
-        kappa = min(kappa_formula_val, max(cfg.kappa_pad * scale_est, scale_est + 2 * delta))
+        kappa = min(kappa_formula_val, max(KAPPA_PAD * scale_est, scale_est + 2 * delta))
     else:
         kappa = kappa_formula_val
     mm = moment_poly.mollifier_moments(delta, N)
     mollified = moment_poly.mollify_moments(state.table, mm)
-    resolution = moment_poly.node_resolution(cfg.sample_grid, K)
+    resolution = moment_poly.node_resolution(moment_poly.SAMPLE_GRID, K)
     try:
         state.fit = moment_poly.fit_nodes(mollified, kappa, K, resolution, delta=delta)
     except moment_poly.UnusableFitError as exc:
@@ -432,8 +428,8 @@ def stage_estimate(state: PipelineState) -> None:
     cfg = state.cfg
     m = int(cfg.m_override) if cfg.m_override is not None else cfg.n
     if state.degenerate:
-        state.require_graphs(["graph"])
-        mean_deg = 2.0 * state.graph.m / state.graph.n
+        state.require_graphs([])
+        mean_deg = 2.0 * state.n_edges / cfg.n
         state.estimate = est_mod.GraphonEstimate(
             np.array([mean_deg]),
             np.ones((max(m, 1), 1)),
@@ -585,8 +581,6 @@ def run_pipeline(
     out_dir: str | Path | None = None,
 ) -> RunResult:
     """Execute every stage in order, writing dumps and a manifest."""
-    if cfg.n < 100:
-        raise ValueError("need n >= 100")
     t_all = time.perf_counter()
     out = Path(out_dir if out_dir is not None else (cfg.out or "run-out"))
     state = PipelineState(cfg, out, model=model)

@@ -32,6 +32,9 @@ import numpy as np
 from .graph_sampler import SparseGraph
 
 
+TABLE_BUDGET = 20_000  # cap on the (N+1)^K cells of a moment table
+
+
 class MomentTableTooLarge(MemoryError):
     pass
 
@@ -226,7 +229,7 @@ def moment_table(
     aggregates: np.ndarray,
     N: int,
     epsilon: float,
-    max_entries: int = 20000,
+    max_entries: int = TABLE_BUDGET,
 ) -> MomentTable:
     """Compute every P_alpha with |alpha| <= N from the (n, K) vertex aggregates.
 

@@ -314,8 +314,6 @@ def test_criterion_9_complexity(tmp_path):
             n=n,
             seed=0,
             N_override=4,
-            determinism=True,
-            threads=1,
         )
         t0 = time.perf_counter()
         run_pipeline(cfg, out_dir=tmp_path / f"bench-{n}")
@@ -342,7 +340,6 @@ def test_criterion_10_determinism(tmp_path):
         res = run_pipeline(cfg, out_dir=tmp_path / tag)
         outs.append(res.out_dir)
     names = [
-        "graph.edges",
         "latents.txt",
         "g1.edges",
         "g2.edges",

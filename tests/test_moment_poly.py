@@ -6,6 +6,7 @@ from numpy.polynomial import legendre as npleg
 
 from graphon_forge.moment_poly import (
     NODE_BUDGET,
+    SAMPLE_GRID,
     DensityFit,
     QuadratureUnderflowError,
     UnusableFitError,
@@ -23,7 +24,7 @@ from graphon_forge.moment_poly import (
     node_resolution,
     total_degree_indices,
 )
-from graphon_forge.pipeline import PipelineConfig
+from graphon_forge.nonbacktracking import K_CAP
 from graphon_forge.star_counts import MomentTable
 
 # unit-bump second moment, frozen from two Gauss-Legendre rules agreeing to 1e-12
@@ -374,10 +375,10 @@ class TestFitNodes:
         assert fits[0].residual == fits[1].residual
 
     def test_node_budget_for_every_K(self):
-        assert node_resolution(128, 2) == 128
-        for K in range(1, PipelineConfig().K_cap + 1):
-            r = node_resolution(128, K)
-            assert 1 <= r <= 128 and r**K <= NODE_BUDGET, K
+        assert node_resolution(SAMPLE_GRID, 2) == SAMPLE_GRID
+        for K in range(1, K_CAP + 1):
+            r = node_resolution(SAMPLE_GRID, K)
+            assert 1 <= r <= SAMPLE_GRID and r**K <= NODE_BUDGET, K
 
     def test_records_its_least_squares_solves(self):
         M = mollify_moments(table_from_entries(two_block_moments(4)), mollifier_moments(0.2, 4))

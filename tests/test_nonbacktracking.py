@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,27 @@ class TestTopSpectrum:
         spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
         assert spec.K == 2
         assert len(applies) <= 400
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_multiplicity_is_reorthonormalized(self, seed):
+        # two disjoint copies of K_6: lambda = 4 twice, eigenspace spanned by
+        # the all-ones vectors of each copy's 30 oriented edges
+        edges = [(u + o, v + o) for o in (0, 6) for u, v in itertools.combinations(range(6), 2)]
+        op = build_nb_operator(SparseGraph(12, np.array(edges)))
+        assert op.dim > DENSE_FALLBACK_DIM  # the companion path
+        spec = top_spectrum(op, 12, seed=seed)
+        assert spec.K == 2
+        np.testing.assert_allclose(spec.lambdas, [4.0, 4.0], rtol=1e-12)
+        assert spec.warnings == (
+            "near-multiplicity among lambda_1..lambda_2: eigenvector basis ambiguous",
+        )
+        assert spec.residuals.max() <= 1e-12
+        # orthonormal eigenvectors in the cluster's span: each vertex has 5
+        # in-edges, so the aggregates are constant per copy with Gram matrix 5 I
+        agg = spec.vertex_aggregates
+        np.testing.assert_allclose(agg[:6], np.broadcast_to(agg[0], (6, 2)), atol=1e-12)
+        np.testing.assert_allclose(agg[6:], np.broadcast_to(agg[6], (6, 2)), atol=1e-12)
+        np.testing.assert_allclose(agg.T @ agg, 5.0 * np.eye(2), atol=1e-10)
 
 
 def complete_bipartite(a: int, b: int, drop=()) -> SparseGraph:

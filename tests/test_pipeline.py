@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphon_forge import cli, graph_sampler, moment_poly
+from graphon_forge import cli, graph_sampler, moment_poly, star_counts
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.pipeline import (
     DEGENERATE_NAME,
@@ -57,17 +57,26 @@ class TestDefaults:
     def test_formula_N_is_astronomical(self):
         assert formula_N(2, 7.0, 0.5) > 1e60
 
-    def test_config_rejects_unknown_fields(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name",
+        # after "bogus": names that are module constants or read by nothing, not config fields
+        ["bogus", "threads", "determinism", "sample_grid", "kappa_pad", "N_cap",
+         "moment_entries_cap", "K_cap"],
+    )
+    def test_config_rejects_unknown_fields(self, name, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text('{"n": 500, "bogus": 1}')
-        with pytest.raises(ValueError, match="bogus"):
+        p.write_text(json.dumps({"n": 500, name: 1}))
+        with pytest.raises(ValueError, match=f"unknown config fields: \\['{name}'\\]"):
             PipelineConfig.from_json(p)
 
     def test_n_floor(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path)
         cfg.n = 50
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n >= 100"):
             run_pipeline(cfg)
+        with pytest.raises(ValueError, match="need n >= 100"):
+            run_stage("generate", cfg)
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigHash:
@@ -85,11 +94,6 @@ class TestConfigHash:
             "delta_override": 0.06,
             "m_override": 1000,
             "kappa_override": 2.0,
-            "kappa_pad": 1.3,
-            "K_cap": 5,
-            "N_cap": 5,
-            "moment_entries_cap": 123,
-            "sample_grid": 64,
             "metrics_grid": 128,
         }
         for field, value in changed.items():
@@ -102,8 +106,6 @@ class TestConfigHash:
         a = small_config(model_file, tmp_path)
         b = small_config(model_file, tmp_path)
         b.out = str(tmp_path / "elsewhere")
-        b.threads = 4
-        b.determinism = False
         b.h_ladder = (1.0, 3.0)  # chooses the runs of a ladder, changes no run's dumps
         assert a.config_hash(b"m") == b.config_hash(b"m")
 
@@ -116,7 +118,6 @@ class TestRunPipeline:
         assert res.manifest["K"] >= 1
         assert res.metrics["delta2_upper"] is not None
         for name in (
-            "graph.edges",
             "g1.edges",
             "g2.edges",
             "latents.txt",
@@ -181,7 +182,7 @@ class TestRunPipeline:
         cfg_b.out = str(tmp_path / "b")
         ra = run_pipeline(cfg_a)
         rb = run_pipeline(cfg_b)
-        for name in ("graph.edges", "g1.edges", "g2.edges", "latents.txt", "spectrum.json",
+        for name in ("g1.edges", "g2.edges", "latents.txt", "spectrum.json",
                      "aggregates.bin", "moments.json", "fit.json", "estimate.json",
                      "metrics.json"):
             assert (ra.out_dir / name).read_bytes() == (rb.out_dir / name).read_bytes(), name
@@ -197,7 +198,7 @@ class TestRunPipeline:
         cfg_b.seed = 1
         cfg_b.out = str(tmp_path / "b")
         ra, rb = run_pipeline(cfg_a), run_pipeline(cfg_b)
-        assert (ra.out_dir / "graph.edges").read_bytes() != (rb.out_dir / "graph.edges").read_bytes()
+        assert (ra.out_dir / "g1.edges").read_bytes() != (rb.out_dir / "g1.edges").read_bytes()
 
     def test_degenerate_k0_emits_constant_estimator(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path, e1_override=50.0)  # cutoff unreachable
@@ -336,7 +337,8 @@ class TestStagedExecution:
         elif case == "no-eigenvalue":
             cfg.e1_override = 50.0
         elif case == "table-too-large":
-            cfg.N_override, cfg.moment_entries_cap = 4, 10  # K = 2: (4 + 1)^2 = 25 entries
+            cfg.N_override = 4  # K = 2: (4 + 1)^2 = 25 entries
+            monkeypatch.setattr(star_counts, "TABLE_BUDGET", 10)
         else:
             monkeypatch.setattr(
                 "graphon_forge.moment_poly.nnls", lambda A, b: (np.zeros(A.shape[1]), 1.0)
@@ -360,7 +362,7 @@ class TestStagedExecution:
         "e1_override, loaded",
         [
             (None, ["g1.edges", "g2.edges", "latents.txt"]),
-            (50.0, ["g1.edges", "graph.edges", "latents.txt"]),  # K = 0: the constant estimator
+            (50.0, ["g1.edges", "latents.txt"]),  # K = 0: the constant estimator reads split.json
         ],
     )
     def test_stages_read_only_the_graph_dumps_they_use(
@@ -447,7 +449,7 @@ class TestCli:
         target = tmp_path / "env-out"
         monkeypatch.setenv("GRAPHON_FORGE_OUT", str(target))
         assert self.run_cli("generate", "--config", str(cfg_path)) == 0
-        assert (target / "graph.edges").exists()
+        assert (target / "g1.edges").exists()
 
     def test_module_invocation(self, model_file, tmp_path):
         cfg_path = tmp_path / "cfg.json"
