@@ -10,11 +10,11 @@ on the model itself, and h != 1 runs it in scaled mode on h times the model.
 The defaults are the scale cases n = 2.5e4, 1e5 and 2e5 at h = 1, and
 n = 5e4 at h = 8. Next to the stage times, each case prints what the spectral
 solver did, as recorded in the run's manifest: iterations, the spectrum
-stage's milliseconds per iteration, block width, iterated dimension, cutoff,
-and the final block's Ritz values with their residuals. The last lines give
-the wall-time ratio between n = 1e5 and 2.5e4 at h = 1 (acceptance criterion
-9, bound 6) and the ratio between the smallest and largest h = 1 sizes
-against the n log n ideal.
+stage's milliseconds per iteration, start and final block width, block QRs,
+iterated dimension, cutoff, and the final block's Ritz values with their
+residuals. The last lines give the wall-time ratio between n = 1e5 and
+2.5e4 at h = 1 (acceptance criterion 9, bound 6) and the ratio between the
+smallest and largest h = 1 sizes against the n log n ideal.
 
 Usage: python scripts/scaling_benchmark.py [--cases 25000:1 100000:1 200000:1 50000:8] [--seed 0]
 """
@@ -65,7 +65,9 @@ def main():
                 ritz = ", ".join(f"{complex(re, im):.3g}" for re, im in spec["ritz_values"])
                 res_ = ", ".join(f"{r:.1e}" for r in spec.get("ritz_residuals", []))
                 print(f"{'':12}spectrum: {spec['iterations']} iterations, {per_it:.1f} ms/iteration, "
-                      f"block {spec['block']}, dim {spec['iterated_dim']}, cutoff {spec['cutoff']:.3f}")
+                      f"block {spec['start_block']} -> {spec['block']}, "
+                      f"{spec['orthonormalizations']} QRs, "
+                      f"dim {spec['iterated_dim']}, cutoff {spec['cutoff']:.3f}")
                 print(f"{'':12}ritz [{ritz}]  residuals [{res_}]")
         if (25_000, 1.0) in walls and (100_000, 1.0) in walls:
             print(f"criterion 9: ratio {walls[100_000, 1.0] / walls[25_000, 1.0]:.2f} "

@@ -35,20 +35,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.deterministic:
-        os.environ.setdefault("OMP_NUM_THREADS", "1")
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        os.environ["OMP_NUM_THREADS"] = "1"
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
     from . import pipeline  # heavy imports after the thread env is pinned
 
-    cfg = pipeline.PipelineConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n is not None:
-        cfg.n = args.n
-    out = args.out or cfg.out or os.environ.get("GRAPHON_FORGE_OUT") or "run-out"
-    cfg.out = out
-
     try:
+        cfg = pipeline.PipelineConfig.from_json(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.n is not None:
+            cfg.n = args.n
+        out = args.out or cfg.out or os.environ.get("GRAPHON_FORGE_OUT") or "run-out"
+        cfg.out = out
         if args.command == "run":
             res = pipeline.run_pipeline(cfg, out_dir=out)
             print(f"wrote {res.out_dir / pipeline.MANIFEST_NAME}")

@@ -24,16 +24,21 @@ Extraction uses block subspace iteration on the cubed operator (the power
 algorithm): cubing is cheap, preserves eigenvectors and magnitude order, and
 cubes the separation ratio between informative eigenvalues and the bulk,
 where a restarted Arnoldi iteration wastes its time converging continuum
-bulk modes to full tolerance. With s the operator scale, the cube is three
-steps of the recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1} on n-row
-blocks, each one sparse product with [s A, s^2 (I - D)] in a reused buffer,
-and the block is re-orthonormalized by LAPACK's economic Householder QR
-(geqrf + orgqr) in place. Eigenvalues are read off as Rayleigh quotients
-of the uncubed operator, so a complex bulk eigenvalue whose cube happens to
-land near the real axis still fails the residual test and cannot alias as
-informative. The Ritz vectors, their Rayleigh quotients and residuals come
-from block products with the projected eigenvectors, with no apply per
-vector.
+bulk modes to full tolerance. With s the operator scale, the block is held
+as two n-row iterates x_t and x_{t-1}, and a cube is three steps of the
+recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each one sparse product
+with s A and one in-place diagonal update. The block [x_t; s x_{t-1}] is
+re-orthonormalized by LAPACK's economic Householder QR only as often as the
+growth of lambda_1 over the cutoff requires (Rutishauser's RITZIT), and
+always before the Ritz pairs are read off. Eigenvalues are read off as
+Rayleigh quotients of the uncubed operator, so a complex bulk eigenvalue
+whose cube happens to land near the real axis still fails the residual test
+and cannot alias as informative. The Ritz vectors, their Rayleigh quotients
+and residuals come from block products with the projected eigenvectors,
+with no apply per vector. Once the accepted set has held for a few rounds
+and no candidate past the next one is climbing, the block is cut to the
+accepted Ritz vectors plus that next one as a guard (both halves of a
+complex pair) for the rest of the run.
 
 `bulk_scale` handles spectra computed from a thinned edge subsample whose
 operator has been rescaled by 1/(1 - epsilon): the rescaled bulk disk has
@@ -147,60 +152,44 @@ class Companion:
     equally scaled NbOperator, apart from trivial ones at +-scale.
 
     With s = scale, C maps [x_t; s x_{t-1}] to [x_{t+1}; s x_t] where
-    x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}. That recurrence is one sparse
-    (n, 2n) product with [s A, s^2 (I - D)] on the stacked pair [x_t; x_{t-1}].
+    x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}: one sparse product with s A
+    plus the diagonal s^2 (I - D) (`step`).
     """
 
     space: OrientedEdgeSpace
     scale: float = 1.0
-    _recurrence: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _adjacency: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _defect: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, scale = self.space, self.scale
-        adjacency = sparse.csr_matrix(
+        self._adjacency = sparse.csr_matrix(
             (np.full(s.m_oriented, scale), (s.tails, s.heads)), shape=(s.n, s.n)
         )
-        defect = scale**2 * (1.0 - np.bincount(s.heads, minlength=s.n))
-        self._recurrence = sparse.hstack([adjacency, sparse.diags(defect)], format="csr")
+        self._defect = scale**2 * (1.0 - np.bincount(s.heads, minlength=s.n))
 
     @property
     def dim(self) -> int:
         return 2 * self.space.n
 
-    def _load_pair(self, X: np.ndarray, pair: np.ndarray) -> np.ndarray:
-        """Write [x_t; x_{t-1}] = [X_top; X_bottom / scale] into the C-ordered `pair`."""
-        n = self.space.n
-        pair[:n] = X[:n]
-        np.divide(X[n:], self.scale, out=pair[n:])
-        return pair
+    def step(self, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """x_{t+1} from (x_t, x_{t-1}) = (cur, prev) for a vector or a block; overwrites `prev`."""
+        prev *= self._defect.reshape(-1, *(1,) * (prev.ndim - 1))
+        prev += self._adjacency @ cur
+        return prev
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        """C X for a vector or a block of columns."""
+        """C X for a vector or a block of columns: one `step` from [X_top; X_bottom / s]."""
         X = np.asarray(X)
         n = self.space.n
-        out = self._load_pair(X, np.empty(X.shape))
-        out[:n] = self._recurrence @ out
+        out = np.empty(X.shape)
+        np.divide(X[n:], self.scale, out=out[n:])
+        out[:n] = self.step(X[:n], out[n:])
         np.multiply(X[:n], self.scale, out=out[n:])
         return out
 
     matvec = matmat
     __matmul__ = matmat
-
-    def cube(self, Q: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """C^3 Q for a (2n, b) block, written into `out` (same shape, not Q) and returned.
-
-        Three steps of the recurrence from [x_0; s x_{-1}] = Q give
-        C^3 Q = [x_3; s x_2]. The iterates sit in `work`, a C-ordered (4n, b)
-        scratch block, ordered x_2, x_1, x_0, x_{-1}, so every step reads its
-        pair in place.
-        """
-        n = self.space.n
-        self._load_pair(Q, work[2 * n :])
-        work[n : 2 * n] = self._recurrence @ work[2 * n :]
-        work[:n] = self._recurrence @ work[n : 3 * n]
-        out[:n] = self._recurrence @ work[: 2 * n]
-        np.multiply(work[:n], self.scale, out=out[n:])
-        return out
 
     def lift(self, z: np.ndarray, rayleigh: float) -> np.ndarray:
         """Unit oriented-edge eigenvector of B from a companion eigenvector z = [a; a / lambda].
@@ -298,7 +287,9 @@ class NbSpectrum:
     all_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     warnings: tuple[str, ...] = ()
     iterations: int = 0             # subspace iterations, summed over restarts (0: dense solve)
-    block: int = 0                  # final block width (0: dense solve)
+    start_block: int = 0            # block width the final run started at (0: dense solve)
+    block: int = 0                  # final block width, that of all_eigenvalues (0: dense solve)
+    orthonormalizations: int = 0    # block QRs, summed over restarts (0: dense solve)
     iterated_dim: int = 0           # dimension of the operator the solver ran on
     # final-block Ritz residuals on the companion, as all_eigenvalues (empty: dense solve)
     ritz_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -328,14 +319,16 @@ def _ritz_candidates(op, Q: np.ndarray, scratch: np.ndarray | None = None):
     """Ritz pairs of the projected (uncubed) operator, |.|-descending.
 
     Returns the projected eigenvalues, the realified unit Ritz vectors as the
-    columns of Y, their Rayleigh quotients y'By, and the residuals
-    |By - (y'By) y| on the full operator. A complex coefficient vector is
-    turned real by rotating its largest entry onto the positive axis, so
-    Y = Q S and BY = (BQ) S are block products with no apply per vector.
-    BY is formed in `scratch`, a spare block of Q's shape, when one is given.
+    columns of Y, their Rayleigh quotients y'By, the residuals
+    |By - (y'By) y| on the full operator, and the projected matrix Q'BQ. A
+    complex coefficient vector is turned real by rotating its largest entry
+    onto the positive axis, so Y = Q S and BY = (BQ) S are block products with
+    no apply per vector. BY is formed in `scratch`, a spare block of Q's
+    shape, when one is given.
     """
     BQ = op.matmat(Q)
-    w, S = np.linalg.eig(Q.T @ BQ)
+    H = Q.T @ BQ
+    w, S = np.linalg.eig(H)
     order = np.argsort(-np.abs(w), kind="stable")
     w, S = w[order], S[:, order]
     if np.iscomplexobj(S):
@@ -349,40 +342,100 @@ def _ritz_candidates(op, Q: np.ndarray, scratch: np.ndarray | None = None):
     rayleigh = np.einsum("ij,ij->j", Y, BY)
     BY -= Y * rayleigh
     residuals = np.sqrt(np.einsum("ij,ij->j", BY, BY))
-    return w, Y, rayleigh, residuals
+    return w, Y, rayleigh, residuals, H
 
 
-def _subspace_iterate(op, block: int, seed: int, e1: float, k_cap: int, bulk_scale: float):
-    """Block subspace iteration on op^3 (`op.cube`); returns (result, converged, iterations).
+def _qr_period(lam1: float, cutoff: float) -> int:
+    """Cubes between orthonormalizations once lambda_1 and the cutoff are known.
+
+    Between two QRs the block's columns drift toward the top eigenvector; a
+    direction at the cutoff shrinks against it by (lambda_1 / cutoff)^3 per
+    cube, and the next QR recovers it to about u (lambda_1 / cutoff)^(3p)
+    after p cubes, u the machine epsilon. The period is the largest p up to
+    EXTRACT_EVERY that keeps this within RESIDUAL_TOL / 100.
+    """
+    growth = max(lam1 / cutoff, 1.0) ** 3
+    p = 1
+    while p < EXTRACT_EVERY and np.finfo(float).eps * growth ** (p + 1) <= RESIDUAL_TOL / 100:
+        p += 1
+    return p
+
+
+def _leading_basis(Q: np.ndarray, H: np.ndarray, guard: complex) -> np.ndarray:
+    """Orthonormal basis of the Ritz subspace whose values are at least |guard| in modulus.
+
+    Taken from the ordered real Schur form of the projected matrix H = Q'BQ,
+    so a complex pair is kept or dropped whole.
+    """
+    floor = (1.0 - NEAR_MULTIPLICITY_RTOL) * abs(guard)
+    _, U, kept = linalg.schur(H, output="real", sort=lambda re, im: np.hypot(re, im) >= floor)
+    return Q @ U[:, :kept]
+
+
+def _subspace_iterate(
+    op: Companion, block: int, seed: int, e1: float, k_cap: int, bulk_scale: float
+):
+    """Block subspace iteration on the cube of the companion `op`.
+
+    Returns (result, converged, iterations, orthonormalizations). The block
+    is kept as two C-ordered (n, width) iterates x_t and x_{t-1}, advanced by
+    `op.step`; a cube is three steps. [x_t; s x_{t-1}] is assembled and
+    re-orthonormalized by QR after every cube until the first extraction
+    round, then every `_qr_period` cubes, and always at an extraction round
+    (every EXTRACT_EVERY cubes), where the Ritz pairs are read off.
 
     Stops once the accepted set has been stable for several extraction
     rounds, its residuals on op meet RESIDUAL_TOL, and no candidate is still
     climbing toward the cutoff: an informative eigenvalue entering the
     subspace shows up as a Ritz value growing geometrically round over round,
     and stopping while one is in flight would undercount K. Bulk directions
-    never gate the stop; their Ritz values do not grow. The last of the
-    MAX_ITERATIONS iterations always extracts, so a run that does not raise
-    returns a result.
+    never gate the stop; their Ritz values do not grow. Once the accepted set
+    has been stable for STABLE_ROUNDS rounds with no candidate past the guard
+    climbing, and only the stop is pending, the block is cut to the Ritz
+    subspace down to one guard value past the last accepted one (both halves
+    of a complex pair), and the run finishes at that width. The guard itself
+    may still climb: it stays in the block, and a guard that clears the
+    cutoff fills the block, which makes `top_spectrum` widen and rerun. The
+    last of the MAX_ITERATIONS iterations always extracts, so a run that does
+    not raise returns a result.
     """
+    n, s = op.space.n, op.scale
     rng = substream(seed, "subspace-init")
     Q = _orthonormalize(np.asfortranarray(rng.standard_normal((op.dim, block))))
-    spare = np.empty_like(Q, order="F")
-    work = np.empty((2 * op.dim, block))
+    orthonormalizations = 1
     stable = 0
     prev_key = None
     prev_mags = None
     result = None
+    period, since_qr = 1, 0
+    pair = Z = None
     for it in range(1, MAX_ITERATIONS + 1):
-        Z = op.cube(Q, spare, work)
+        if since_qr == 0:  # restart the iterates from the orthonormal block Q
+            if pair is None or pair.shape[1] != Q.shape[1]:
+                pair = np.empty((op.dim, Q.shape[1]))  # x_t and x_{t-1}, one C-ordered half each
+                Z = np.empty_like(pair, order="F")
+            cur, prev = pair[:n], pair[n:]
+            cur[...] = Q[:n]
+            np.divide(Q[n:], s, out=prev)
+        for _ in range(3):
+            cur, prev = op.step(cur, prev), cur
+        since_qr += 1
+        extract = it % EXTRACT_EVERY == 0 or it == MAX_ITERATIONS
+        if since_qr < period and not extract:
+            continue
+        Z[:n] = cur
+        np.multiply(prev, s, out=Z[n:])
         norms = np.sqrt(np.einsum("ij,ij->j", Z, Z))
         if not np.all(np.isfinite(norms)) or norms.max() <= 1e-290:
             raise DegenerateSpectrumError("operator power collapsed (nilpotent or empty spectrum)")
-        # the QR overwrites Z, so the two (dim, block) buffers swap roles each round
-        Q, spare = _orthonormalize(Z), Q
-        if it % EXTRACT_EVERY and it != MAX_ITERATIONS:
+        Q = _orthonormalize(Z)  # in Z's buffer
+        orthonormalizations += 1
+        since_qr = 0
+        if not extract:
             continue
         result = None  # only the last round's result is returned: free its vectors first
-        w, vectors, rayleigh, residuals = _ritz_candidates(op, Q, scratch=spare)
+        # the iterates are spent: `pair` serves as the scratch block
+        w, vectors, rayleigh, residuals, H = _ritz_candidates(op, Q, scratch=pair)
         try:
             lam1, accepted, cutoff = classify_eigenvalues(w, e1, k_cap, bulk_scale)
         except DegenerateSpectrumError:
@@ -391,14 +444,14 @@ def _subspace_iterate(op, block: int, seed: int, e1: float, k_cap: int, bulk_sca
             prev_mags = np.abs(w)
             continue
         mags = np.abs(w)
-        rising = prev_mags is None
-        if prev_mags is not None:
-            for i in range(mags.size):
-                if mags[i] < 0.4 * cutoff or i in accepted:
-                    continue
-                nearest = float(np.min(np.abs(prev_mags - mags[i])))
-                if nearest > 0.01 * mags[i]:
-                    rising = True
+        climbing = [] if prev_mags is None else [
+            i
+            for i in range(mags.size)
+            if mags[i] >= 0.4 * cutoff
+            and i not in accepted
+            and float(np.min(np.abs(prev_mags - mags[i]))) > 0.01 * mags[i]
+        ]
+        rising = prev_mags is None or bool(climbing)
         prev_mags = mags
         key = tuple(accepted)
         stable = stable + 1 if key == prev_key else 1
@@ -406,8 +459,16 @@ def _subspace_iterate(op, block: int, seed: int, e1: float, k_cap: int, bulk_sca
         converged = all(residuals[i] <= RESIDUAL_TOL for i in accepted)
         result = (w, vectors, residuals, rayleigh, accepted, lam1, cutoff)
         if stable >= STABLE_ROUNDS and converged and not rising and it >= 2 * EXTRACT_EVERY:
-            return result, True, it
-    return result, False, MAX_ITERATIONS
+            return result, True, it, orthonormalizations
+        period = _qr_period(lam1, cutoff)
+        guard = max(accepted, default=-1) + 1
+        if (
+            stable >= STABLE_ROUNDS
+            and guard + 1 < w.size
+            and all(mags[i] >= mags[guard] for i in climbing)
+        ):
+            Q = _leading_basis(Q, H, w[guard])
+    return result, False, MAX_ITERATIONS, orthonormalizations
 
 
 def top_spectrum(
@@ -453,17 +514,19 @@ def top_spectrum(
         )
     comp = Companion(op.space, op.scale)
     block_size = min(max(6, k_cap // 2 + 2), comp.dim - 1)
-    iterations = 0
+    widest = min(k_cap + 4, comp.dim - 1)
+    iterations = orthonormalizations = 0
     while True:
-        out, ok, its = _subspace_iterate(comp, block_size, seed, e1, k_cap, bulk_scale)
+        out, ok, its, qrs = _subspace_iterate(comp, block_size, seed, e1, k_cap, bulk_scale)
         iterations += its
+        orthonormalizations += qrs
         w, vectors, residuals, ray, accepted, lam1, cutoff = out
         if not ok:
             raise SpectrumConvergenceError(
                 f"subspace iteration did not converge within {MAX_ITERATIONS} iterations"
             )
-        if len(accepted) == block_size and block_size < min(k_cap + 4, comp.dim - 1):
-            block_size = min(k_cap + 4, comp.dim - 1)  # everything cleared the cutoff: widen once
+        if len(accepted) == w.size and block_size < widest:
+            block_size = widest  # everything cleared the cutoff: widen once
             continue
         break
 
@@ -476,7 +539,8 @@ def top_spectrum(
     )
     return _finish(  # w and residuals come |.|-descending from _ritz_candidates
         op, e1, lambdas, vecs, lam1, cutoff, w,
-        iterations=iterations, block=block_size, iterated_dim=comp.dim, ritz_residuals=residuals,
+        iterations=iterations, start_block=block_size, block=w.size,
+        orthonormalizations=orthonormalizations, iterated_dim=comp.dim, ritz_residuals=residuals,
     )
 
 

@@ -522,7 +522,9 @@ def spectrum_telemetry(spectrum: nonbacktracking.NbSpectrum | None) -> dict | No
         return None
     return {
         "iterations": spectrum.iterations,
+        "start_block": spectrum.start_block,
         "block": spectrum.block,
+        "orthonormalizations": spectrum.orthonormalizations,
         "iterated_dim": spectrum.iterated_dim,
         "cutoff": spectrum.cutoff,
         "ritz_values": [[float(w.real), float(w.imag)] for w in spectrum.all_eigenvalues],

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from graphon_forge import nonbacktracking
 from graphon_forge.graph_sampler import SparseGraph, sample_graph, split_edges
@@ -321,29 +322,85 @@ class TestTopSpectrum:
     def test_complex_bulk_pair_does_not_stall(self, assortative_2block, monkeypatch):
         # graph seed 4 at n = 3e4 has a complex bulk Ritz pair just above the
         # cutoff, which can hold the stop rule open; its 70 iterations are 70
-        # cubes of three applies each plus 14 extraction applies: 224 applies
+        # cubes of three recurrence steps each plus 14 extraction applies of
+        # one step each: 224 steps
         n, seed = 30000, 4
         gr, _ = sample_graph(assortative_2block, n, seed=seed)
         eps = default_epsilon(n)
         g1, _ = split_edges(gr, eps, seed=seed)
         scale = 1.0 / (1.0 - eps)
-        applies = []
-        apply, cube = Companion.matmat, Companion.cube
+        steps = []
+        step = Companion.step
 
-        def counted(self, X):
-            applies.append(1)
-            return apply(self, X)
+        def counted(self, cur, prev):
+            steps.append(1)
+            return step(self, cur, prev)
 
-        def counted_cube(self, Q, out, work):
-            applies.extend([1, 1, 1])
-            return cube(self, Q, out, work)
-
-        monkeypatch.setattr(Companion, "matmat", counted)
-        monkeypatch.setattr(Companion, "matvec", counted)
-        monkeypatch.setattr(Companion, "cube", counted_cube)
+        monkeypatch.setattr(Companion, "step", counted)
         spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
         assert spec.K == 2
-        assert len(applies) <= 400
+        assert len(steps) <= 400
+
+    def test_bulk_pair_under_the_cutoff_does_not_stall(self, assortative_2block):
+        # n = 1e4, graph seed 0: a bulk pair 2.16 +- 1.55i (modulus 2.66) sits
+        # under the cutoff 2.80 and once held the stop rule open for 335 iterations
+        n, seed = 10000, 0
+        gr, _ = sample_graph(assortative_2block, n, seed=seed)
+        eps = default_epsilon(n)
+        g1, _ = split_edges(gr, eps, seed=seed)
+        scale = 1.0 / (1.0 - eps)
+        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        assert spec.K == 2
+        assert spec.iterations <= 150
+
+    def test_block_is_cut_while_the_guard_climbs(self, assortative_2block, monkeypatch):
+        # n = 2e4, graph seed 0: K = 2 holds from iteration 15 on while the third
+        # Ritz value still climbs toward the bulk edge; the block is cut at the
+        # third stable round, after 25 cubes and 5 extraction applies, with that
+        # value as the guard
+        n, seed = 20000, 0
+        gr, _ = sample_graph(assortative_2block, n, seed=seed)
+        eps = default_epsilon(n)
+        g1, _ = split_edges(gr, eps, seed=seed)
+        scale = 1.0 / (1.0 - eps)
+        steps, cuts = [], []
+        step, leading = Companion.step, nonbacktracking._leading_basis
+
+        def counted(self, cur, prev):
+            steps.append(1)
+            return step(self, cur, prev)
+
+        def cut(Q, H, guard):
+            cuts.append((len(steps), guard))
+            return leading(Q, H, guard)
+
+        monkeypatch.setattr(Companion, "step", counted)
+        monkeypatch.setattr(nonbacktracking, "_leading_basis", cut)
+        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        assert (spec.K, spec.start_block, spec.block) == (2, 6, 3)
+        assert len(cuts) == 1 and cuts[0][0] == 3 * 25 + 5
+        assert spec.cutoff > abs(cuts[0][1]) > 0.4 * spec.cutoff
+
+    def test_sparse_orthonormalization_keeps_the_eigenvalues(self, weak_2block, monkeypatch):
+        # dense-scaled-h8's graph: lambda_1 / cutoff is about 4, so the QR
+        # period is between 1 and EXTRACT_EVERY; the lambdas must match a run
+        # that orthonormalizes after every cube
+        n, seed = 12000, 0
+        dense = StepGraphon(weak_2block.block_measures, 8.0 * weak_2block.values)
+        gr, _ = sample_graph(dense, n, seed=seed)
+        eps = default_epsilon(n)
+        g1, _ = split_edges(gr, eps, seed=seed)
+        scale = 1.0 / (1.0 - eps)
+        op = build_nb_operator(g1, scale=scale)
+        spec = top_spectrum(op, n, seed=seed, bulk_scale=scale)
+        assert 3 < spec.lambdas[0] / spec.cutoff < 5
+        period = nonbacktracking._qr_period(spec.lambdas[0], spec.cutoff)
+        assert 1 < period < nonbacktracking.EXTRACT_EVERY
+        monkeypatch.setattr(nonbacktracking, "_qr_period", lambda lam1, cutoff: 1)
+        every = top_spectrum(op, n, seed=seed, bulk_scale=scale)
+        assert every.K == spec.K == 2 and every.iterations == spec.iterations
+        assert every.orthonormalizations == spec.iterations + 1 > spec.orthonormalizations
+        np.testing.assert_allclose(spec.lambdas, every.lambdas, rtol=1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_near_multiplicity_is_reorthonormalized(self, seed):
@@ -473,13 +530,18 @@ class TestIharaBass:
         space = OrientedEdgeSpace.from_graph(SparseGraph(33, edges))
         assert {0, 1} <= set(np.bincount(space.heads, minlength=33).tolist())
         comp = Companion(space, scale=scale)
-        Q = np.asfortranarray(rng.standard_normal((comp.dim, 5)))
-        start = Q.copy()
+        n = space.n
+        Q = rng.standard_normal((comp.dim, 5))
         want = comp.matmat(comp.matmat(comp.matmat(Q)))
-        out = np.empty_like(Q, order="F")
-        assert comp.cube(Q, out, np.empty((2 * comp.dim, 5))) is out
-        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        np.testing.assert_array_equal(Q, start)
+        cur, prev = Q[:n].copy(), Q[n:] / scale  # [x_0; s x_{-1}] = Q
+        for _ in range(3):
+            start = cur.copy()
+            nxt = comp.step(cur, prev)
+            assert nxt is prev  # written over x_{t-1}
+            np.testing.assert_array_equal(cur, start)
+            cur, prev = nxt, cur
+        got = np.concatenate([cur, scale * prev])  # [x_3; s x_2]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestSubspaceKernels:
@@ -488,7 +550,8 @@ class TestSubspaceKernels:
         gr = SparseGraph(200, random_simple_graph(rng, 200, 4.0 / 200))
         comp = Companion(OrientedEdgeSpace.from_graph(gr), scale=1.3)
         Q = nonbacktracking._orthonormalize(np.asfortranarray(rng.standard_normal((comp.dim, 6))))
-        w, Y, rayleigh, residuals = nonbacktracking._ritz_candidates(comp, Q)
+        w, Y, rayleigh, residuals, H = nonbacktracking._ritz_candidates(comp, Q)
+        np.testing.assert_allclose(H, Q.T @ comp.matmat(Q), atol=1e-12)
         assert np.abs(w.imag).max() > 1e-3  # the projection has a complex pair
         assert np.all(np.diff(np.abs(w)) <= 0)
         np.testing.assert_allclose(Q @ (Q.T @ Y), Y, atol=1e-12)
@@ -505,17 +568,41 @@ class TestSubspaceKernels:
         got = nonbacktracking._orthonormalize(np.asfortranarray(Z))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("guard, kept", [(0, 1), (1, 3), (2, 3), (3, 4), (5, 6)])
+    def test_leading_basis_keeps_whole_pairs(self, guard, kept):
+        # projected eigenvalues 5, 3 +- 2i, -2, 1 +- 0.5i (|.|-descending): a
+        # guard on either half of a complex pair keeps both halves
+        rng = np.random.default_rng(13)
+        pair1, pair2 = [[3.0, 2.0], [-2.0, 3.0]], [[1.0, 0.5], [-0.5, 1.0]]
+        T = linalg.block_diag([[5.0]], pair1, [[-2.0]], pair2)
+        V = rng.standard_normal((6, 6))
+        H = V @ T @ np.linalg.inv(V)
+        w = np.linalg.eigvals(H)
+        w = w[np.argsort(-np.abs(w), kind="stable")]
+        Q = nonbacktracking._orthonormalize(np.asfortranarray(rng.standard_normal((40, 6))))
+        basis = nonbacktracking._leading_basis(Q, H, w[guard])
+        assert basis.shape == (40, kept)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(kept), atol=1e-12)
+        U = Q.T @ basis  # coordinates in Q: an H-invariant subspace holding the top `kept` values
+        np.testing.assert_allclose(H @ U, U @ (U.T @ H @ U), atol=1e-10)
+        got = np.linalg.eigvals(U.T @ H @ U)
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(w[:kept]), atol=1e-10)
+
     def test_keeps_iteration_count_on_workload_graph(self, assortative_2block):
-        # sparse-2block's graph at graph seed 4, whose final block holds a complex
-        # bulk pair; the counts and lambdas are those of the iteration that applied
-        # the companion three times per step and took Ritz pairs one vector at a time
+        # sparse-2block's graph at graph seed 4, whose 6-wide start block holds a
+        # complex bulk pair; once K = 2 settles the block is cut to the two accepted
+        # Ritz vectors plus a real guard, and the run finishes at width 3 after the
+        # 70 iterations of the iteration that kept all 6 columns. The lambdas are
+        # the eigenvalues converged at RESIDUAL_TOL = 1e-12
         n, seed = 30000, 4
         gr, _ = sample_graph(assortative_2block, n, seed=seed)
         eps = default_epsilon(n)
         g1, _ = split_edges(gr, eps, seed=seed)
         scale = 1.0 / (1.0 - eps)
         spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
-        assert (spec.iterations, spec.block, spec.K) == (70, 6, 2)
-        np.testing.assert_allclose(spec.lambdas, [4.013184612169202, 2.95382969102282], rtol=1e-12)
-        assert spec.ritz_residuals.shape == (6,) and spec.ritz_residuals[:2].max() <= 1e-8
-        assert np.any(spec.all_eigenvalues.imag != 0)
+        assert (spec.iterations, spec.start_block, spec.block, spec.K) == (70, 6, 3, 2)
+        converged = [4.013184612169207, 2.9538296910190374]
+        np.testing.assert_allclose(spec.lambdas, converged, rtol=1e-12)
+        assert spec.ritz_residuals.shape == (3,) and spec.ritz_residuals[:2].max() <= 1e-8
+        guard = spec.all_eigenvalues[2]
+        assert guard.imag == 0 and abs(guard) < spec.cutoff

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from graphon_forge import cli, graph_sampler, moment_poly, star_counts
 from graphon_forge.graphon_model import StepGraphon, save_graphon
+from graphon_forge.nonbacktracking import EXTRACT_EVERY
 from graphon_forge.pipeline import (
     DEGENERATE_NAME,
     MANIFEST_NAME,
@@ -151,7 +153,10 @@ class TestRunPipeline:
         spec = res.manifest["spectrum"]
         lambdas = read_json(res.out_dir / "spectrum.json")["lambdas"]
         assert spec["iterated_dim"] == 2 * N_SMALL
-        assert spec["iterations"] > 0 and spec["block"] >= 6
+        assert spec["iterations"] > 0 and spec["start_block"] >= 6
+        assert spec["start_block"] >= spec["block"] >= res.manifest["K"] + 1
+        its = spec["iterations"]
+        assert its // EXTRACT_EVERY < spec["orthonormalizations"] <= its + 1
         assert len(spec["ritz_values"]) == spec["block"]
         top_re, top_im = spec["ritz_values"][0]
         assert top_im == 0.0 and top_re == pytest.approx(lambdas[0], rel=1e-6)
@@ -440,6 +445,30 @@ class TestCli:
         cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL}))
         code = self.run_cli("moments", "--config", str(cfg_path), "--out", str(tmp_path / "nope"))
         assert code == 3
+
+    def test_missing_config_is_a_stage_tagged_error(self, tmp_path, capsys):
+        code = self.run_cli("generate", "--config", str(tmp_path / "absent.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [generate]: ") and "absent.json" in err
+
+    def test_unknown_config_field_is_a_stage_tagged_error(self, model_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "bogus": 1}))
+        out = tmp_path / "never"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error [run]: unknown config fields: ['bogus']\n"
+        assert not out.exists()
+
+    def test_deterministic_pins_exported_thread_counts(self, model_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
+        out = tmp_path / "det-out"
+        args = ("generate", "--config", str(cfg_path), "--out", str(out), "--deterministic")
+        assert self.run_cli(*args) == 0
+        assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_env_var_out_dir(self, model_file, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
