@@ -67,7 +67,8 @@ def main():
                 print(f"{'':12}spectrum: {spec['iterations']} iterations, {per_it:.1f} ms/iteration, "
                       f"block {spec['start_block']} -> {spec['block']}, "
                       f"{spec['orthonormalizations']} QRs, "
-                      f"dim {spec['iterated_dim']}, cutoff {spec['cutoff']:.3f}")
+                      f"dim {spec['iterated_dim']} ({spec['core_vertices']} core vertices, "
+                      f"{spec['peel_rounds']} peel rounds), cutoff {spec['cutoff']:.3f}")
                 print(f"{'':12}ritz [{ritz}]  residuals [{res_}]")
         if (25_000, 1.0) in walls and (100_000, 1.0) in walls:
             print(f"criterion 9: ratio {walls[100_000, 1.0] / walls[25_000, 1.0]:.2f} "

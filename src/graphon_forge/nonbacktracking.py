@@ -16,9 +16,21 @@ eigenvalue, so C carries every non-trivial eigenvalue of B; the only
 eigenvalues it adds are +-1, from isolated vertices and leaves. Those never
 pass the cutoff: whenever lambda_1 > 1 the cutoff exceeds 1, and a graph
 with lambda_1 <= 1 (its 2-core empty or a union of cycles) is refused as
-degenerate before any iteration. Each accepted companion eigenvector is lifted back to
-the oriented edges in O(|E|) by xi(u->v) = (lambda a(u) - a(v)) /
-(lambda^2 - 1), and its residual is measured on B itself.
+degenerate before any iteration.
+
+C is built on the graph's 2-core only, found by peeling leaves round by
+round. No non-backtracking walk leaves a pendant tree once it has entered,
+so the trees add only zero eigenvalues to B, and an eigenvector of a
+nonzero eigenvalue follows exactly from its core part: in reverse peel
+order a(v) = a(parent) / lambda, and a = 0 on tree-only components. A graph
+with no leaf is iterated on as it is. Each accepted aggregate, so extended,
+is lifted back to all oriented edges in O(|E|) by xi(u->v) = (lambda a(u) -
+a(v)) / (lambda^2 - 1), and its residual is measured on the full B. The
+accepted eigenvalue is read off the symmetric form of the same pair, the
+Bethe Hessian H(lambda) = (lambda^2 - 1) I - lambda A + D with H(lambda) a
+= 0 (Saade, Krzakala and Zdeborova, NeurIPS 2014): as the root of a'H(x)a
+nearest the Ritz value, it is second-order accurate in a, where the
+Rayleigh quotient of the non-normal C is first order.
 
 Extraction uses block subspace iteration on the cubed operator (the power
 algorithm): cubing is cheap, preserves eigenvectors and magnitude order, and
@@ -30,12 +42,13 @@ recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each one sparse product
 with s A and one in-place diagonal update. The block [x_t; s x_{t-1}] is
 re-orthonormalized by LAPACK's economic Householder QR only as often as the
 growth of lambda_1 over the cutoff requires (Rutishauser's RITZIT), and
-always before the Ritz pairs are read off. Eigenvalues are read off as
+always before the Ritz pairs are read off. Candidates are judged by
 Rayleigh quotients of the uncubed operator, so a complex bulk eigenvalue
 whose cube happens to land near the real axis still fails the residual test
 and cannot alias as informative. The Ritz vectors, their Rayleigh quotients
 and residuals come from block products with the projected eigenvectors,
-with no apply per vector. Once the accepted set has held for a few rounds
+with no apply per vector; the one block apply CQ they need is the first
+step of the next cube. Once the accepted set has held for a few rounds
 and no candidate past the next one is climbing, the block is cut to the
 accepted Ritz vectors plus that next one as a guard (both halves of a
 complex pair) for the rest of the run.
@@ -191,34 +204,66 @@ class Companion:
     matvec = matmat
     __matmul__ = matmat
 
-    def lift(self, z: np.ndarray, rayleigh: float) -> np.ndarray:
-        """Unit oriented-edge eigenvector of B from a companion eigenvector z = [a; a / lambda].
 
-        `rayleigh` is z's eigenvalue on this (scaled) companion; the first
-        non-negligible entry of the result is positive.
-        """
-        lam = rayleigh / self.scale
-        a = z[: self.space.n]
-        xi = (lam * a[self.space.tails] - a[self.space.heads]) / (lam * lam - 1.0)
-        return _fix_sign(xi / np.linalg.norm(xi))
+def _lift(space: OrientedEdgeSpace, aggregates: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Unit oriented-edge eigenvectors of B from their vertex aggregates.
+
+    Column k of the (n, K) `aggregates` is the top half a of a companion
+    eigenvector [a; a / lambda] of the unscaled eigenvalue lambdas[k], and
+    xi(u->v) = (lambda a(u) - a(v)) / (lambda^2 - 1); the factor
+    1 / (lambda^2 - 1) goes in the normalization, and the first
+    non-negligible entry of each column of the (m_oriented, K) result is
+    made positive.
+    """
+    xi = np.empty((space.m_oriented, lambdas.size), order="F")  # built a column at a time
+    for k, lam in enumerate(lambdas):
+        a, col = aggregates[:, k], xi[:, k]
+        np.take(a, space.tails, out=col)
+        col *= lam
+        col -= a[space.heads]
+        col /= np.linalg.norm(col)
+        col[...] = _fix_sign(col)
+    return xi
 
 
-def _radius_exceeds_one(space: OrientedEdgeSpace) -> bool:
-    """Whether B's spectral radius exceeds 1, read off the graph's 2-core.
+def _two_core(space: OrientedEdgeSpace):
+    """(alive oriented edges, core degrees, peel rounds) of the graph's 2-core.
 
-    Peeling leaves until none is left gives the 2-core. B's spectral radius
-    is 0 when that core is empty and 1 when every core component is a cycle;
-    a core vertex of degree 3 or more makes non-backtracking walks branch.
-    Each round costs O(|E|); there are as many as the deepest pendant tree
-    is deep, which is O(log n) on sampled sparse graphs.
+    Leaves are peeled until none is left. Round r lists its leaves and, for
+    each, its one neighbour still alive in that round (its parent): a pair
+    of leaves that are each other's parent closes a tree-only component.
+    Core degrees are 0 off the core. B's spectral radius is 0 when the core
+    is empty and 1 when every core component is a cycle; a core vertex of
+    degree 3 or more makes non-backtracking walks branch. Each round costs
+    O(|E|); there are as many as the deepest pendant tree is deep, which is
+    O(log n) on sampled sparse graphs.
     """
     alive = np.ones(space.m_oriented, dtype=bool)
+    rounds = []
     while True:
         degree = np.bincount(space.heads[alive], minlength=space.n)
         leaf = degree == 1
         if not leaf.any():
-            return bool(degree.max(initial=0) >= 3)
+            return alive, degree, rounds
+        out = alive & leaf[space.tails]  # each leaf's one alive edge, leaf -> parent
+        rounds.append((space.tails[out], space.heads[out]))
         alive &= ~(leaf[space.heads] | leaf[space.tails])
+
+
+def _extend_to_trees(core_aggregates, lambdas, core, rounds, n: int) -> np.ndarray:
+    """Aggregates of B's eigenvectors on all n vertices from their values on the 2-core.
+
+    No non-backtracking walk leaves a pendant tree, so an eigenvector of a
+    nonzero eigenvalue vanishes on the tree edges pointing toward the core
+    and carries a(parent) / lambda on each one pointing away from it: in
+    reverse peel order a(v) = a(parent) / lambda, which is 0 on tree-only
+    components, whose peel ends in an isolated vertex or a pair of leaves.
+    """
+    a = np.zeros((n, core_aggregates.shape[1]))
+    a[core] = core_aggregates
+    for leaves, parents in reversed(rounds):
+        a[leaves] = a[parents] / lambdas
+    return a
 
 
 def default_e1(n: int) -> float:
@@ -290,7 +335,9 @@ class NbSpectrum:
     start_block: int = 0            # block width the final run started at (0: dense solve)
     block: int = 0                  # final block width, that of all_eigenvalues (0: dense solve)
     orthonormalizations: int = 0    # block QRs, summed over restarts (0: dense solve)
-    iterated_dim: int = 0           # dimension of the operator the solver ran on
+    iterated_dim: int = 0           # dimension of the operator the solver ran on: 2 core_vertices
+    core_vertices: int = 0          # vertices iterated on: the 2-core, or all n when none peeled (0: dense solve)
+    peel_rounds: int = 0            # leaf-peeling rounds down to the 2-core (0: dense solve)
     # final-block Ritz residuals on the companion, as all_eigenvalues (empty: dense solve)
     ritz_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -315,18 +362,16 @@ def _orthonormalize(Z: np.ndarray) -> np.ndarray:
     return linalg.qr(Z, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
-def _ritz_candidates(op, Q: np.ndarray, scratch: np.ndarray | None = None):
-    """Ritz pairs of the projected (uncubed) operator, |.|-descending.
+def _ritz_candidates(Q: np.ndarray, BQ: np.ndarray):
+    """Ritz pairs of the projected (uncubed) operator B, |.|-descending, from Q and BQ.
 
     Returns the projected eigenvalues, the realified unit Ritz vectors as the
     columns of Y, their Rayleigh quotients y'By, the residuals
     |By - (y'By) y| on the full operator, and the projected matrix Q'BQ. A
     complex coefficient vector is turned real by rotating its largest entry
     onto the positive axis, so Y = Q S and BY = (BQ) S are block products with
-    no apply per vector. BY is formed in `scratch`, a spare block of Q's
-    shape, when one is given.
+    no apply per vector. BQ is only read; the two new blocks are Y and BY.
     """
-    BQ = op.matmat(Q)
     H = Q.T @ BQ
     w, S = np.linalg.eig(H)
     order = np.argsort(-np.abs(w), kind="stable")
@@ -337,10 +382,10 @@ def _ritz_candidates(op, Q: np.ndarray, scratch: np.ndarray | None = None):
     Y = (S.T @ Q.T).T  # Fortran-ordered, like Q: column passes stay contiguous
     unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", Y, Y))
     Y *= unit
-    BY = np.matmul(BQ, S * unit, out=scratch)
-    del BQ  # before the Y * rayleigh temporary, to keep the peak at two new blocks
+    BY = np.matmul(BQ, S * unit, out=np.empty(Y.shape, order="F"))
     rayleigh = np.einsum("ij,ij->j", Y, BY)
-    BY -= Y * rayleigh
+    for j, r in enumerate(rayleigh):  # a column at a time: no third block
+        BY[:, j] -= r * Y[:, j]
     residuals = np.sqrt(np.einsum("ij,ij->j", BY, BY))
     return w, Y, rayleigh, residuals, H
 
@@ -361,28 +406,29 @@ def _qr_period(lam1: float, cutoff: float) -> int:
     return p
 
 
-def _leading_basis(Q: np.ndarray, H: np.ndarray, guard: complex) -> np.ndarray:
-    """Orthonormal basis of the Ritz subspace whose values are at least |guard| in modulus.
+def _leading_basis(H: np.ndarray, guard: complex) -> np.ndarray:
+    """Orthonormal coordinates U, in Q's basis, of the Ritz subspace whose values are at least |guard| in modulus.
 
     Taken from the ordered real Schur form of the projected matrix H = Q'BQ,
-    so a complex pair is kept or dropped whole.
+    so a complex pair is kept or dropped whole. The subspace's basis is QU,
+    and B maps it to (BQ)U.
     """
     floor = (1.0 - NEAR_MULTIPLICITY_RTOL) * abs(guard)
     _, U, kept = linalg.schur(H, output="real", sort=lambda re, im: np.hypot(re, im) >= floor)
-    return Q @ U[:, :kept]
+    return U[:, :kept]
 
 
-def _subspace_iterate(
-    op: Companion, block: int, seed: int, e1: float, k_cap: int, bulk_scale: float
-):
-    """Block subspace iteration on the cube of the companion `op`.
+def _subspace_iterate(op: Companion, start: np.ndarray, e1: float, k_cap: int, bulk_scale: float):
+    """Block subspace iteration on the cube of the companion `op` from the block `start`.
 
     Returns (result, converged, iterations, orthonormalizations). The block
     is kept as two C-ordered (n, width) iterates x_t and x_{t-1}, advanced by
     `op.step`; a cube is three steps. [x_t; s x_{t-1}] is assembled and
     re-orthonormalized by QR after every cube until the first extraction
     round, then every `_qr_period` cubes, and always at an extraction round
-    (every EXTRACT_EVERY cubes), where the Ritz pairs are read off.
+    (every EXTRACT_EVERY cubes), where the Ritz pairs are read off. The
+    extraction's product op Q = [x_1; s x_0], one step from Q = [x_0; s x_{-1}],
+    is also the first step of the next cube, so it is taken once.
 
     Stops once the accepted set has been stable for several extraction
     rounds, its residuals on op meet RESIDUAL_TOL, and no candidate is still
@@ -392,16 +438,17 @@ def _subspace_iterate(
     never gate the stop; their Ritz values do not grow. Once the accepted set
     has been stable for STABLE_ROUNDS rounds with no candidate past the guard
     climbing, and only the stop is pending, the block is cut to the Ritz
-    subspace down to one guard value past the last accepted one (both halves
-    of a complex pair), and the run finishes at that width. The guard itself
+    subspace QU down to one guard value past the last accepted one (both halves
+    of a complex pair), its first step being (op Q)U, and the run finishes at
+    that width. The guard itself
     may still climb: it stays in the block, and a guard that clears the
     cutoff fills the block, which makes `top_spectrum` widen and rerun. The
     last of the MAX_ITERATIONS iterations always extracts, so a run that does
     not raise returns a result.
     """
     n, s = op.space.n, op.scale
-    rng = substream(seed, "subspace-init")
-    Q = _orthonormalize(np.asfortranarray(rng.standard_normal((op.dim, block))))
+    Q = _orthonormalize(start)  # in start's buffer
+    del start  # let that buffer go with Q
     orthonormalizations = 1
     stable = 0
     prev_key = None
@@ -409,16 +456,13 @@ def _subspace_iterate(
     result = None
     period, since_qr = 1, 0
     pair = Z = None
+    taken = 0  # steps of the current cube already taken at the last extraction
     for it in range(1, MAX_ITERATIONS + 1):
-        if since_qr == 0:  # restart the iterates from the orthonormal block Q
-            if pair is None or pair.shape[1] != Q.shape[1]:
-                pair = np.empty((op.dim, Q.shape[1]))  # x_t and x_{t-1}, one C-ordered half each
-                Z = np.empty_like(pair, order="F")
-            cur, prev = pair[:n], pair[n:]
-            cur[...] = Q[:n]
-            np.divide(Q[n:], s, out=prev)
-        for _ in range(3):
+        if since_qr == 0 and not taken:  # restart the iterates from the orthonormal block Q
+            pair, Z, cur, prev = _load(Q, s, pair, Z)
+        for _ in range(3 - taken):
             cur, prev = op.step(cur, prev), cur
+        taken = 0
         since_qr += 1
         extract = it % EXTRACT_EVERY == 0 or it == MAX_ITERATIONS
         if since_qr < period and not extract:
@@ -433,9 +477,13 @@ def _subspace_iterate(
         since_qr = 0
         if not extract:
             continue
-        result = None  # only the last round's result is returned: free its vectors first
-        # the iterates are spent: `pair` serves as the scratch block
-        w, vectors, rayleigh, residuals, H = _ritz_candidates(op, Q, scratch=pair)
+        result = vectors = None  # only the last round's result is returned: free its vectors first
+        pair, Z, cur, prev = _load(Q, s, pair, Z)
+        cur, prev = op.step(cur, prev), cur  # pair = [x_1; x_0]
+        taken = 1
+        prev *= s  # pair = op Q
+        w, vectors, rayleigh, residuals, H = _ritz_candidates(Q, pair)
+        prev[...] = Q[:n]  # x_0 again, exactly
         try:
             lam1, accepted, cutoff = classify_eigenvalues(w, e1, k_cap, bulk_scale)
         except DegenerateSpectrumError:
@@ -467,8 +515,41 @@ def _subspace_iterate(
             and guard + 1 < w.size
             and all(mags[i] >= mags[guard] for i in climbing)
         ):
-            Q = _leading_basis(Q, H, w[guard])
+            U = _leading_basis(H, w[guard])
+            Q = Q @ U
+            pair = np.concatenate([cur @ U, Q[:n]])  # [x_1 U; x_0 U]
+            Z = np.empty_like(pair, order="F")
+            cur, prev = pair[:n], pair[n:]
     return result, False, MAX_ITERATIONS, orthonormalizations
+
+
+def _load(Q: np.ndarray, s: float, pair, Z):
+    """(pair, Z, x_0, x_{-1}) for the block Q = [x_0; s x_{-1}], pair = [x_{-1}; x_0].
+
+    `pair` is C-ordered, so each half is one iterate, and one step from it
+    leaves [x_1; x_0]; Z is its Fortran-ordered twin, the buffer the block is
+    assembled and orthonormalized in. Both are reallocated when Q's width
+    differs from theirs.
+    """
+    n = Q.shape[0] // 2
+    if pair is None or pair.shape[1] != Q.shape[1]:
+        pair = np.empty(Q.shape)
+        Z = np.empty_like(pair, order="F")
+    np.divide(Q[n:], s, out=pair[:n])
+    pair[n:] = Q[:n]
+    return pair, Z, pair[n:], pair[:n]
+
+
+def _start_block(seed: int, n: int, width: int, core) -> np.ndarray:
+    """Fortran-ordered start block on the companion coordinates of the vertices `core`.
+
+    A Gaussian (2n, width) block is drawn from `seed`'s subspace-init
+    substream on all 2n coordinates, so the core's rows are those a
+    whole-graph run would start from, and the rows of both halves at `core`
+    (an index array or a slice) are kept.
+    """
+    draw = substream(seed, "subspace-init").standard_normal((2 * n, width))
+    return np.asfortranarray(draw.reshape(2, n, width)[:, core].reshape(-1, width))
 
 
 def top_spectrum(
@@ -482,15 +563,18 @@ def top_spectrum(
     """Extract eigenvalues above the Kesten-Stigum-style cutoff.
 
     Operators of dimension at most DENSE_FALLBACK_DIM are solved densely;
-    otherwise the iteration runs on op's Ihara-Bass companion and the
-    accepted eigenvectors are lifted back to op's oriented edges. Accepted
-    eigenvalues are real (imaginary part below the realness
-    tolerance, enforced through the Rayleigh residual) with magnitude above
-    the cutoff and companion residuals within RESIDUAL_TOL. The vertex
-    aggregates sum unit eigenvectors whose first non-negligible coordinate
-    is positive. Deterministic given `seed`. Raises DegenerateSpectrumError
-    when the leading eigenvalue is not real positive and
-    SpectrumConvergenceError when a run exhausts MAX_ITERATIONS.
+    otherwise the iteration runs on the Ihara-Bass companion of op's 2-core
+    (of op's whole graph when no leaf is peeled), the accepted aggregates are
+    extended exactly to the pendant trees, and the eigenvectors are lifted
+    back to op's oriented edges. Accepted eigenvalues are real (imaginary
+    part below the realness tolerance, enforced through the Rayleigh
+    residual) with magnitude above the cutoff and companion residuals within
+    RESIDUAL_TOL; their values are read off the symmetric Ihara-Bass form
+    (`_bethe_hessian_eigenvalues`). The vertex aggregates sum unit
+    eigenvectors whose first non-negligible coordinate is positive.
+    Deterministic given `seed`. Raises DegenerateSpectrumError when the
+    leading eigenvalue is not real positive and SpectrumConvergenceError when
+    a run exhausts MAX_ITERATIONS.
     """
     e1 = default_e1(n) if e1_override is None else float(e1_override)
 
@@ -508,16 +592,28 @@ def top_spectrum(
 
     # the companion's trivial eigenvalues +-scale clear no cutoff once B's
     # radius exceeds 1; below that the run is degenerate whatever they do
-    if not _radius_exceeds_one(op.space):
+    alive, core_degree, rounds = _two_core(op.space)
+    if core_degree.max(initial=0) < 3:
         raise DegenerateSpectrumError(
             "non-backtracking spectral radius is at most 1 (2-core empty or all cycles)"
         )
-    comp = Companion(op.space, op.scale)
+    full = op.space
+    core, space = slice(None), full  # nothing peeled: the graph is its own core
+    if rounds:  # the 2-core, relabelled 0..core.size-1 in vertex order
+        core = np.flatnonzero(core_degree)
+        label = np.zeros(full.n, dtype=np.int64)
+        label[core] = np.arange(core.size)
+        space = OrientedEdgeSpace(core.size, label[full.tails[alive]], label[full.heads[alive]])
+        del label
+    del alive, core_degree  # not held through the iteration
+    comp = Companion(space, op.scale)
     block_size = min(max(6, k_cap // 2 + 2), comp.dim - 1)
     widest = min(k_cap + 4, comp.dim - 1)
     iterations = orthonormalizations = 0
     while True:
-        out, ok, its, qrs = _subspace_iterate(comp, block_size, seed, e1, k_cap, bulk_scale)
+        out, ok, its, qrs = _subspace_iterate(
+            comp, _start_block(seed, full.n, block_size, core), e1, k_cap, bulk_scale
+        )
         iterations += its
         orthonormalizations += qrs
         w, vectors, residuals, ray, accepted, lam1, cutoff = out
@@ -531,16 +627,15 @@ def top_spectrum(
         break
 
     # accepted keeps classify_eigenvalues' order: |.|-descending, lambda_1 first
-    lambdas = np.array([ray[i] for i in accepted])
-    vecs = (
-        np.stack([comp.lift(vectors[:, i], ray[i]) for i in accepted], axis=1)
-        if accepted
-        else np.empty((op.dim, 0))
-    )
+    lambdas = ray[accepted]
+    unscaled = lambdas / op.scale
+    aggregates = _extend_to_trees(vectors[: space.n, accepted], unscaled, core, rounds, full.n)
+    del out, vectors, comp  # the iteration's blocks and operator go before the lift
     return _finish(  # w and residuals come |.|-descending from _ritz_candidates
-        op, e1, lambdas, vecs, lam1, cutoff, w,
+        op, e1, lambdas, _lift(full, aggregates, unscaled), lam1, cutoff, w,
         iterations=iterations, start_block=block_size, block=w.size,
-        orthonormalizations=orthonormalizations, iterated_dim=comp.dim, ritz_residuals=residuals,
+        orthonormalizations=orthonormalizations, iterated_dim=2 * space.n,
+        core_vertices=space.n, peel_rounds=len(rounds), ritz_residuals=residuals,
     )
 
 
@@ -568,10 +663,11 @@ def _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpe
                     qmat[:, c] = _fix_sign(qmat[:, c])
                 vectors[:, cols] = qmat
             i = j
+    aggregates = vertex_aggregates(vectors, op.space) if K else np.empty((op.space.n, 0))
+    lambdas = _bethe_hessian_eigenvalues(op, aggregates, lambdas)
     residuals = np.array(
         [np.linalg.norm(op.matvec(vectors[:, c]) - lambdas[c] * vectors[:, c]) for c in range(K)]
     )
-    aggregates = vertex_aggregates(vectors, op.space) if K else np.empty((op.space.n, 0))
     return NbSpectrum(
         K=K,
         lambdas=lambdas,
@@ -583,6 +679,35 @@ def _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpe
         warnings=tuple(warnings),
         **solver,
     )
+
+
+def _bethe_hessian_eigenvalues(op: NbOperator, aggregates: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """op's eigenvalues read off the symmetric Ihara-Bass form of their vertex aggregates.
+
+    An eigenpair (lambda, xi) of the unscaled B has aggregates a with
+    H(lambda) a = 0 for the symmetric H(x) = (x^2 - 1) I - x A + D (Saade,
+    Krzakala and Zdeborova, NeurIPS 2014), so lambda is a root of the
+    quadratic q(x) = a'H(x)a = |a|^2 x^2 - (a'Aa) x + a'(D - I)a, with an
+    error second order in that of a, where a Rayleigh quotient of the
+    non-normal companion is first order. Each of `lambdas` (eigenvalues of
+    op, scale s) is replaced by s times the root of q nearest lambda / s,
+    taken by one Newton step from lambda / s: that lands on the root up to
+    the square of lambda's error, and q(lambda / s) is formed as a'r from the
+    small vector r = H(lambda / s) a, free of the cancellation between q's
+    coefficients. A value whose step is not finite is kept.
+    """
+    space, s = op.space, op.scale
+    degree = np.bincount(space.heads, minlength=space.n)
+    out = np.array(lambdas, dtype=float)
+    for k, lam in enumerate(out / s):
+        a = aggregates[:, k]
+        Aa = np.bincount(space.heads, weights=a[space.tails], minlength=space.n)
+        r = (lam * lam - 1.0 + degree) * a - lam * Aa
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = lam - (a @ r) / (2.0 * lam * (a @ a) - a @ Aa)
+        if np.isfinite(root):
+            out[k] = s * root
+    return out
 
 
 def vertex_aggregates(vectors, space: OrientedEdgeSpace) -> np.ndarray:

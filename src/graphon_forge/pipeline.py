@@ -526,6 +526,8 @@ def spectrum_telemetry(spectrum: nonbacktracking.NbSpectrum | None) -> dict | No
         "block": spectrum.block,
         "orthonormalizations": spectrum.orthonormalizations,
         "iterated_dim": spectrum.iterated_dim,
+        "core_vertices": spectrum.core_vertices,
+        "peel_rounds": spectrum.peel_rounds,
         "cutoff": spectrum.cutoff,
         "ritz_values": [[float(w.real), float(w.imag)] for w in spectrum.all_eigenvalues],
         "ritz_residuals": spectrum.ritz_residuals.tolist(),

@@ -21,3 +21,24 @@ def random_simple_graph(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
     return np.stack([iu[keep], ju[keep]], axis=1)
+
+
+def peel_to_two_core(n, edges):
+    """Reference 2-core by per-vertex leaf peeling in synchronous rounds.
+
+    Returns (each vertex's degree in the 2-core, 0 off it; the rounds, each a
+    dict mapping a leaf of that round to its one neighbour alive in it).
+    """
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    rounds = []
+    while True:
+        parent = {v: next(iter(nbrs[v])) for v in range(n) if len(nbrs[v]) == 1}
+        if not parent:
+            return np.array([len(s) for s in nbrs]), rounds
+        rounds.append(parent)
+        for v, p in parent.items():
+            nbrs[v].discard(p)
+            nbrs[p].discard(v)

@@ -13,7 +13,7 @@ from graphon_forge.nonbacktracking import (
     DegenerateSpectrumError,
     OrientedEdgeSpace,
     SpectrumConvergenceError,
-    _radius_exceeds_one,
+    _two_core,
     build_nb_operator,
     bulk_cutoff,
     classify_eigenvalues,
@@ -24,7 +24,7 @@ from graphon_forge.nonbacktracking import (
     vertex_aggregates,
 )
 from graphon_forge.pipeline import default_epsilon
-from tests.conftest import random_simple_graph
+from tests.conftest import peel_to_two_core, random_simple_graph
 
 PATH3 = SparseGraph(3, np.array([[0, 1], [1, 2]]))
 TRIANGLE = SparseGraph(3, np.array([[0, 1], [0, 2], [1, 2]]))
@@ -257,7 +257,9 @@ class TestTopSpectrum:
         gr, _ = sample_graph(assortative_2block, 20000, seed=2)
         spec = top_spectrum(build_nb_operator(gr), 20000, seed=2)
         assert spec.vertex_aggregates.shape == (20000, spec.K)
-        assert spec.iterated_dim == 2 * 20000 and spec.iterations > 0
+        core_size = int(np.count_nonzero(peel_to_two_core(gr.n, gr.edges)[0]))
+        assert spec.core_vertices == core_size < 20000
+        assert spec.iterated_dim == 2 * core_size and spec.iterations > 0
 
     @pytest.mark.parametrize(
         "model, h, extra", [("assortative_2block", 1.0, 1), ("weak_2block", 8.0, 0)]
@@ -314,7 +316,7 @@ class TestTopSpectrum:
                 continue
             gr = SparseGraph(n, edges)
             radius = np.abs(np.linalg.eigvals(dense_nb_matrix(build_nb_operator(gr)))).max()
-            got = _radius_exceeds_one(OrientedEdgeSpace.from_graph(gr))
+            got = bool(_two_core(OrientedEdgeSpace.from_graph(gr))[1].max(initial=0) >= 3)
             assert got == (radius > 1 + 1e-6), (edges.tolist(), radius)
             seen.add(got)
         assert seen == {True, False}
@@ -323,7 +325,8 @@ class TestTopSpectrum:
         # graph seed 4 at n = 3e4 has a complex bulk Ritz pair just above the
         # cutoff, which can hold the stop rule open; its 70 iterations are 70
         # cubes of three recurrence steps each plus 14 extraction applies of
-        # one step each: 224 steps
+        # one step each, of which the first 13 are also the first step of the
+        # next cube: 211 steps
         n, seed = 30000, 4
         gr, _ = sample_graph(assortative_2block, n, seed=seed)
         eps = default_epsilon(n)
@@ -354,10 +357,11 @@ class TestTopSpectrum:
         assert spec.iterations <= 150
 
     def test_block_is_cut_while_the_guard_climbs(self, assortative_2block, monkeypatch):
-        # n = 2e4, graph seed 0: K = 2 holds from iteration 15 on while the third
+        # n = 2e4, graph seed 0: K = 2 holds from iteration 10 on while the third
         # Ritz value still climbs toward the bulk edge; the block is cut at the
-        # third stable round, after 25 cubes and 5 extraction applies, with that
-        # value as the guard
+        # third stable round, after 20 cubes and 4 extraction applies, the first
+        # 3 of which were also the first step of the next cube: 3 * 20 + 1
+        # steps, with that value as the guard
         n, seed = 20000, 0
         gr, _ = sample_graph(assortative_2block, n, seed=seed)
         eps = default_epsilon(n)
@@ -370,15 +374,15 @@ class TestTopSpectrum:
             steps.append(1)
             return step(self, cur, prev)
 
-        def cut(Q, H, guard):
+        def cut(H, guard):
             cuts.append((len(steps), guard))
-            return leading(Q, H, guard)
+            return leading(H, guard)
 
         monkeypatch.setattr(Companion, "step", counted)
         monkeypatch.setattr(nonbacktracking, "_leading_basis", cut)
         spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
         assert (spec.K, spec.start_block, spec.block) == (2, 6, 3)
-        assert len(cuts) == 1 and cuts[0][0] == 3 * 25 + 5
+        assert len(cuts) == 1 and cuts[0][0] == 3 * 20 + 1
         assert spec.cutoff > abs(cuts[0][1]) > 0.4 * spec.cutoff
 
     def test_sparse_orthonormalization_keeps_the_eigenvalues(self, weak_2block, monkeypatch):
@@ -422,6 +426,79 @@ class TestTopSpectrum:
         np.testing.assert_allclose(agg[:6], np.broadcast_to(agg[0], (6, 2)), atol=1e-12)
         np.testing.assert_allclose(agg[6:], np.broadcast_to(agg[6], (6, 2)), atol=1e-12)
         np.testing.assert_allclose(agg.T @ agg, 5.0 * np.eye(2), atol=1e-10)
+
+
+def pendant_graph() -> SparseGraph:
+    """K_4 on 0..3 with a three-edge path off each vertex, a 4-leaf star and a lone edge."""
+    edges = [[u, v] for u, v in itertools.combinations(range(4), 2)]
+    for c in range(4):
+        path = [c, 4 + 3 * c, 5 + 3 * c, 6 + 3 * c]
+        edges += [sorted(e) for e in zip(path, path[1:])]
+    edges += [[16, leaf] for leaf in range(17, 21)] + [[21, 22]]
+    return SparseGraph(23, np.array(edges))
+
+
+class TestTwoCore:
+    def test_matches_per_vertex_peeling(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            n = int(rng.integers(5, 60))
+            gr = SparseGraph(n, random_simple_graph(rng, n, rng.uniform(1.0, 3.5) / n))
+            space = OrientedEdgeSpace.from_graph(gr)
+            alive, degree, rounds = _two_core(space)
+            want_degree, want_rounds = peel_to_two_core(n, gr.edges)
+            np.testing.assert_array_equal(degree, want_degree)
+            core = want_degree > 0
+            np.testing.assert_array_equal(alive, core[space.tails] & core[space.heads])
+            assert [dict(zip(v.tolist(), p.tolist())) for v, p in rounds] == want_rounds
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_pendant_trees_are_extended_exactly(self, scale):
+        gr = pendant_graph()
+        op = build_nb_operator(gr, scale=scale)
+        assert op.dim > DENSE_FALLBACK_DIM
+        w = np.linalg.eigvals(dense_nb_matrix(op))
+        _, accepted, _ = classify_eigenvalues(w, default_e1(gr.n), 8, bulk_scale=scale)
+        spec = top_spectrum(op, gr.n, seed=0, bulk_scale=scale)
+        assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (4, 8, 3)
+        assert spec.K == len(accepted) == 1
+        np.testing.assert_allclose(spec.lambdas, w[accepted].real, rtol=0, atol=1e-10)
+        assert spec.residuals.max() <= 1e-8  # on the full B
+        # a(v) = a(parent) / lambda down each path; the core end is as accurate
+        # as the Ritz vector, whose companion residual is within RESIDUAL_TOL
+        a, lam = spec.vertex_aggregates[:, 0], spec.lambdas[0] / scale
+        for c in range(4):
+            path = [c, 4 + 3 * c, 5 + 3 * c, 6 + 3 * c]
+            np.testing.assert_allclose(a[path[1:]], a[path[:-1]] / lam, rtol=1e-8, atol=0)
+        assert np.all(a[16:] == 0.0)  # the star and the lone edge: tree-only components
+        # the dense oracle's unit top eigenvector of B, sign fixed as top_spectrum's
+        w, V = np.linalg.eig(dense_nb_matrix(op))
+        xi = V[:, np.argmax(w.real)].real
+        xi /= np.linalg.norm(xi)
+        xi = -xi if xi[np.flatnonzero(np.abs(xi) > 1e-12 * np.abs(xi).max())[0]] < 0 else xi
+        np.testing.assert_allclose(a, vertex_aggregates(xi, op.space)[:, 0], rtol=0, atol=1e-8)
+
+    def test_leafless_graph_iterates_on_its_own_space(self, monkeypatch):
+        # K_5 and K_4 apart, and an isolated vertex: nothing to peel
+        edges = [[u, v] for k, o in ((5, 0), (4, 5)) for u, v in itertools.combinations(range(o, o + k), 2)]
+        gr = SparseGraph(10, np.array(edges))
+        op = build_nb_operator(gr)
+        assert op.dim > DENSE_FALLBACK_DIM
+        spaces = []
+
+        class Recorded(Companion):
+            def __post_init__(self):
+                spaces.append(self.space)
+                super().__post_init__()
+
+        monkeypatch.setattr(nonbacktracking, "Companion", Recorded)
+        spec = top_spectrum(op, gr.n, seed=0)
+        assert len(spaces) == 1 and spaces[0] is op.space
+        assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (10, 20, 0)
+        _, lams, _ = spectrum_oracle(gr, gr.n)
+        assert spec.K == lams.size == 1
+        np.testing.assert_allclose(spec.lambdas, lams, rtol=0, atol=1e-10)
+        assert spec.residuals.max() <= 1e-8
 
 
 def complete_bipartite(a: int, b: int, drop=()) -> SparseGraph:
@@ -517,7 +594,7 @@ class TestIharaBass:
             i = int(np.argmax(w.real))
             if abs(w[i].imag) > 1e-9 or w[i].real <= 1.3 + 1e-6:
                 continue
-            xi = comp.lift(V[:, i].real, w[i].real)
+            xi = nonbacktracking._lift(op.space, V[: gr.n, [i]].real, w[[i]].real / 1.3)[:, 0]
             assert np.linalg.norm(xi) == pytest.approx(1.0)
             np.testing.assert_allclose(op.matvec(xi), w[i].real * xi, atol=1e-10)
             done += 1
@@ -550,7 +627,7 @@ class TestSubspaceKernels:
         gr = SparseGraph(200, random_simple_graph(rng, 200, 4.0 / 200))
         comp = Companion(OrientedEdgeSpace.from_graph(gr), scale=1.3)
         Q = nonbacktracking._orthonormalize(np.asfortranarray(rng.standard_normal((comp.dim, 6))))
-        w, Y, rayleigh, residuals, H = nonbacktracking._ritz_candidates(comp, Q)
+        w, Y, rayleigh, residuals, H = nonbacktracking._ritz_candidates(Q, comp.matmat(Q))
         np.testing.assert_allclose(H, Q.T @ comp.matmat(Q), atol=1e-12)
         assert np.abs(w.imag).max() > 1e-3  # the projection has a complex pair
         assert np.all(np.diff(np.abs(w)) <= 0)
@@ -580,7 +657,7 @@ class TestSubspaceKernels:
         w = np.linalg.eigvals(H)
         w = w[np.argsort(-np.abs(w), kind="stable")]
         Q = nonbacktracking._orthonormalize(np.asfortranarray(rng.standard_normal((40, 6))))
-        basis = nonbacktracking._leading_basis(Q, H, w[guard])
+        basis = Q @ nonbacktracking._leading_basis(H, w[guard])
         assert basis.shape == (40, kept)
         np.testing.assert_allclose(basis.T @ basis, np.eye(kept), atol=1e-12)
         U = Q.T @ basis  # coordinates in Q: an H-invariant subspace holding the top `kept` values

@@ -23,6 +23,7 @@ from graphon_forge.pipeline import (
     run_scaled,
     run_stage,
 )
+from tests.conftest import peel_to_two_core
 
 N_SMALL = 3000
 
@@ -152,7 +153,11 @@ class TestRunPipeline:
         res = run_pipeline(small_config(model_file, tmp_path))
         spec = res.manifest["spectrum"]
         lambdas = read_json(res.out_dir / "spectrum.json")["lambdas"]
-        assert spec["iterated_dim"] == 2 * N_SMALL
+        g1 = graph_sampler.load_edge_list(res.out_dir / "g1.edges")
+        core_degree, rounds = peel_to_two_core(N_SMALL, g1.edges)
+        core_size = int(np.count_nonzero(core_degree))
+        assert spec["core_vertices"] == core_size < N_SMALL
+        assert spec["iterated_dim"] == 2 * core_size and spec["peel_rounds"] == len(rounds)
         assert spec["iterations"] > 0 and spec["start_block"] >= 6
         assert spec["start_block"] >= spec["block"] >= res.manifest["K"] + 1
         its = spec["iterations"]
