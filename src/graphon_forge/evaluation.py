@@ -9,11 +9,14 @@ feature vectors, all m pieces of the estimate before it is read off on the
 evaluation grid; any such relabeling is measure preserving, so every
 searched combination yields a valid upper bound and the reported value is
 their minimum. Sorting only grid samples of the estimate would leave a noise
-floor that does not shrink as m grows. The search covers all 2^K feature
-sign flips and all K! orders of sort priority; the priority search matters
-because a near-constant feature (the leading eigenfunction under the
-constant-degree assumption always is) carries pure noise into a fixed
-lexicographic key and would otherwise scramble the pairing of the
+floor that does not shrink as m grows. The m pieces repeat a few atoms, and
+equal rows are interchangeable, so the sort runs on the atoms weighted by
+their piece counts: each grid cell takes the atom whose run of sorted pieces
+covers it, the same relabeling as sorting all m rows. The search covers all
+2^K feature sign flips and all K! orders of sort priority; the priority
+search matters because a near-constant feature (the leading eigenfunction
+under the constant-degree assumption always is) carries pure noise into a
+fixed lexicographic key and would otherwise scramble the pairing of the
 informative features.
 """
 from __future__ import annotations
@@ -27,8 +30,10 @@ import numpy as np
 from .estimator import GraphonEstimate
 from .graphon_model import SpectralGraphon
 
-# cap on r! 2^r (m + g^2), the sort and grid work of delta2_upper's search;
-# 10^9 is about 20 s on one core (K = 5, m = 10^4, g = 256 takes 6 s)
+# cap on r! 2^r (A + g^2), the atom sort and grid work of delta2_upper's
+# search; 10^9 is about 3 s on one core where the grid term rules (K = 5,
+# g = 256 on 13 atoms takes 0.8 s), more where thousands of distinct atoms
+# are sorted (K = 5 on 10^4 of them takes 22 s)
 ALIGNMENT_BUDGET = 10**9
 
 
@@ -68,30 +73,33 @@ def delta2_upper(
     The truth is truncated to rank r (default: max of the two ranks, capped
     at the truth's rank); when the estimate has fewer features than r it is
     padded with zero-weight columns so a low-rank estimate is still charged
-    for the spectral mass it missed. Each candidate relabeling sorts all m
-    feature rows of the estimate and the g grid cells of the truth, then
-    compares the two kernels on the g x g midpoint grid. Errors when the
-    truth has fewer eigenpairs than the estimate has features, and before any
-    sort when the search would cost more than ALIGNMENT_BUDGET.
+    for the spectral mass it missed. Each candidate relabeling sorts the A
+    atoms of the estimate, each standing for its run of pieces, and the g
+    grid cells of the truth, then compares the two kernels on the g x g
+    midpoint grid. Errors when the truth has fewer eigenpairs than the
+    estimate has features, and before any sort when the search would cost
+    more than ALIGNMENT_BUDGET.
     """
     K = estimate.K
     r = max(K if rank is None else rank, K)
     if truth.rank < r:
         raise ValueError(f"truth has {truth.rank} eigenpairs, need >= {r}")
-    cost = factorial(r) * 2**r * (estimate.m + g * g)
+    atoms = estimate.atoms
+    A = atoms.shape[0]
+    cost = factorial(r) * 2**r * (A + g * g)
     if cost > ALIGNMENT_BUDGET:
         raise ValueError(
-            f"alignment search r!*2^r*(m + g^2) = {cost:.3g} at r={r}, m={estimate.m}, g={g} "
+            f"alignment search r!*2^r*(A + g^2) = {cost:.3g} at r={r}, A={A} atoms, g={g} "
             f"exceeds the budget {ALIGNMENT_BUDGET:.3g}"
         )
 
     f_true = truth.feature_grid(g, r)
     mu = truth.eigenvalues[:r]
-    Z = estimate.Z
     lam = estimate.lambdas
     if K < r:
-        Z = np.concatenate([Z, np.zeros((Z.shape[0], r - K))], axis=1)
+        atoms = np.concatenate([atoms, np.zeros((A, r - K))], axis=1)
         lam = np.concatenate([lam, np.zeros(r - K)])
+    counts = estimate.counts
     cells = estimate.piece_of((np.arange(g) + 0.5) / g)
 
     best = np.inf
@@ -101,8 +109,11 @@ def delta2_upper(
         k_true = _kernel(f_true[_canonical_order(f_true, order)], mu)
         for mask in range(2**r):
             signs = np.array([-1.0 if (mask >> i) & 1 else 1.0 for i in range(r)])
-            signed = Z * signs
-            f_est = signed[_canonical_order(signed, order)][cells]
+            signed = atoms * signs
+            perm = _canonical_order(signed, order)
+            # sorted piece p is atom perm[j] for the j whose run [ends[j-1], ends[j]) holds p
+            ends = np.cumsum(counts[perm])
+            f_est = signed[perm[np.searchsorted(ends, cells, side="right")]]
             d = float(np.sqrt(np.mean((_kernel(f_est, lam) - k_true) ** 2)))
             if d < best:
                 best, best_signs, best_order = d, signs, order

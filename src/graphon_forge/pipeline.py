@@ -424,7 +424,7 @@ def stage_fit(state: PipelineState) -> None:
 
 
 def stage_estimate(state: PipelineState) -> None:
-    """Sample feature vectors and assemble the step-kernel estimate."""
+    """Draw one fit node per piece and build the step-kernel estimate on the fit's nodes."""
     cfg = state.cfg
     m = int(cfg.m_override) if cfg.m_override is not None else cfg.n
     if state.degenerate:
@@ -432,19 +432,20 @@ def stage_estimate(state: PipelineState) -> None:
         mean_deg = 2.0 * state.n_edges / cfg.n
         state.estimate = est_mod.GraphonEstimate(
             np.array([mean_deg]),
-            np.ones((max(m, 1), 1)),
+            np.ones((1, 1)),
+            np.zeros(max(m, 1), dtype=np.int64),
             0.0,
             {"degenerate": True, "config_hash": state.config_hash},
         )
     else:
         state.require_spectrum()
         state.require_fit()
-        Z = est_mod.sample_nodes(state.fit, m, cfg.seed)
-        state.estimate = est_mod.assemble(
-            Z,
+        state.estimate = est_mod.GraphonEstimate(
             state.spectrum.lambdas,
-            kappa=state.fit.kappa,
-            provenance={"seed": cfg.seed, "config_hash": state.config_hash},
+            state.fit.nodes,
+            est_mod.sample_nodes(state.fit, m, cfg.seed),
+            state.fit.kappa,
+            {"seed": cfg.seed, "config_hash": state.config_hash},
         )
     est_mod.save_estimate(state.estimate, state.out / "estimate.json")
 
@@ -547,6 +548,13 @@ def fit_telemetry(fit: moment_poly.NodeFit | None) -> dict | None:
     }
 
 
+def estimate_telemetry(est: est_mod.GraphonEstimate | None) -> dict | None:
+    """The estimate's size: its pieces and the atoms at least one piece drew."""
+    if est is None:
+        return None
+    return {"m": est.m, "atoms": int(np.count_nonzero(est.counts))}
+
+
 def write_manifest(state: PipelineState) -> dict:
     manifest = {
         "config": state.cfg.semantic_dict(),
@@ -563,6 +571,7 @@ def write_manifest(state: PipelineState) -> dict:
         "degenerate": state.degenerate,
         "spectrum": spectrum_telemetry(state.spectrum),
         "fit": fit_telemetry(state.fit),
+        "estimate": estimate_telemetry(state.estimate),
         "warnings": state.warnings,
         "metrics": state.metrics,
         "stages": {
@@ -635,7 +644,8 @@ def run_scaled(
     truth = graphon_model.spectral_decompose(model)
     unscaled = est_mod.GraphonEstimate(
         res.estimate.lambdas / h,
-        res.estimate.Z,
+        res.estimate.atoms,
+        res.estimate.index,
         res.estimate.kappa,
         dict(res.estimate.provenance, h=h),
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphon_forge import evaluation
-from graphon_forge.estimator import assemble
+from graphon_forge.estimator import GraphonEstimate, assemble
 from graphon_forge.evaluation import (
     ALIGNMENT_BUDGET,
     delta2_exact_cells,
@@ -20,6 +20,11 @@ from graphon_forge.pipeline import alignment_metrics
 
 def constant_kernel(c):
     return StepGraphon(np.array([1.0]), np.array([[float(c)]]))
+
+
+@pytest.fixture
+def three_block():
+    return StepGraphon(np.full(3, 1 / 3), np.array([[15.0, 2.0, 1.0], [2.0, 14.0, 2.0], [1.0, 2.0, 15.0]]))
 
 
 def estimate_from_truth(truth, g=256, sign=None):
@@ -110,13 +115,27 @@ class TestDelta2Upper:
             assert upper >= exact - 1e-9
 
     def test_budget_admits_k5_and_refuses_r6_at_panel_size(self):
-        def cost(r, m, g):
-            return factorial(r) * 2**r * (m + g * g)
+        def cost(r, atoms, g):
+            return factorial(r) * 2**r * (atoms + g * g)
 
-        assert cost(6, 48, 48) <= ALIGNMENT_BUDGET  # the small-cell search above
+        assert cost(6, 48, 48) <= ALIGNMENT_BUDGET  # the small-cell search above: 48 distinct rows
+        assert cost(5, 13, 256) <= ALIGNMENT_BUDGET  # the panel fits have 7-13 atoms
         assert cost(5, 10_000, 256) <= ALIGNMENT_BUDGET
-        assert cost(6, 10_000, 256) > ALIGNMENT_BUDGET
+        assert cost(6, 13, 256) > ALIGNMENT_BUDGET
         assert cost(7, 48, 48) > ALIGNMENT_BUDGET
+
+    def test_many_pieces_on_few_atoms_scored(self):
+        # r!*2^r*(m + g^2) would be 3.9e9 here; the search sorts the 16 atoms
+        r, g, m = 5, 64, 1_000_000
+        w = np.random.default_rng(5).random((r, r))
+        truth = spectral_decompose(StepGraphon(np.full(r, 1 / r), w + w.T + 4 * np.eye(r)))
+        assert factorial(r) * 2**r * (m + g * g) > ALIGNMENT_BUDGET
+        rng = np.random.default_rng(6)
+        atoms = np.concatenate([truth.features, rng.standard_normal((16 - r, r))])
+        index = rng.integers(0, r, m)  # the extra atoms are never drawn
+        est = GraphonEstimate(truth.eigenvalues, atoms, index, np.inf)
+        metrics = alignment_metrics(est, truth, g, r)
+        assert metrics["delta2_upper"] is not None and metrics["delta2_upper"] <= 1e-9
 
     @pytest.mark.parametrize("r, m, g", [(6, 10_000, 256), (7, 10_000, 256), (7, 48, 48)])
     def test_over_budget_refused_before_the_search(self, r, m, g, monkeypatch):
@@ -141,6 +160,79 @@ class TestDelta2Upper:
         F = truth.features_at(x)
         rep = delta2_upper(assemble(F, truth.eigenvalues), truth, g=256)
         assert rep.delta2_upper <= 0.1
+
+    @staticmethod
+    def delta2_on_rows(estimate, truth, g, rank=None):
+        """The search on all m rows of the estimate, one lexsort per candidate."""
+        K = estimate.K
+        r = max(K if rank is None else rank, K)
+
+        def sort_rows(f, order):
+            keys = [np.arange(f.shape[0])] + [f[:, i] for i in reversed(order)]
+            return f[np.lexsort(tuple(keys))]
+
+        f_true = truth.feature_grid(g, r)
+        mu = truth.eigenvalues[:r]
+        Z, lam = estimate.Z, estimate.lambdas
+        if K < r:
+            Z = np.concatenate([Z, np.zeros((Z.shape[0], r - K))], axis=1)
+            lam = np.concatenate([lam, np.zeros(r - K)])
+        cells = estimate.piece_of((np.arange(g) + 0.5) / g)
+        best = (np.inf, None, None)
+        for order in itertools.permutations(range(r)):
+            f_t = sort_rows(f_true, order)
+            k_true = (f_t * mu) @ f_t.T
+            for mask in range(2**r):
+                signs = np.array([-1.0 if (mask >> i) & 1 else 1.0 for i in range(r)])
+                f_est = sort_rows(Z * signs, order)[cells]
+                d = float(np.sqrt(np.mean(((f_est * lam) @ f_est.T - k_true) ** 2)))
+                if d < best[0]:
+                    best = (d, signs, order)
+        return best
+
+    def assert_matches_rows(self, est, truth, g, rank=None):
+        rep = delta2_upper(est, truth, g=g, rank=rank)
+        d, signs, order = self.delta2_on_rows(est, truth, g, rank)
+        assert rep.delta2_upper == d
+        np.testing.assert_array_equal(rep.sign_pattern, signs)
+        assert rep.priority_order == order
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_atom_search_equals_row_search_on_repeated_atoms(self, seed, three_block):
+        rng = np.random.default_rng(seed)
+        truth = spectral_decompose(three_block)
+        A, K = int(rng.integers(3, 12)), int(rng.integers(1, 4))
+        atoms = rng.standard_normal((A, K)).round(1)  # rounding makes some feature values tie
+        index = rng.choice(A, size=int(rng.integers(50, 5000)), p=rng.dirichlet(np.ones(A)))
+        est = GraphonEstimate(truth.eigenvalues[:K] * rng.random(K), atoms, index, np.inf)
+        self.assert_matches_rows(est, truth, g=int(rng.integers(16, 200)))
+
+    def test_atom_search_equals_row_search_with_undrawn_atoms(self, three_block):
+        truth = spectral_decompose(three_block)
+        rng = np.random.default_rng(7)
+        atoms = rng.standard_normal((9, 3))
+        index = rng.choice([0, 2, 5, 8], size=3001)  # atoms 1, 3, 4, 6, 7 count 0
+        est = GraphonEstimate(truth.eigenvalues, atoms, index, np.inf)
+        assert np.count_nonzero(est.counts) == 4
+        self.assert_matches_rows(est, truth, g=128)
+
+    def test_atom_search_equals_row_search_with_padding(self, three_block):
+        truth = spectral_decompose(three_block)
+        rng = np.random.default_rng(8)
+        est = GraphonEstimate(truth.eigenvalues[:1], rng.standard_normal((6, 1)), rng.integers(0, 6, 999), np.inf)
+        self.assert_matches_rows(est, truth, g=96, rank=3)
+
+    def test_atom_search_equals_row_search_on_signed_zeros(self, assortative_2block):
+        truth = spectral_decompose(assortative_2block)
+        atoms = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.5, 0.5]])
+        index = np.random.default_rng(9).integers(0, 5, 777)
+        est = GraphonEstimate(truth.eigenvalues, atoms, index, np.inf)
+        self.assert_matches_rows(est, truth, g=64)
+
+    def test_atom_search_equals_row_search_on_many_pieces(self, assortative_2block):
+        truth = spectral_decompose(assortative_2block)
+        x = np.random.default_rng(6).random(80_000)
+        self.assert_matches_rows(assemble(truth.features_at(x), truth.eigenvalues), truth, g=256)
 
     def test_equality_on_two_block_symmetric(self):
         a = StepGraphon(np.array([0.5, 0.5]), np.array([[7.0, 1.0], [1.0, 4.0]]))

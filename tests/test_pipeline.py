@@ -185,6 +185,17 @@ class TestRunPipeline:
         staged.require_fit()
         assert fit_telemetry(staged.fit) == block
 
+    def test_manifest_records_estimate_telemetry(self, model_file, tmp_path):
+        res = run_pipeline(small_config(model_file, tmp_path))
+        block = res.manifest["estimate"]
+        drawn = np.unique(res.estimate.index).size
+        assert block == {"m": res.estimate.m, "atoms": drawn}
+        assert 1 <= block["atoms"] <= res.manifest["fit"]["support"]
+        np.testing.assert_array_equal(res.estimate.atoms.ravel(), read_json(res.out_dir / "fit.json")["nodes"])
+        constant = run_pipeline(small_config(model_file, tmp_path / "k0", e1_override=50.0))
+        assert constant.degenerate and constant.manifest["estimate"] == {"m": N_SMALL, "atoms": 1}
+        np.testing.assert_array_equal(constant.estimate.atoms, [[1.0]])
+
     def test_determinism_byte_identical(self, model_file, tmp_path):
         cfg_a = small_config(model_file, tmp_path)
         cfg_a.out = str(tmp_path / "a")
