@@ -132,10 +132,12 @@ def _numbers(doc: dict, key: str, kinds: str, path) -> np.ndarray:
     if not isinstance(value, list):
         what = "missing" if key not in doc else f"a {type(value).__name__}, not a list"
         raise EstimateParseError(f"{path}: field {key!r} is {what}")
-    try:
-        arr = np.array(value) if value else np.empty(0, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
+    arr = None
+    if bool not in map(type, value):  # numpy would cast a JSON boolean to a number
+        try:
+            arr = np.array(value) if value else np.empty(0, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            pass
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
         kind = "integers" if kinds == "i" else "numbers"
         raise EstimateParseError(f"{path}: field {key!r} holds entries that are not {kind}")

@@ -3,10 +3,11 @@
 The operator B lives on oriented edges: entry (e, f) is 1 exactly when e
 feeds into f's tail without reversing f. One application costs O(|E|) via
 the two-pass trick (aggregate incoming values per vertex, subtract the
-reversal), so it is never materialized. Eigenvalues outside the bulk disk of
-radius sqrt(lambda_1) estimate the kernel's informative eigenvalues; K counts
-the real eigenvalues clearing the cutoff sqrt(lambda_1) + e1(n) with
-e1(n) = 1/sqrt(log n).
+reversal). `NbOperator` applies it matrix-free; the spectrum never builds
+it, and it stays as the reference the solver is checked against.
+Eigenvalues outside the bulk disk of radius sqrt(lambda_1) estimate the
+kernel's informative eigenvalues; K counts the real eigenvalues clearing the
+cutoff sqrt(lambda_1) + e1(n) with e1(n) = 1/sqrt(log n).
 
 The spectrum is not iterated on the 2|E| oriented edges but on the
 Ihara-Bass companion C = [[A, I - D], [I, 0]] over 2n vertex coordinates
@@ -15,8 +16,8 @@ edges into v, then [a; a / lambda] is an eigenvector of C with the same
 eigenvalue, so C carries every non-trivial eigenvalue of B; the only
 eigenvalues it adds are +-1, from isolated vertices and leaves. Those never
 pass the cutoff: whenever lambda_1 > 1 the cutoff exceeds 1, and a graph
-with lambda_1 <= 1 (its 2-core empty or a union of cycles) is refused as
-degenerate before any iteration.
+with lambda_1 <= 1 (its 2-core empty, as when it has no edge, or a union
+of cycles) is refused as degenerate before any solve.
 
 C is built on the graph's 2-core only, found by peeling leaves round by
 round. No non-backtracking walk leaves a pendant tree once it has entered,
@@ -25,14 +26,18 @@ nonzero eigenvalue follows exactly from its core part: in reverse peel
 order a(v) = a(parent) / lambda, and a = 0 on tree-only components. A graph
 with no leaf is iterated on as it is. Each accepted aggregate, so extended,
 is lifted back to all oriented edges in O(|E|) by xi(u->v) = (lambda a(u) -
-a(v)) / (lambda^2 - 1), and its residual is measured on the full B. The
-accepted eigenvalue is read off the symmetric form of the same pair, the
+a(v)) / (lambda^2 - 1), and its residual on the full B is read off its
+own aggregates, B xi(u->v) = a(u) - xi(v->u). The accepted eigenvalue is
+read off the symmetric form of the same pair, the
 Bethe Hessian H(lambda) = (lambda^2 - 1) I - lambda A + D with H(lambda) a
 = 0 (Saade, Krzakala and Zdeborova, NeurIPS 2014): as the root of a'H(x)a
 nearest the Ritz value, it is second-order accurate in a, where the
 Rayleigh quotient of the non-normal C is first order.
 
-Extraction uses block subspace iteration on the cubed operator (the power
+A companion of dimension at most DENSE_FALLBACK_DIM is solved densely: its
+Ritz pairs on the whole space are its eigenpairs, which then take the
+iteration's path through classification, extension and lift. Otherwise
+extraction uses block subspace iteration on the cubed operator (the power
 algorithm): cubing is cheap, preserves eigenvectors and magnitude order, and
 cubes the separation ratio between informative eigenvalues and the bulk,
 where a restarted Arnoldi iteration wastes its time converging continuum
@@ -53,11 +58,11 @@ and no candidate past the next one is climbing, the block is cut to the
 accepted Ritz vectors plus that next one as a guard (both halves of a
 complex pair) for the rest of the run.
 
-`bulk_scale` handles spectra computed from a thinned edge subsample whose
-operator has been rescaled by 1/(1 - epsilon): the rescaled bulk disk has
-radius sqrt(bulk_scale * lambda_1), so the cutoff moves accordingly (the
-slack shrinks with the scale to keep the signal margin; at bulk_scale = 1
-the rule is exactly the unsplit one).
+The operator scale handles spectra computed from a thinned edge subsample,
+rescaled by s = 1/(1 - epsilon): the rescaled bulk disk has radius
+sqrt(s * lambda_1), so the cutoff moves accordingly (the slack shrinks with
+the scale to keep the signal margin; at s = 1 the rule is exactly the
+unsplit one).
 """
 from __future__ import annotations
 
@@ -333,21 +338,13 @@ class NbSpectrum:
     warnings: tuple[str, ...] = ()
     iterations: int = 0             # subspace iterations, summed over restarts (0: dense solve)
     start_block: int = 0            # block width the final run started at (0: dense solve)
-    block: int = 0                  # final block width, that of all_eigenvalues (0: dense solve)
+    block: int = 0                  # final block width, that of all_eigenvalues (iterated_dim: dense solve)
     orthonormalizations: int = 0    # block QRs, summed over restarts (0: dense solve)
-    iterated_dim: int = 0           # dimension of the operator the solver ran on: 2 core_vertices
-    core_vertices: int = 0          # vertices iterated on: the 2-core, or all n when none peeled (0: dense solve)
-    peel_rounds: int = 0            # leaf-peeling rounds down to the 2-core (0: dense solve)
-    # final-block Ritz residuals on the companion, as all_eigenvalues (empty: dense solve)
+    iterated_dim: int = 0           # dimension of the companion the solver ran on: 2 core_vertices
+    core_vertices: int = 0          # vertices solved on: the 2-core, or all n when none peeled
+    peel_rounds: int = 0            # leaf-peeling rounds down to the 2-core
+    # final-block Ritz residuals on the companion, as all_eigenvalues
     ritz_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def _realify(vec: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(vec):
-        j = int(np.argmax(np.abs(vec)))
-        vec = (vec / (vec[j] / abs(vec[j]))).real
-    v = np.asarray(vec, dtype=float)
-    return v / np.linalg.norm(v)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -418,7 +415,7 @@ def _leading_basis(H: np.ndarray, guard: complex) -> np.ndarray:
     return U[:, :kept]
 
 
-def _subspace_iterate(op: Companion, start: np.ndarray, e1: float, k_cap: int, bulk_scale: float):
+def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
     """Block subspace iteration on the cube of the companion `op` from the block `start`.
 
     Returns (result, converged, iterations, orthonormalizations). The block
@@ -485,7 +482,7 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float, k_cap: int, b
         w, vectors, rayleigh, residuals, H = _ritz_candidates(Q, pair)
         prev[...] = Q[:n]  # x_0 again, exactly
         try:
-            lam1, accepted, cutoff = classify_eigenvalues(w, e1, k_cap, bulk_scale)
+            lam1, accepted, cutoff = classify_eigenvalues(w, e1, K_CAP, s)
         except DegenerateSpectrumError:
             if it >= MAX_ITERATIONS:
                 raise
@@ -553,51 +550,37 @@ def _start_block(seed: int, n: int, width: int, core) -> np.ndarray:
 
 
 def top_spectrum(
-    op: NbOperator,
-    n: int,
+    graph: SparseGraph,
+    scale: float = 1.0,
     e1_override: float | None = None,
     seed: int = 0,
-    k_cap: int = K_CAP,
-    bulk_scale: float = 1.0,
 ) -> NbSpectrum:
-    """Extract eigenvalues above the Kesten-Stigum-style cutoff.
+    """Extract the eigenvalues of graph's B, rescaled by `scale`, above the Kesten-Stigum-style cutoff.
 
-    Operators of dimension at most DENSE_FALLBACK_DIM are solved densely;
-    otherwise the iteration runs on the Ihara-Bass companion of op's 2-core
-    (of op's whole graph when no leaf is peeled), the accepted aggregates are
-    extended exactly to the pendant trees, and the eigenvectors are lifted
-    back to op's oriented edges. Accepted eigenvalues are real (imaginary
-    part below the realness tolerance, enforced through the Rayleigh
-    residual) with magnitude above the cutoff and companion residuals within
-    RESIDUAL_TOL; their values are read off the symmetric Ihara-Bass form
-    (`_bethe_hessian_eigenvalues`). The vertex aggregates sum unit
-    eigenvectors whose first non-negligible coordinate is positive.
-    Deterministic given `seed`. Raises DegenerateSpectrumError when the
-    leading eigenvalue is not real positive and SpectrumConvergenceError when
-    a run exhausts MAX_ITERATIONS.
+    The solver runs on the Ihara-Bass companion of the graph's 2-core (of
+    the whole graph when no leaf is peeled): densely when its dimension is at
+    most DENSE_FALLBACK_DIM, by subspace iteration otherwise. The accepted
+    aggregates are extended exactly to the pendant trees, and the
+    eigenvectors are lifted back to the graph's oriented edges. Accepted
+    eigenvalues are real (imaginary part below the realness tolerance,
+    enforced through the Rayleigh residual) with magnitude above the cutoff
+    and companion residuals within RESIDUAL_TOL; their values are read off
+    the symmetric Ihara-Bass form (`_bethe_hessian_eigenvalues`). The vertex
+    aggregates sum unit eigenvectors whose first non-negligible coordinate
+    is positive. Deterministic given `seed`. Raises DegenerateSpectrumError
+    when B's spectral radius is at most 1 (an edgeless graph included) or
+    the leading eigenvalue is not real positive, and
+    SpectrumConvergenceError when a run exhausts MAX_ITERATIONS.
     """
-    e1 = default_e1(n) if e1_override is None else float(e1_override)
-
-    if op.dim <= DENSE_FALLBACK_DIM:
-        w_all, v_all = np.linalg.eig(dense_nb_matrix(op))
-        lam1, accepted, cutoff = classify_eigenvalues(w_all, e1, k_cap, bulk_scale)
-        lambdas = np.array([w_all[i].real for i in accepted])
-        vectors = (
-            np.stack([_fix_sign(_realify(v_all[:, i])) for i in accepted], axis=1)
-            if accepted
-            else np.empty((op.dim, 0))
-        )
-        all_eigs = w_all[np.argsort(-np.abs(w_all), kind="stable")]
-        return _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, iterated_dim=op.dim)
-
+    full = OrientedEdgeSpace.from_graph(graph)
+    e1 = default_e1(full.n) if e1_override is None else float(e1_override)
     # the companion's trivial eigenvalues +-scale clear no cutoff once B's
     # radius exceeds 1; below that the run is degenerate whatever they do
-    alive, core_degree, rounds = _two_core(op.space)
+    alive, core_degree, rounds = _two_core(full)
     if core_degree.max(initial=0) < 3:
         raise DegenerateSpectrumError(
             "non-backtracking spectral radius is at most 1 (2-core empty or all cycles)"
         )
-    full = op.space
     core, space = slice(None), full  # nothing peeled: the graph is its own core
     if rounds:  # the 2-core, relabelled 0..core.size-1 in vertex order
         core = np.flatnonzero(core_degree)
@@ -605,41 +588,47 @@ def top_spectrum(
         label[core] = np.arange(core.size)
         space = OrientedEdgeSpace(core.size, label[full.tails[alive]], label[full.heads[alive]])
         del label
-    del alive, core_degree  # not held through the iteration
-    comp = Companion(space, op.scale)
-    block_size = min(max(6, k_cap // 2 + 2), comp.dim - 1)
-    widest = min(k_cap + 4, comp.dim - 1)
-    iterations = orthonormalizations = 0
-    while True:
-        out, ok, its, qrs = _subspace_iterate(
-            comp, _start_block(seed, full.n, block_size, core), e1, k_cap, bulk_scale
-        )
-        iterations += its
-        orthonormalizations += qrs
-        w, vectors, residuals, ray, accepted, lam1, cutoff = out
-        if not ok:
-            raise SpectrumConvergenceError(
-                f"subspace iteration did not converge within {MAX_ITERATIONS} iterations"
-            )
-        if len(accepted) == w.size and block_size < widest:
-            block_size = widest  # everything cleared the cutoff: widen once
-            continue
-        break
+    del alive, core_degree  # not held through the solve
+    comp = Companion(space, scale)
+    block_size = iterations = orthonormalizations = 0
+    if comp.dim <= DENSE_FALLBACK_DIM:  # Ritz pairs on the whole space are the eigenpairs
+        eye = np.eye(comp.dim)
+        w, vectors, ray, residuals, _ = _ritz_candidates(eye, comp.matmat(eye))
+        _, accepted, cutoff = classify_eigenvalues(w, e1, K_CAP, scale)
+    else:
+        block_size = min(max(6, K_CAP // 2 + 2), comp.dim - 1)
+        widest = min(K_CAP + 4, comp.dim - 1)
+        while True:
+            out, ok, its, qrs = _subspace_iterate(comp, _start_block(seed, full.n, block_size, core), e1)
+            iterations += its
+            orthonormalizations += qrs
+            w, vectors, residuals, ray, accepted, _, cutoff = out
+            if not ok:
+                raise SpectrumConvergenceError(
+                    f"subspace iteration did not converge within {MAX_ITERATIONS} iterations"
+                )
+            if len(accepted) == w.size and block_size < widest:
+                block_size = widest  # everything cleared the cutoff: widen once
+                continue
+            break
+        del out
 
     # accepted keeps classify_eigenvalues' order: |.|-descending, lambda_1 first
     lambdas = ray[accepted]
-    unscaled = lambdas / op.scale
+    unscaled = lambdas / scale
     aggregates = _extend_to_trees(vectors[: space.n, accepted], unscaled, core, rounds, full.n)
-    del out, vectors, comp  # the iteration's blocks and operator go before the lift
+    del vectors, comp  # the solver's blocks and operator go before the lift
     return _finish(  # w and residuals come |.|-descending from _ritz_candidates
-        op, e1, lambdas, _lift(full, aggregates, unscaled), lam1, cutoff, w,
+        full, scale, e1, lambdas, _lift(full, aggregates, unscaled), cutoff, w,
         iterations=iterations, start_block=block_size, block=w.size,
         orthonormalizations=orthonormalizations, iterated_dim=2 * space.n,
         core_vertices=space.n, peel_rounds=len(rounds), ritz_residuals=residuals,
     )
 
 
-def _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpectrum:
+def _finish(
+    space: OrientedEdgeSpace, scale: float, e1, lambdas, vectors, cutoff, all_eigs, **solver
+) -> NbSpectrum:
     warnings: list[str] = []
     K = lambdas.size
     # re-orthonormalize only inside clusters of near-equal eigenvalues; across
@@ -663,10 +652,18 @@ def _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpe
                     qmat[:, c] = _fix_sign(qmat[:, c])
                 vectors[:, cols] = qmat
             i = j
-    aggregates = vertex_aggregates(vectors, op.space) if K else np.empty((op.space.n, 0))
-    lambdas = _bethe_hessian_eigenvalues(op, aggregates, lambdas)
+    aggregates = vertex_aggregates(vectors, space)
+    lambdas = _bethe_hessian_eigenvalues(space, scale, aggregates, lambdas)
+    # B xi(u->v) = a(u) - xi(v->u): the aggregates summed each vertex's
+    # in-edges in edge order, as B's incidence product does
+    reverse = np.arange(space.m_oriented) ^ 1
     residuals = np.array(
-        [np.linalg.norm(op.matvec(vectors[:, c]) - lambdas[c] * vectors[:, c]) for c in range(K)]
+        [
+            np.linalg.norm(
+                scale * (aggregates[space.tails, c] - vectors[reverse, c]) - lambdas[c] * vectors[:, c]
+            )
+            for c in range(K)
+        ]
     )
     return NbSpectrum(
         K=K,
@@ -681,8 +678,10 @@ def _finish(op, e1, lambdas, vectors, lam1, cutoff, all_eigs, **solver) -> NbSpe
     )
 
 
-def _bethe_hessian_eigenvalues(op: NbOperator, aggregates: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """op's eigenvalues read off the symmetric Ihara-Bass form of their vertex aggregates.
+def _bethe_hessian_eigenvalues(
+    space: OrientedEdgeSpace, s: float, aggregates: np.ndarray, lambdas: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues of B, rescaled by s, read off the symmetric Ihara-Bass form of their vertex aggregates.
 
     An eigenpair (lambda, xi) of the unscaled B has aggregates a with
     H(lambda) a = 0 for the symmetric H(x) = (x^2 - 1) I - x A + D (Saade,
@@ -690,13 +689,12 @@ def _bethe_hessian_eigenvalues(op: NbOperator, aggregates: np.ndarray, lambdas: 
     quadratic q(x) = a'H(x)a = |a|^2 x^2 - (a'Aa) x + a'(D - I)a, with an
     error second order in that of a, where a Rayleigh quotient of the
     non-normal companion is first order. Each of `lambdas` (eigenvalues of
-    op, scale s) is replaced by s times the root of q nearest lambda / s,
+    s B) is replaced by s times the root of q nearest lambda / s,
     taken by one Newton step from lambda / s: that lands on the root up to
     the square of lambda's error, and q(lambda / s) is formed as a'r from the
     small vector r = H(lambda / s) a, free of the cancellation between q's
     coefficients. A value whose step is not finite is kept.
     """
-    space, s = op.space, op.scale
     degree = np.bincount(space.heads, minlength=space.n)
     out = np.array(lambdas, dtype=float)
     for k, lam in enumerate(out / s):

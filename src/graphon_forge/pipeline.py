@@ -286,21 +286,15 @@ def stage_spectrum(state: PipelineState) -> None:
     cfg = state.cfg
     state.require_graphs(["g1"])
     try:
-        scale = 1.0 / (1.0 - state.epsilon)
-        op = nonbacktracking.build_nb_operator(state.g1, scale=scale)
         state.spectrum = nonbacktracking.top_spectrum(
-            op,
-            cfg.n,
-            e1_override=cfg.e1_override,
-            seed=cfg.seed,
-            bulk_scale=scale,
+            state.g1, scale=1.0 / (1.0 - state.epsilon), e1_override=cfg.e1_override, seed=cfg.seed
         )
         state.warnings.extend(state.spectrum.warnings)
         if state.spectrum.K == 0:
             mark_degenerate(
                 state, "spectrum", "no eigenvalue cleared the bulk cutoff; constant estimator emitted"
             )
-    except (nonbacktracking.DegenerateSpectrumError, ValueError) as exc:
+    except nonbacktracking.DegenerateSpectrumError as exc:
         state.spectrum = None
         mark_degenerate(state, "spectrum", f"spectral stage degenerate: {exc}")
     if state.spectrum is not None:
@@ -476,13 +470,7 @@ def stage_evaluate(state: PipelineState) -> None:
     truth = state.truth
     target_rank = min(max(state.report.r0, 1), truth.rank)
     metrics = alignment_metrics(state.estimate, truth, cfg.metrics_grid, target_rank)
-    l2_plain = evaluation.l2_distance_grid(state.estimate, truth, cfg.metrics_grid)
-    l2_refined = evaluation.l2_distance_grid(state.estimate, truth, 2 * cfg.metrics_grid)
-    metrics["l2_grid"] = l2_plain
-    metrics["l2_grid_refined"] = l2_refined
-    metrics["l2_resolution_warning"] = bool(
-        abs(l2_refined - l2_plain) >= 1e-3 * max(abs(l2_refined), 1e-300)
-    )
+    metrics["l2_grid"] = evaluation.l2_distance_grid(state.estimate, truth, cfg.metrics_grid)
     kg = state.estimate.kernel_grid(cfg.metrics_grid)
     metrics["fraction_negative_Qhat"] = float(np.mean(kg < 0))
     if state.spectrum is not None and state.latents is not None and state.spectrum.K > 0:

@@ -7,11 +7,12 @@ import graphon_forge
 
 
 def test_import_leaves_out_heavy_modules():
-    # sympy, scipy.integrate and scipy.optimize each cost a large share of a CLI call's start-up
+    # each of these would add a large share to a CLI call's start-up (scipy.sparse.linalg: 0.21 s)
     src = str(Path(graphon_forge.__file__).resolve().parents[1])
     code = (
         "import sys, graphon_forge; "
-        "print(sorted(m for m in ('sympy', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('sympy', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg',"
+        " 'scipy.sparse.csgraph') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

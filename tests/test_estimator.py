@@ -154,6 +154,7 @@ class TestSerialization:
         ("atoms", [0.1, 0.2, 0.3]), ("atoms", [0.1, 0.2, None, 0.4]), ("atoms", []),
         ("index", [0, 1.5, 1]), ("index", [0, 1, 2]), ("index", [0, -1, 1]), ("index", [True, False, True]),
         ("provenance", ["seed"]), ("version", 1),
+        ("index", [0, True, 1]), ("lambdas", [4.0, True]), ("atoms", [0.1, 0.2, 0.3, False]), ("kappa", True),
     ])
     def test_malformed_field_names_file_and_field(self, tmp_path, field, value):
         doc = dict(self.GOOD)

@@ -179,7 +179,7 @@ class TestTopSpectrum:
                 lam1, lams, _ = spectrum_oracle(gr, n)
             except DegenerateSpectrumError:
                 continue
-            spec = top_spectrum(build_nb_operator(gr), n, seed=done)
+            spec = top_spectrum(gr, seed=done)
             assert spec.K == lams.size
             np.testing.assert_allclose(spec.lambdas, lams, atol=1e-8)
             assert spec.residuals.size == 0 or spec.residuals.max() <= 1e-6
@@ -198,8 +198,8 @@ class TestTopSpectrum:
             if mags[-1] - mags[-2] <= 1e-6 * max(mags[-1], 1.0):
                 continue  # tied leading modulus: the accepted set is decided by rounding
             _, lams, _ = spectrum_oracle(gr, n)
-            spec = top_spectrum(build_nb_operator(gr), n, seed=len(ks))
-            assert spec.iterations == 0 and spec.iterated_dim == 2 * gr.m  # solved densely
+            spec = top_spectrum(gr, seed=len(ks))
+            assert spec.iterations == 0 and spec.iterated_dim == 2 * spec.core_vertices  # solved densely
             assert spec.K == lams.size
             np.testing.assert_allclose(spec.lambdas, lams, atol=1e-10)
             assert spec.residuals.size == 0 or spec.residuals.max() <= 1e-8
@@ -217,12 +217,12 @@ class TestTopSpectrum:
         assert lams.size == 1
         seeds = (0, 1, 2)
         for seed in seeds:
-            np.testing.assert_allclose(top_spectrum(op, gr.n, seed=seed).lambdas, lams, atol=1e-10)
+            np.testing.assert_allclose(top_spectrum(gr, seed=seed).lambdas, lams, atol=1e-10)
         monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
         differs = 0
         for seed in seeds:
             try:
-                spec = top_spectrum(op, gr.n, seed=seed)
+                spec = top_spectrum(gr, seed=seed)
             except (SpectrumConvergenceError, DegenerateSpectrumError):
                 differs += 1
                 continue
@@ -231,31 +231,30 @@ class TestTopSpectrum:
 
     def test_residuals_and_unit_norm(self, assortative_2block):
         gr, _ = sample_graph(assortative_2block, 20000, seed=0)
-        spec = top_spectrum(build_nb_operator(gr), 20000, seed=0)
+        spec = top_spectrum(gr, seed=0)
         assert spec.K == 2
         assert spec.residuals.max() <= 1e-6
 
     def test_k_monotone_in_e1(self, assortative_2block):
         gr, _ = sample_graph(assortative_2block, 20000, seed=1)
-        op = build_nb_operator(gr)
-        ks = [top_spectrum(op, 20000, e1_override=e1, seed=1).K for e1 in (0.05, 0.3, 1.0, 2.5)]
+        ks = [top_spectrum(gr, e1_override=e1, seed=1).K for e1 in (0.05, 0.3, 1.0, 2.5)]
         assert all(a >= b for a, b in zip(ks, ks[1:]))
 
     def test_lambda1_estimates_degree(self, assortative_2block):
         hits = 0
         for seed in range(3):
             gr, _ = sample_graph(assortative_2block, 50000, seed=30 + seed)
-            spec = top_spectrum(build_nb_operator(gr), 50000, seed=seed)
+            spec = top_spectrum(gr, seed=seed)
             hits += abs(spec.lambdas[0] - 4.0) <= 0.5
         assert hits >= 2
 
     def test_degenerate_on_forest(self):
         with pytest.raises(DegenerateSpectrumError):
-            top_spectrum(build_nb_operator(PATH3), 3, seed=0)
+            top_spectrum(PATH3, seed=0)
 
     def test_aggregates_shape(self, assortative_2block):
         gr, _ = sample_graph(assortative_2block, 20000, seed=2)
-        spec = top_spectrum(build_nb_operator(gr), 20000, seed=2)
+        spec = top_spectrum(gr, seed=2)
         assert spec.vertex_aggregates.shape == (20000, spec.K)
         core_size = int(np.count_nonzero(peel_to_two_core(gr.n, gr.edges)[0]))
         assert spec.core_vertices == core_size < 20000
@@ -276,7 +275,7 @@ class TestTopSpectrum:
         g1, _ = split_edges(gr, eps, seed=0)
         scale = 1.0 / (1.0 - eps)
         op = build_nb_operator(g1, scale=scale)
-        spec = top_spectrum(op, n, seed=0, bulk_scale=scale)
+        spec = top_spectrum(g1, scale=scale, seed=0)
         assert spec.K >= 1
         lo = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
         w, V = eigs(lo, k=spec.K + extra, ncv=40, which="LM", tol=1e-13, v0=np.ones(op.dim))
@@ -304,7 +303,7 @@ class TestTopSpectrum:
             assert op.dim > DENSE_FALLBACK_DIM
             for seed in (0, 1):  # refused before any iteration, whatever the start block
                 with pytest.raises(DegenerateSpectrumError, match="radius is at most 1"):
-                    top_spectrum(op, gr.n, seed=seed, bulk_scale=scale)
+                    top_spectrum(gr, scale=scale, seed=seed)
 
     def test_radius_check_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -340,7 +339,7 @@ class TestTopSpectrum:
             return step(self, cur, prev)
 
         monkeypatch.setattr(Companion, "step", counted)
-        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        spec = top_spectrum(g1, scale=scale, seed=seed)
         assert spec.K == 2
         assert len(steps) <= 400
 
@@ -352,7 +351,7 @@ class TestTopSpectrum:
         eps = default_epsilon(n)
         g1, _ = split_edges(gr, eps, seed=seed)
         scale = 1.0 / (1.0 - eps)
-        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        spec = top_spectrum(g1, scale=scale, seed=seed)
         assert spec.K == 2
         assert spec.iterations <= 150
 
@@ -380,7 +379,7 @@ class TestTopSpectrum:
 
         monkeypatch.setattr(Companion, "step", counted)
         monkeypatch.setattr(nonbacktracking, "_leading_basis", cut)
-        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        spec = top_spectrum(g1, scale=scale, seed=seed)
         assert (spec.K, spec.start_block, spec.block) == (2, 6, 3)
         assert len(cuts) == 1 and cuts[0][0] == 3 * 20 + 1
         assert spec.cutoff > abs(cuts[0][1]) > 0.4 * spec.cutoff
@@ -395,13 +394,12 @@ class TestTopSpectrum:
         eps = default_epsilon(n)
         g1, _ = split_edges(gr, eps, seed=seed)
         scale = 1.0 / (1.0 - eps)
-        op = build_nb_operator(g1, scale=scale)
-        spec = top_spectrum(op, n, seed=seed, bulk_scale=scale)
+        spec = top_spectrum(g1, scale=scale, seed=seed)
         assert 3 < spec.lambdas[0] / spec.cutoff < 5
         period = nonbacktracking._qr_period(spec.lambdas[0], spec.cutoff)
         assert 1 < period < nonbacktracking.EXTRACT_EVERY
         monkeypatch.setattr(nonbacktracking, "_qr_period", lambda lam1, cutoff: 1)
-        every = top_spectrum(op, n, seed=seed, bulk_scale=scale)
+        every = top_spectrum(g1, scale=scale, seed=seed)
         assert every.K == spec.K == 2 and every.iterations == spec.iterations
         assert every.orthonormalizations == spec.iterations + 1 > spec.orthonormalizations
         np.testing.assert_allclose(spec.lambdas, every.lambdas, rtol=1e-10)
@@ -411,9 +409,10 @@ class TestTopSpectrum:
         # two disjoint copies of K_6: lambda = 4 twice, eigenspace spanned by
         # the all-ones vectors of each copy's 30 oriented edges
         edges = [(u + o, v + o) for o in (0, 6) for u, v in itertools.combinations(range(6), 2)]
-        op = build_nb_operator(SparseGraph(12, np.array(edges)))
+        gr = SparseGraph(12, np.array(edges))
+        op = build_nb_operator(gr)
         assert op.dim > DENSE_FALLBACK_DIM  # the companion path
-        spec = top_spectrum(op, 12, seed=seed)
+        spec = top_spectrum(gr, seed=seed)
         assert spec.K == 2
         np.testing.assert_allclose(spec.lambdas, [4.0, 4.0], rtol=1e-12)
         assert spec.warnings == (
@@ -459,7 +458,7 @@ class TestTwoCore:
         assert op.dim > DENSE_FALLBACK_DIM
         w = np.linalg.eigvals(dense_nb_matrix(op))
         _, accepted, _ = classify_eigenvalues(w, default_e1(gr.n), 8, bulk_scale=scale)
-        spec = top_spectrum(op, gr.n, seed=0, bulk_scale=scale)
+        spec = top_spectrum(gr, scale=scale, seed=0)
         assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (4, 8, 3)
         assert spec.K == len(accepted) == 1
         np.testing.assert_allclose(spec.lambdas, w[accepted].real, rtol=0, atol=1e-10)
@@ -492,8 +491,10 @@ class TestTwoCore:
                 super().__post_init__()
 
         monkeypatch.setattr(nonbacktracking, "Companion", Recorded)
-        spec = top_spectrum(op, gr.n, seed=0)
-        assert len(spaces) == 1 and spaces[0] is op.space
+        spec = top_spectrum(gr, seed=0)
+        assert len(spaces) == 1 and spaces[0].n == gr.n
+        np.testing.assert_array_equal(spaces[0].tails, op.space.tails)
+        np.testing.assert_array_equal(spaces[0].heads, op.space.heads)
         assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (10, 20, 0)
         _, lams, _ = spectrum_oracle(gr, gr.n)
         assert spec.K == lams.size == 1
@@ -529,13 +530,13 @@ class TestBipartiteTies:
         assert np.sum(mags >= mags.max() * (1 - 1e-9)) >= 2
         lam1, _, _ = classify_eigenvalues(w, default_e1(gr.n), 8)
         assert lam1 == pytest.approx(w.real.max(), rel=1e-12)
-        assert top_spectrum(op, gr.n, seed=0).K == 0  # +-lambda_1 stay under the cutoff
+        assert top_spectrum(gr, seed=0).K == 0  # +-lambda_1 stay under the cutoff
 
-    @pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5)])  # 2m = 24 is solved densely
+    @pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5)])  # companions of dimension 14-18: solved densely
     def test_both_signs_accepted_keep_their_eigenvectors(self, a, b):
         gr = complete_bipartite(a, b)
         root = np.sqrt((a - 1) * (b - 1))
-        spec = top_spectrum(build_nb_operator(gr), gr.n, seed=0)
+        spec = top_spectrum(gr, seed=0)
         np.testing.assert_allclose(spec.lambdas, [root, -root], rtol=1e-10)
         assert spec.residuals.max() <= 1e-8 and not spec.warnings
 
@@ -676,7 +677,7 @@ class TestSubspaceKernels:
         eps = default_epsilon(n)
         g1, _ = split_edges(gr, eps, seed=seed)
         scale = 1.0 / (1.0 - eps)
-        spec = top_spectrum(build_nb_operator(g1, scale=scale), n, seed=seed, bulk_scale=scale)
+        spec = top_spectrum(g1, scale=scale, seed=seed)
         assert (spec.iterations, spec.start_block, spec.block, spec.K) == (70, 6, 3, 2)
         converged = [4.013184612169207, 2.9538296910190374]
         np.testing.assert_allclose(spec.lambdas, converged, rtol=1e-12)

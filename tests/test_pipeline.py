@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphon_forge import cli, graph_sampler, moment_poly, star_counts
+from graphon_forge import cli, graph_sampler, moment_poly, nonbacktracking, star_counts
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.nonbacktracking import EXTRACT_EVERY
 from graphon_forge.pipeline import (
@@ -232,6 +232,24 @@ class TestRunPipeline:
         mean_deg = est.lambdas[0]
         assert 3.0 <= mean_deg <= 5.0  # observed mean degree of the sample
         np.testing.assert_array_equal(est.Z, 1.0)
+
+    def test_edgeless_g1_is_degenerate_at_the_spectrum(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_graphon(StepGraphon(np.array([1.0]), np.array([[1e-6]])), p)  # draws no edge at n = 100
+        res = run_pipeline(PipelineConfig(model=str(p), n=100, out=str(tmp_path / "out")))
+        assert graph_sampler.load_edge_list(res.out_dir / "g1.edges").m == 0
+        assert res.degenerate and res.manifest["spectrum"] is None
+        record = read_json(res.out_dir / DEGENERATE_NAME)
+        assert record["stage"] == "spectrum"
+        assert "spectral radius is at most 1" in record["reason"]
+
+    def test_no_run_builds_the_oriented_edge_operator(self, model_file, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("NbOperator built in a pipeline run")
+
+        monkeypatch.setattr(nonbacktracking.NbOperator, "__post_init__", refuse)
+        assert not run_pipeline(small_config(model_file, tmp_path / "plain")).degenerate
+        assert not run_scaled(small_config(model_file, tmp_path / "scaled"), 2.0).degenerate
 
     def test_every_stage_is_timed(self, model_file, tmp_path):
         # skipped stages of a degenerate run are timed too
