@@ -199,7 +199,8 @@ class TestTopSpectrum:
                 continue  # tied leading modulus: the accepted set is decided by rounding
             _, lams, _ = spectrum_oracle(gr, n)
             spec = top_spectrum(gr, seed=len(ks))
-            assert spec.iterations == 0 and spec.iterated_dim == 2 * spec.core_vertices  # solved densely
+            assert spec.iterations == spec.start_block == 0  # solved densely
+            assert spec.iterated_dim <= DENSE_FALLBACK_DIM
             assert spec.K == lams.size
             np.testing.assert_allclose(spec.lambdas, lams, atol=1e-10)
             assert spec.residuals.size == 0 or spec.residuals.max() <= 1e-8
@@ -211,13 +212,13 @@ class TestTopSpectrum:
         # on which the companion iteration fails to settle from these start blocks
         edges = [[0, 4], [1, 2], [1, 3], [1, 4], [1, 5], [3, 5], [3, 6], [4, 5], [4, 6], [5, 6]]
         gr = SparseGraph(7, np.array(edges))
-        op = build_nb_operator(gr)
-        assert op.dim <= DENSE_FALLBACK_DIM
         _, lams, _ = spectrum_oracle(gr, gr.n)
         assert lams.size == 1
         seeds = (0, 1, 2)
         for seed in seeds:
-            np.testing.assert_allclose(top_spectrum(gr, seed=seed).lambdas, lams, atol=1e-10)
+            spec = top_spectrum(gr, seed=seed)
+            assert spec.iterations == 0 and spec.iterated_dim == 10  # the 2-core companion, solved densely
+            np.testing.assert_allclose(spec.lambdas, lams, atol=1e-10)
         monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
         differs = 0
         for seed in seeds:
@@ -404,15 +405,16 @@ class TestTopSpectrum:
         assert every.orthonormalizations == spec.iterations + 1 > spec.orthonormalizations
         np.testing.assert_allclose(spec.lambdas, every.lambdas, rtol=1e-10)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_near_multiplicity_is_reorthonormalized(self, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, pytest.param(None, id="dense")])
+    def test_near_multiplicity_is_reorthonormalized(self, seed, monkeypatch):
         # two disjoint copies of K_6: lambda = 4 twice, eigenspace spanned by
         # the all-ones vectors of each copy's 30 oriented edges
         edges = [(u + o, v + o) for o in (0, 6) for u, v in itertools.combinations(range(6), 2)]
         gr = SparseGraph(12, np.array(edges))
-        op = build_nb_operator(gr)
-        assert op.dim > DENSE_FALLBACK_DIM  # the companion path
-        spec = top_spectrum(gr, seed=seed)
+        if seed is not None:  # the subspace iteration, from a seeded start block
+            monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
+        spec = top_spectrum(gr, seed=0 if seed is None else seed)
+        assert spec.iterated_dim == 24 and (spec.iterations > 0) == (seed is not None)
         assert spec.K == 2
         np.testing.assert_allclose(spec.lambdas, [4.0, 4.0], rtol=1e-12)
         assert spec.warnings == (
@@ -451,14 +453,20 @@ class TestTwoCore:
             np.testing.assert_array_equal(alive, core[space.tails] & core[space.heads])
             assert [dict(zip(v.tolist(), p.tolist())) for v, p in rounds] == want_rounds
 
-    @pytest.mark.parametrize("scale", [1.0, 1.7])
-    def test_pendant_trees_are_extended_exactly(self, scale):
+    @pytest.mark.parametrize(
+        "scale, dense",
+        [(1.0, False), (1.7, False), (1.0, True), (1.7, True)],
+        ids=["1.0", "1.7", "1.0-dense", "1.7-dense"],
+    )
+    def test_pendant_trees_are_extended_exactly(self, scale, dense, monkeypatch):
         gr = pendant_graph()
         op = build_nb_operator(gr, scale=scale)
-        assert op.dim > DENSE_FALLBACK_DIM
         w = np.linalg.eigvals(dense_nb_matrix(op))
         _, accepted, _ = classify_eigenvalues(w, default_e1(gr.n), 8, bulk_scale=scale)
+        if not dense:
+            monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
         spec = top_spectrum(gr, scale=scale, seed=0)
+        assert (spec.iterations > 0) != dense
         assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (4, 8, 3)
         assert spec.K == len(accepted) == 1
         np.testing.assert_allclose(spec.lambdas, w[accepted].real, rtol=0, atol=1e-10)
@@ -482,7 +490,7 @@ class TestTwoCore:
         edges = [[u, v] for k, o in ((5, 0), (4, 5)) for u, v in itertools.combinations(range(o, o + k), 2)]
         gr = SparseGraph(10, np.array(edges))
         op = build_nb_operator(gr)
-        assert op.dim > DENSE_FALLBACK_DIM
+        monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)  # its companion (20) would be solved densely
         spaces = []
 
         class Recorded(Companion):
@@ -496,6 +504,7 @@ class TestTwoCore:
         np.testing.assert_array_equal(spaces[0].tails, op.space.tails)
         np.testing.assert_array_equal(spaces[0].heads, op.space.heads)
         assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (10, 20, 0)
+        assert spec.iterations > 0
         _, lams, _ = spectrum_oracle(gr, gr.n)
         assert spec.K == lams.size == 1
         np.testing.assert_allclose(spec.lambdas, lams, rtol=0, atol=1e-10)
@@ -532,13 +541,17 @@ class TestBipartiteTies:
         assert lam1 == pytest.approx(w.real.max(), rel=1e-12)
         assert top_spectrum(gr, seed=0).K == 0  # +-lambda_1 stay under the cutoff
 
-    @pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5)])  # companions of dimension 14-18: solved densely
-    def test_both_signs_accepted_keep_their_eigenvectors(self, a, b):
+    @pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5)])  # companions of dimension 14-18
+    def test_both_signs_accepted_keep_their_eigenvectors(self, a, b, monkeypatch):
         gr = complete_bipartite(a, b)
         root = np.sqrt((a - 1) * (b - 1))
-        spec = top_spectrum(gr, seed=0)
-        np.testing.assert_allclose(spec.lambdas, [root, -root], rtol=1e-10)
-        assert spec.residuals.max() <= 1e-8 and not spec.warnings
+        for dense in (True, False):  # each companion is solved densely unless the fallback is off
+            if not dense:
+                monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
+            spec = top_spectrum(gr, seed=0)
+            assert (spec.iterations > 0) != dense
+            np.testing.assert_allclose(spec.lambdas, [root, -root], rtol=1e-10)
+            assert spec.residuals.max() <= 1e-8 and not spec.warnings
 
 
 class TestIharaBass:
