@@ -12,14 +12,20 @@ n = 5e4 at h = 8. Next to the stage times, each case prints what the spectral
 solver did, as recorded in the run's manifest: iterations, the spectrum
 stage's milliseconds per iteration, start and final block width, block QRs,
 iterated dimension, cutoff, and the final block's Ritz values with their
-residuals. The last lines give the wall-time ratio between n = 1e5 and
-2.5e4 at h = 1 (acceptance criterion 9, bound 6) and the ratio between the
-smallest and largest h = 1 sizes against the n log n ideal.
+residuals. Each case also prints the bytes its run directory holds and
+the process's peak RSS after it (`ru_maxrss`, MB = 2^20 bytes). That peak
+only ever grows within one process, so after the first case it is the
+largest of the cases so far, not the case's own; run one case per
+invocation (`--cases 200000`) for that case's peak. The last lines give the
+wall-time ratio between n = 1e5 and 2.5e4 at h = 1 (acceptance criterion 9,
+bound 6) and the ratio between the smallest and largest h = 1 sizes against
+the n log n ideal.
 
 Usage: python scripts/scaling_benchmark.py [--cases 25000:1 100000:1 200000:1 50000:8] [--seed 0]
 """
 import argparse
 import os
+import resource
 import tempfile
 import time
 from pathlib import Path
@@ -59,6 +65,10 @@ def main():
             timings = res.manifest["timings_sec"]
             print(f"n={n:>8d} h={h:g}: {wall:6.2f}s  stages="
                   f"{ {k: round(v, 2) for k, v in timings.items()} }")
+            dump_bytes = sum(p.stat().st_size for p in res.out_dir.iterdir())
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+            print(f"{'':12}dumps {dump_bytes} B ({dump_bytes / 2**20:.2f} MB), "
+                  f"peak RSS so far {peak_mb:.1f} MB")
             spec = res.manifest["spectrum"]
             if spec is not None:
                 per_it = 1e3 * timings["spectrum"] / max(spec["iterations"], 1)

@@ -30,11 +30,14 @@ import numpy as np
 from .estimator import GraphonEstimate
 from .graphon_model import SpectralGraphon
 
-# cap on r! 2^r (A + g^2), the atom sort and grid work of delta2_upper's
-# search; 10^9 is about 3 s on one core where the grid term rules (K = 5,
-# g = 256 on 13 atoms takes 0.8 s), more where thousands of distinct atoms
-# are sorted (K = 5 on 10^4 of them takes 22 s)
+# cap on r! 2^r (ATOM_SORT_WEIGHT * A + g^2), the atom sort and grid work of
+# delta2_upper's search in units of one grid cell; 10^9 is 1.5-3 s on one
+# core (K = 5, g = 256 on 13 atoms takes 0.5-0.8 s)
 ALIGNMENT_BUDGET = 10**9
+# one atom's share of a candidate's sort and lookup, in grid cells: measured
+# at 170-330 for r = 3-6 (about 0.45 us an atom against 1.6 ns a cell at
+# r = 5), so a K = 5 search on 10^4 distinct atoms (about 20 s) is refused
+ATOM_SORT_WEIGHT = 256
 
 
 def l2_distance_grid(a, b, g: int) -> float:
@@ -70,31 +73,32 @@ def delta2_upper(
 ) -> AlignmentReport:
     """Upper bound on the alignment distance between estimate and rank-r truth.
 
-    The truth is truncated to rank r (default: max of the two ranks, capped
-    at the truth's rank); when the estimate has fewer features than r it is
-    padded with zero-weight columns so a low-rank estimate is still charged
-    for the spectral mass it missed. Each candidate relabeling sorts the A
-    atoms of the estimate, each standing for its run of pieces, and the g
-    grid cells of the truth, then compares the two kernels on the g x g
-    midpoint grid. Errors when the truth has fewer eigenpairs than the
-    estimate has features, and before any sort when the search would cost
-    more than ALIGNMENT_BUDGET.
+    Both sides are compared on r features, r the larger of `rank` (default:
+    the estimate's K) and K. The truth is truncated to its first r
+    eigenpairs; a side with fewer than r is padded with zero-eigenvalue
+    features, so a low-rank estimate is still charged for the spectral mass
+    it missed and a component past the truth's rank is charged its full
+    norm. Each candidate relabeling sorts the A atoms of the estimate, each
+    standing for its run of pieces, and the g grid cells of the truth, then
+    compares the two kernels on the g x g midpoint grid. Errors before any
+    sort when the search would cost more than ALIGNMENT_BUDGET.
     """
     K = estimate.K
     r = max(K if rank is None else rank, K)
-    if truth.rank < r:
-        raise ValueError(f"truth has {truth.rank} eigenpairs, need >= {r}")
     atoms = estimate.atoms
     A = atoms.shape[0]
-    cost = factorial(r) * 2**r * (A + g * g)
+    cost = factorial(r) * 2**r * (ATOM_SORT_WEIGHT * A + g * g)
     if cost > ALIGNMENT_BUDGET:
         raise ValueError(
-            f"alignment search r!*2^r*(A + g^2) = {cost:.3g} at r={r}, A={A} atoms, g={g} "
-            f"exceeds the budget {ALIGNMENT_BUDGET:.3g}"
+            f"alignment search r!*2^r*({ATOM_SORT_WEIGHT}A + g^2) = {cost:.3g} at r={r}, "
+            f"A={A} atoms, g={g} exceeds the budget {ALIGNMENT_BUDGET:.3g}"
         )
 
-    f_true = truth.feature_grid(g, r)
+    f_true = truth.feature_grid(g, min(r, truth.rank))
     mu = truth.eigenvalues[:r]
+    if truth.rank < r:
+        f_true = np.concatenate([f_true, np.zeros((g, r - truth.rank))], axis=1)
+        mu = np.concatenate([mu, np.zeros(r - truth.rank)])
     lam = estimate.lambdas
     if K < r:
         atoms = np.concatenate([atoms, np.zeros((A, r - K))], axis=1)

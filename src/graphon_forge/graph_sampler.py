@@ -9,6 +9,11 @@ Pairs are handled as 1-D int64 keys u * n + v, which sort like the (u, v)
 rows, so deduplication, edge ordering and the duplicate check are each one
 whole-array sort or scan. All randomness flows through labeled substreams of
 one master seed.
+
+The graph dumps are `.npy` arrays, each written by one `np.save` and read by
+one `np.load(allow_pickle=False)`: an edge list is its (m, 2) `<i4` rows,
+the latents one `<f8` vector. The loaders refuse any other dtype or shape,
+naming the file.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ class LatentAssignment:
 
     def __post_init__(self):
         self.latents = np.asarray(self.latents, dtype=float)
-        if np.any(self.latents < 0) or np.any(self.latents > 1):
+        if not np.all((self.latents >= 0) & (self.latents <= 1)):  # NaN fails both
             raise ValueError("latents must lie in [0,1]")
 
     @property
@@ -171,28 +176,60 @@ def split_edges(gr: SparseGraph, epsilon: float, seed: int) -> tuple[SparseGraph
     return SparseGraph(gr.n, gr.edges[~to_g2]), SparseGraph(gr.n, gr.edges[to_g2])
 
 
+EDGE_DTYPE = np.dtype("<i4")
+LATENT_DTYPE = np.dtype("<f8")
+
+
+def _save_npy(arr: np.ndarray, path) -> None:
+    # through an open file, so np.save writes exactly `path` (it appends
+    # ".npy" to a name that lacks it)
+    with open(path, "wb") as fh:
+        np.save(fh, arr, allow_pickle=False)
+
+
+def _load_npy(path, dtype: np.dtype, ndim: int) -> np.ndarray:
+    """The array in `path`, refused unless it has `dtype` and `ndim` axes."""
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # not .npy, truncated, or a pickled object array
+        raise ValueError(f"{path}: not a readable .npy array ({exc})") from exc
+    if arr.dtype != dtype or arr.ndim != ndim:
+        raise ValueError(f"{path}: expected a {ndim}-D {dtype.str} array, found {arr.ndim}-D {arr.dtype.str}")
+    return arr
+
+
 def save_edge_list(gr: SparseGraph, path) -> None:
-    """Header line "n m", then one "u v" per line, 0-indexed with u < v."""
-    body = ("%d %d\n" * gr.m) % tuple(gr.edges.ravel().tolist())
-    with open(path, "w") as fh:
-        fh.write(f"{gr.n} {gr.m}\n{body}")
+    """The (m, 2) rows u < v, 0-indexed, as one `<i4` .npy array."""
+    if gr.n > np.iinfo(EDGE_DTYPE).max:
+        raise ValueError(f"n = {gr.n} does not fit the {EDGE_DTYPE.str} edge dump")
+    _save_npy(gr.edges.astype(EDGE_DTYPE), path)
 
 
-def load_edge_list(path) -> SparseGraph:
-    with open(path) as fh:
-        n, m = map(int, fh.readline().split())
-        edges = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
-    if edges.shape[0] != m:
-        raise ValueError(f"edge list header promised {m} edges, found {edges.shape[0]}")
-    return SparseGraph(n, edges)
+def load_edge_list(path, n: int) -> SparseGraph:
+    """The graph on `n` vertices whose edges `save_edge_list` wrote to `path`.
+
+    The file records no vertex count: `n` comes from the caller (the
+    pipeline's config). SparseGraph's u < v, range and duplicate checks run
+    on the loaded rows.
+    """
+    edges = _load_npy(path, EDGE_DTYPE, 2)
+    if edges.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 columns, found {edges.shape[1]}")
+    try:
+        return SparseGraph(n, edges)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_latents(lat: LatentAssignment, path) -> None:
-    """One latent per line, as np.savetxt(fmt="%.17g") writes them; %.17g round-trips exactly."""
-    body = ("%.17g\n" * lat.n) % tuple(lat.latents.tolist())
-    with open(path, "w") as fh:
-        fh.write(body)
+    """The latents as one 1-D `<f8` .npy array; the round trip is bit for bit."""
+    _save_npy(lat.latents.astype(LATENT_DTYPE), path)
 
 
 def load_latents(path) -> LatentAssignment:
-    return LatentAssignment(np.loadtxt(path, ndmin=1))
+    """The latents `save_latents` wrote to `path`, refused unless a 1-D `<f8` array in [0, 1]."""
+    latents = _load_npy(path, LATENT_DTYPE, 1)
+    try:
+        return LatentAssignment(latents)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

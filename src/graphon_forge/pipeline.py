@@ -36,7 +36,7 @@ KAPPA_PAD = 1.1  # pad on the moment-implied feature scale
 MANIFEST_NAME = "manifest.json"
 DEGENERATE_NAME = "degenerate.json"
 # generate-stage dumps by the PipelineState attribute that holds them
-GRAPH_DUMPS = {"latents": "latents.txt", "g1": "g1.edges", "g2": "g2.edges"}
+GRAPH_DUMPS = {"latents": "latents.npy", "g1": "g1.npy", "g2": "g2.npy"}
 
 
 class StageInputError(RuntimeError):
@@ -162,7 +162,7 @@ class PipelineState:
         self.g1 = None
         self.g2 = None
         self.epsilon = None
-        self.n_edges = None  # m1 + m2, the edge count of the sampled graph
+        self.edge_counts = None  # {"g1": m1, "g2": m2}, as split.json records them
         self.spectrum = None
         self.table = None
         self.fit = None
@@ -177,18 +177,30 @@ class PipelineState:
     def require_graphs(self, names=tuple(GRAPH_DUMPS)):
         """Load the named generate-stage dumps that are not in memory.
 
-        `names` are keys of GRAPH_DUMPS. epsilon and the edge count come from
+        `names` are keys of GRAPH_DUMPS. epsilon and the edge counts come from
         split.json, which also vouches for the config the dumps were generated
-        under.
+        under, and so for n = cfg.n; an edge dump whose row count differs from
+        the one split.json records is refused.
         """
         if self.epsilon is None:
             doc = _load_stage(self.out / "split.json", self.config_hash)
             self.epsilon = doc["epsilon"]
-            self.n_edges = doc["m1"] + doc["m2"]
+            self.edge_counts = {"g1": doc["m1"], "g2": doc["m2"]}
         for name in names:
-            if getattr(self, name) is None:
-                load = graph_sampler.load_latents if name == "latents" else graph_sampler.load_edge_list
-                setattr(self, name, load(self.out / GRAPH_DUMPS[name]))
+            if getattr(self, name) is not None:
+                continue
+            path = self.out / GRAPH_DUMPS[name]
+            if not path.exists():
+                raise StageInputError(f"missing stage input {path}")
+            if name == "latents":
+                self.latents = graph_sampler.load_latents(path)
+                continue
+            graph = graph_sampler.load_edge_list(path, self.cfg.n)
+            if graph.m != self.edge_counts[name]:
+                raise StageInputError(
+                    f"{path} holds {graph.m} edges, split.json records {self.edge_counts[name]}"
+                )
+            setattr(self, name, graph)
 
     def require_spectrum(self):
         if self.spectrum is None:
@@ -265,11 +277,11 @@ def stage_generate(state: PipelineState) -> None:
         cfg.epsilon_override if cfg.epsilon_override is not None else default_epsilon(cfg.n)
     )
     state.g1, state.g2 = graph_sampler.split_edges(graph, state.epsilon, cfg.seed)
-    state.n_edges = graph.m
+    state.edge_counts = {"g1": state.g1.m, "g2": state.g2.m}
     (state.out / DEGENERATE_NAME).unlink(missing_ok=True)
-    graph_sampler.save_latents(state.latents, state.out / "latents.txt")
-    graph_sampler.save_edge_list(state.g1, state.out / "g1.edges")
-    graph_sampler.save_edge_list(state.g2, state.out / "g2.edges")
+    graph_sampler.save_latents(state.latents, state.out / GRAPH_DUMPS["latents"])
+    for name in ("g1", "g2"):
+        graph_sampler.save_edge_list(getattr(state, name), state.out / GRAPH_DUMPS[name])
     _write_json(
         state.out / "split.json",
         {
@@ -423,7 +435,7 @@ def stage_estimate(state: PipelineState) -> None:
     m = int(cfg.m_override) if cfg.m_override is not None else cfg.n
     if state.degenerate:
         state.require_graphs([])
-        mean_deg = 2.0 * state.n_edges / cfg.n
+        mean_deg = 2.0 * sum(state.edge_counts.values()) / cfg.n
         state.estimate = est_mod.GraphonEstimate(
             np.array([mean_deg]),
             np.ones((1, 1)),

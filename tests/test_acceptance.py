@@ -340,9 +340,9 @@ def test_criterion_10_determinism(tmp_path):
         res = run_pipeline(cfg, out_dir=tmp_path / tag)
         outs.append(res.out_dir)
     names = [
-        "latents.txt",
-        "g1.edges",
-        "g2.edges",
+        "latents.npy",
+        "g1.npy",
+        "g2.npy",
         "spectrum.json",
         "aggregates.bin",
         "moments.json",

@@ -8,6 +8,7 @@ from graphon_forge import evaluation
 from graphon_forge.estimator import GraphonEstimate, assemble
 from graphon_forge.evaluation import (
     ALIGNMENT_BUDGET,
+    ATOM_SORT_WEIGHT,
     delta2_exact_cells,
     delta2_upper,
     diagnostics_C,
@@ -93,11 +94,29 @@ class TestDelta2Upper:
         rep = delta2_upper(est, truth, g=256, rank=2)
         assert rep.delta2_upper == pytest.approx(3.0, abs=1e-9)
 
-    def test_truth_rank_deficit_rejected(self, assortative_2block):
+    def test_truth_rank_deficit_padded(self, assortative_2block):
+        # the rank-2 truth gets a zero third eigenpair, so the constant
+        # estimate 4 + 3 + 1 = 8 is charged in full: it is 5 from [[7,1],[1,7]]
         truth = spectral_decompose(assortative_2block)
         est = assemble(np.ones((16, 3)), np.array([4.0, 3.0, 1.0]))
-        with pytest.raises(ValueError):
-            delta2_upper(est, truth, g=64)
+        assert delta2_upper(est, truth, g=64).delta2_upper == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.5, -0.8, 5.0])
+    def test_spurious_component_on_equal_cells_matches_exact(self, s):
+        # truth: rank 2 on 4 equal cells; estimate: the same plus s w w^T, w
+        # orthogonal to the truth's features, so K = 3 exceeds the truth's rank
+        p = 4
+        V = np.array([[1, 1, 1, 1], [1.3, 0.4, -0.4, -1.3], [1, -1, -1, 1]], dtype=float).T
+        V[:, 1] /= np.sqrt(np.mean(V[:, 1] ** 2))
+        a = 8.0 * np.outer(V[:, 0], V[:, 0]) + 3.0 * np.outer(V[:, 1], V[:, 1])
+        b = a + s * np.outer(V[:, 2], V[:, 2])
+        sa = spectral_decompose(StepGraphon(np.full(p, 1 / p), a))
+        truth = SpectralGraphon(sa.eigenvalues[:2], sa.features[:, :2], sa.degree_constant, sa.block_measures)
+        sb = spectral_decompose(StepGraphon(np.full(p, 1 / p), b))
+        est = assemble(sb.feature_grid(p * 8, 3), sb.eigenvalues[:3])
+        upper = delta2_upper(est, truth, g=p * 8).delta2_upper
+        assert upper == pytest.approx(delta2_exact_cells(a, b), abs=1e-9)
+        assert upper <= abs(s) + 1e-9
 
     def test_upper_bounds_exact_permutation_on_small_cells(self):
         rng = np.random.default_rng(1)
@@ -116,11 +135,11 @@ class TestDelta2Upper:
 
     def test_budget_admits_k5_and_refuses_r6_at_panel_size(self):
         def cost(r, atoms, g):
-            return factorial(r) * 2**r * (atoms + g * g)
+            return factorial(r) * 2**r * (ATOM_SORT_WEIGHT * atoms + g * g)
 
         assert cost(6, 48, 48) <= ALIGNMENT_BUDGET  # the small-cell search above: 48 distinct rows
         assert cost(5, 13, 256) <= ALIGNMENT_BUDGET  # the panel fits have 7-13 atoms
-        assert cost(5, 10_000, 256) <= ALIGNMENT_BUDGET
+        assert cost(5, 10_000, 256) > ALIGNMENT_BUDGET  # about 20 s of sorting
         assert cost(6, 13, 256) > ALIGNMENT_BUDGET
         assert cost(7, 48, 48) > ALIGNMENT_BUDGET
 
@@ -151,6 +170,21 @@ class TestDelta2Upper:
             delta2_upper(est, truth, g=g)
         metrics = alignment_metrics(est, truth, g, r)
         assert metrics["delta2_upper"] is None and "budget" in metrics["alignment_warning"]
+
+    def test_many_distinct_atoms_refused_before_the_search(self, monkeypatch):
+        # K = 5 on 10^4 distinct atoms at g = 256: the grid term alone would admit it
+        def started(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(evaluation, "_canonical_order", started)
+        r, g = 5, 256
+        assert factorial(r) * 2**r * (10_000 + g * g) <= ALIGNMENT_BUDGET
+        w = np.random.default_rng(r).random((r, r))
+        truth = spectral_decompose(StepGraphon(np.full(r, 1 / r), w + w.T + 4 * np.eye(r)))
+        est = assemble(np.random.default_rng(11).standard_normal((10_000, r)), truth.eigenvalues)
+        assert est.atoms.shape[0] == 10_000
+        with pytest.raises(ValueError, match="budget"):
+            delta2_upper(est, truth, g=g)
 
     def test_many_pieces_sorted_before_gridding(self, assortative_2block):
         # i.i.d. draws of the true features: only sorting all m pieces (not
@@ -221,6 +255,20 @@ class TestDelta2Upper:
         rng = np.random.default_rng(8)
         est = GraphonEstimate(truth.eigenvalues[:1], rng.standard_normal((6, 1)), rng.integers(0, 6, 999), np.inf)
         self.assert_matches_rows(est, truth, g=96, rank=3)
+
+    def test_truth_padding_equals_an_explicit_zero_eigenpair(self, three_block):
+        truth = spectral_decompose(three_block)
+        padded = SpectralGraphon(
+            np.r_[truth.eigenvalues, 0.0], np.c_[truth.features, np.zeros(3)],
+            truth.degree_constant, truth.block_measures,
+        )
+        rng = np.random.default_rng(10)
+        est = GraphonEstimate(np.r_[truth.eigenvalues, -2.0], rng.standard_normal((7, 4)), rng.integers(0, 7, 999), np.inf)
+        rep = delta2_upper(est, truth, g=96)
+        d, signs, order = self.delta2_on_rows(est, padded, 96)
+        assert rep.delta2_upper == d
+        np.testing.assert_array_equal(rep.sign_pattern, signs)
+        assert rep.priority_order == order
 
     def test_atom_search_equals_row_search_on_signed_zeros(self, assortative_2block):
         truth = spectral_decompose(assortative_2block)

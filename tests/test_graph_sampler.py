@@ -220,38 +220,59 @@ def test_property_split_partitions_exactly(seed, eps):
 
 def test_edge_list_round_trip(tmp_path, assortative_2block):
     gr, lat = sample_graph(assortative_2block, 800, seed=21)
-    p = tmp_path / "g.edges"
+    p = tmp_path / "g.npy"
     save_edge_list(gr, p)
-    loaded = load_edge_list(p)
+    loaded = load_edge_list(p, gr.n)
     assert loaded.n == gr.n
     np.testing.assert_array_equal(loaded.edges, gr.edges)
-    first = p.read_text().splitlines()[0]
-    assert first == f"{gr.n} {gr.m}"
+    assert np.load(p).dtype == np.dtype("<i4")
 
-    lp = tmp_path / "lat.txt"
+    lp = tmp_path / "lat.npy"
     save_latents(lat, lp)
-    np.testing.assert_allclose(load_latents(lp).latents, lat.latents, rtol=0, atol=0)
+    assert load_latents(lp).latents.tobytes() == lat.latents.tobytes()
+
+
+def test_edgeless_round_trip_writes_exactly_the_path(tmp_path):
+    gr, _ = sample_graph(constant_graphon(0.0), 800, seed=21)
+    assert gr.m == 0
+    p = tmp_path / "g.edges"  # np.save would append ".npy" to a name it is given
+    save_edge_list(gr, p)
+    assert np.load(p).shape == (0, 2)
+    loaded = load_edge_list(p, gr.n)
+    assert loaded.n == 800 and loaded.edges.shape == (0, 2)
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["g.edges"]
 
 
 @pytest.mark.parametrize("c", [7.0, 0.0])
-def test_edge_list_bytes_match_per_line_writer(tmp_path, c):
-    # reference: the per-edge writer, one write call per line; c = 0 gives a header-only file
+def test_edge_list_bytes_match_np_save(tmp_path, c):
+    # reference: np.save of the int32 rows, to a name it does not extend
     gr, _ = sample_graph(constant_graphon(c), 800, seed=3)
     assert (gr.m == 0) == (c == 0.0)
-    ref = tmp_path / "ref.edges"
-    with open(ref, "w") as fh:
-        fh.write(f"{gr.n} {gr.m}\n")
-        for u, v in gr.edges:
-            fh.write(f"{u} {v}\n")
-    got = tmp_path / "got.edges"
-    save_edge_list(gr, got)
-    assert got.read_bytes() == ref.read_bytes()
+    np.save(tmp_path / "ref.npy", gr.edges.astype("<i4"), allow_pickle=False)
+    save_edge_list(gr, tmp_path / "got.edges")
+    assert (tmp_path / "got.edges").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
 
-def test_latents_bytes_match_savetxt(tmp_path):
+def test_latents_bytes_match_np_save(tmp_path):
     lat = LatentAssignment(
-        np.concatenate([np.random.default_rng(5).random(300), [0.0, 1.0, 5e-324, 0.1, 1 / 3]])
+        np.concatenate([np.random.default_rng(5).random(300), [0.0, 1.0, 5e-324, 0.1, 1 / 3, -0.0]])
     )
-    np.savetxt(tmp_path / "ref.txt", lat.latents, fmt="%.17g")
-    save_latents(lat, tmp_path / "got.txt")
-    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    np.save(tmp_path / "ref.npy", lat.latents, allow_pickle=False)
+    save_latents(lat, tmp_path / "got.npy")
+    assert (tmp_path / "got.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+    assert load_latents(tmp_path / "got.npy").latents.tobytes() == lat.latents.tobytes()
+
+
+def test_edge_dump_refuses_n_past_int32_before_writing(tmp_path):
+    p = tmp_path / "g.npy"
+    with pytest.raises(ValueError, match="does not fit"):
+        save_edge_list(SparseGraph(2**31, np.empty((0, 2), dtype=np.int64)), p)
+    assert not p.exists()
+    save_edge_list(SparseGraph(2**31 - 1, np.empty((0, 2), dtype=np.int64)), p)
+    assert load_edge_list(p, 2**31 - 1).m == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.0 + 1e-12, np.inf])
+def test_latents_outside_unit_interval_refused(bad):
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        LatentAssignment(np.array([0.2, bad]))

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,40 @@ def small_config(model_file, tmp_path, **kw):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _truncated(path, arr):
+    np.save(path, arr)
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _pickled(path, arr):
+    np.save(path, np.array([*arr[:2], None], dtype=object), allow_pickle=True)
+
+
+# dump name, the error require_graphs raises, and how the dump is spoilt from its good array
+MALFORMED_DUMPS = {
+    "edges-int64": ("g1", ValueError, lambda p, a: np.save(p, a.astype("<i8"))),
+    "edges-big-endian": ("g1", ValueError, lambda p, a: np.save(p, a.astype(">i4"))),
+    "edges-float": ("g2", ValueError, lambda p, a: np.save(p, a.astype(float))),
+    "edges-1d": ("g1", ValueError, lambda p, a: np.save(p, a.ravel())),
+    "edges-3-columns": ("g1", ValueError, lambda p, a: np.save(p, np.c_[a, a[:, :1]])),
+    "edges-object": ("g1", ValueError, _pickled),
+    "edges-truncated": ("g2", ValueError, _truncated),
+    "edges-text": ("g1", ValueError, lambda p, a: p.write_text(f"{N_SMALL} {len(a)}\n0 1\n")),
+    "edges-out-of-range": ("g1", ValueError, lambda p, a: np.save(p, np.minimum(a + 1, N_SMALL))),
+    "edges-duplicate": ("g1", ValueError, lambda p, a: np.save(p, np.r_[a[:1], a[:-1]])),
+    "edges-fewer-rows-than-split": ("g1", StageInputError, lambda p, a: np.save(p, a[:-1])),
+    "edges-more-rows-than-split": ("g2", StageInputError, lambda p, a: np.save(p, np.r_[a, [[0, N_SMALL - 1]]].astype("<i4"))),
+    "edges-missing": ("g2", StageInputError, lambda p, a: p.unlink()),
+    "latents-missing": ("latents", StageInputError, lambda p, a: p.unlink()),
+    "latents-float32": ("latents", ValueError, lambda p, a: np.save(p, a.astype("<f4"))),
+    "latents-2d": ("latents", ValueError, lambda p, a: np.save(p, a[None, :])),
+    "latents-object": ("latents", ValueError, _pickled),
+    "latents-truncated": ("latents", ValueError, _truncated),
+    "latents-nan": ("latents", ValueError, lambda p, a: np.save(p, np.r_[a[:-1], np.nan])),
+    "latents-out-of-range": ("latents", ValueError, lambda p, a: np.save(p, a + 1.0)),
+}
 
 
 class TestDefaults:
@@ -121,9 +156,9 @@ class TestRunPipeline:
         assert res.manifest["K"] >= 1
         assert res.metrics["delta2_upper"] is not None
         for name in (
-            "g1.edges",
-            "g2.edges",
-            "latents.txt",
+            "g1.npy",
+            "g2.npy",
+            "latents.npy",
             "spectrum.json",
             "aggregates.bin",
             "moments.json",
@@ -153,7 +188,7 @@ class TestRunPipeline:
         res = run_pipeline(small_config(model_file, tmp_path))
         spec = res.manifest["spectrum"]
         lambdas = read_json(res.out_dir / "spectrum.json")["lambdas"]
-        g1 = graph_sampler.load_edge_list(res.out_dir / "g1.edges")
+        g1 = graph_sampler.load_edge_list(res.out_dir / "g1.npy", N_SMALL)
         core_degree, rounds = peel_to_two_core(N_SMALL, g1.edges)
         core_size = int(np.count_nonzero(core_degree))
         assert spec["core_vertices"] == core_size < N_SMALL
@@ -203,7 +238,7 @@ class TestRunPipeline:
         cfg_b.out = str(tmp_path / "b")
         ra = run_pipeline(cfg_a)
         rb = run_pipeline(cfg_b)
-        for name in ("g1.edges", "g2.edges", "latents.txt", "spectrum.json",
+        for name in ("g1.npy", "g2.npy", "latents.npy", "spectrum.json",
                      "aggregates.bin", "moments.json", "fit.json", "estimate.json",
                      "metrics.json"):
             assert (ra.out_dir / name).read_bytes() == (rb.out_dir / name).read_bytes(), name
@@ -219,7 +254,7 @@ class TestRunPipeline:
         cfg_b.seed = 1
         cfg_b.out = str(tmp_path / "b")
         ra, rb = run_pipeline(cfg_a), run_pipeline(cfg_b)
-        assert (ra.out_dir / "g1.edges").read_bytes() != (rb.out_dir / "g1.edges").read_bytes()
+        assert (ra.out_dir / "g1.npy").read_bytes() != (rb.out_dir / "g1.npy").read_bytes()
 
     def test_degenerate_k0_emits_constant_estimator(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path, e1_override=50.0)  # cutoff unreachable
@@ -233,11 +268,25 @@ class TestRunPipeline:
         assert 3.0 <= mean_deg <= 5.0  # observed mean degree of the sample
         np.testing.assert_array_equal(est.Z, 1.0)
 
+    def test_spurious_pair_past_the_truths_rank_is_scored(self, tmp_path):
+        # the 3-block model at n = 5000, seed 0, accepts a fourth pair just past
+        # the cutoff; the rank-3 truth is padded, so the run still gets a delta2
+        p = tmp_path / "model.json"
+        values = np.array([[15.0, 2.0, 1.0], [2.0, 14.0, 2.0], [1.0, 2.0, 15.0]])
+        save_graphon(StepGraphon(np.full(3, 1 / 3), values), p)
+        res = run_pipeline(PipelineConfig(model=str(p), n=5000, seed=0, out=str(tmp_path / "out")))
+        assert res.manifest["K"] == 4 > res.manifest["model"]["r0"] == 3
+        assert abs(res.estimate.lambdas[3]) > res.manifest["spectrum"]["cutoff"]
+        d2 = read_json(res.out_dir / "metrics.json")["delta2_upper"]
+        assert d2 == res.metrics["delta2_upper"] and np.isfinite(d2)
+        assert "alignment_warning" not in res.metrics
+        assert len(res.metrics["sign_pattern"]) == 4
+
     def test_edgeless_g1_is_degenerate_at_the_spectrum(self, tmp_path):
         p = tmp_path / "model.json"
         save_graphon(StepGraphon(np.array([1.0]), np.array([[1e-6]])), p)  # draws no edge at n = 100
         res = run_pipeline(PipelineConfig(model=str(p), n=100, out=str(tmp_path / "out")))
-        assert graph_sampler.load_edge_list(res.out_dir / "g1.edges").m == 0
+        assert graph_sampler.load_edge_list(res.out_dir / "g1.npy", 100).m == 0
         assert res.degenerate and res.manifest["spectrum"] is None
         record = read_json(res.out_dir / DEGENERATE_NAME)
         assert record["stage"] == "spectrum"
@@ -272,7 +321,8 @@ class TestStagedExecution:
         cfg2.out = str(tmp_path / "staged")
         for stage in ("generate", "spectrum", "moments", "fit", "estimate", "evaluate"):
             run_stage(stage, cfg2)
-        for name in ("spectrum.json", "moments.json", "fit.json", "estimate.json", "metrics.json"):
+        for name in ("g1.npy", "g2.npy", "latents.npy", "spectrum.json", "moments.json",
+                     "fit.json", "estimate.json", "metrics.json"):
             assert (
                 (tmp_path / "staged" / name).read_bytes()
                 == (full.out_dir / name).read_bytes()
@@ -286,6 +336,16 @@ class TestStagedExecution:
         (tmp_path / "out" / "split.json").write_text(json.dumps(split))
         with pytest.raises(StageInputError, match="refus"):
             run_stage("spectrum", cfg)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+    def test_malformed_graph_dump_refused_naming_its_file(self, case, model_file, tmp_path):
+        name, error, write = MALFORMED_DUMPS[case]
+        cfg = small_config(model_file, tmp_path)
+        run_stage("generate", cfg)
+        path = tmp_path / "out" / f"{name}.npy"
+        write(path, np.load(path))
+        with pytest.raises(error, match=re.escape(str(path))):
+            PipelineState(cfg, cfg.out).require_graphs([name])
 
     def test_estimate_without_hash_refused(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path)
@@ -400,8 +460,8 @@ class TestStagedExecution:
     @pytest.mark.parametrize(
         "e1_override, loaded",
         [
-            (None, ["g1.edges", "g2.edges", "latents.txt"]),
-            (50.0, ["g1.edges", "latents.txt"]),  # K = 0: the constant estimator reads split.json
+            (None, ["g1.npy", "g2.npy", "latents.npy"]),
+            (50.0, ["g1.npy", "latents.npy"]),  # K = 0: the constant estimator reads split.json
         ],
     )
     def test_stages_read_only_the_graph_dumps_they_use(
@@ -411,9 +471,9 @@ class TestStagedExecution:
         reads = []
 
         def counted(load):
-            def wrapper(path):
+            def wrapper(path, *args):
                 reads.append(path.name)
-                return load(path)
+                return load(path, *args)
 
             return wrapper
 
@@ -512,7 +572,7 @@ class TestCli:
         target = tmp_path / "env-out"
         monkeypatch.setenv("GRAPHON_FORGE_OUT", str(target))
         assert self.run_cli("generate", "--config", str(cfg_path)) == 0
-        assert (target / "g1.edges").exists()
+        assert (target / "g1.npy").exists()
 
     def test_module_invocation(self, model_file, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -527,4 +587,4 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (out / "g1.edges").exists()
+        assert (out / "g1.npy").exists()
