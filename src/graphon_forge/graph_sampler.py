@@ -51,7 +51,8 @@ class SparseGraph:
     _adjacency: sparse.csr_matrix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        # an int64 array is kept as it is, not copied
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if e.size:
             if int(self.n) ** 2 > np.iinfo(np.int64).max:
                 raise ValueError("n too large for int64 pair keys")
@@ -61,11 +62,13 @@ class SparseGraph:
             if np.any(u < 0) or np.any(v >= self.n):
                 raise ValueError("edge endpoint out of range")
             key = u * self.n + v  # sorts like the (u, v) rows
-            if not np.all(np.diff(key) > 0):  # split subsets and loaded files arrive sorted
+            # sampled graphs, split subsets and loaded files arrive sorted, and
+            # strictly increasing keys hold no duplicate
+            if not np.all(key[1:] > key[:-1]):
                 order = np.argsort(key, kind="stable")
                 e, key = e[order], key[order]
-            if np.any(np.diff(key) == 0):
-                raise ValueError("duplicate edges")
+                if np.any(key[1:] == key[:-1]):
+                    raise ValueError("duplicate edges")
         self.edges = e
 
     @property
@@ -98,7 +101,8 @@ def _distinct_pairs(rng, n: int, count: int, ma: np.ndarray, mb: np.ndarray | No
 
     The pool is the pairs within `ma` when `mb` is None, else ma x mb. A draw
     (i, j) is kept as the key i * n + j, and the keys are deduplicated by one
-    sort and an adjacent-difference mask. Rows come back as (min, max).
+    sort and an adjacent-difference mask. Returns the int64 keys
+    min * n + max of the pairs, in no set order.
     """
     got = np.empty(0, dtype=np.int64)
     while got.size < count:
@@ -111,7 +115,10 @@ def _distinct_pairs(rng, n: int, count: int, ma: np.ndarray, mb: np.ndarray | No
             i, j = np.minimum(i, j), np.maximum(i, j)
         else:
             j = mb[rng.integers(0, mb.size, size=k)]
-        keys = np.sort(np.concatenate([got, i * n + j]))
+        keys = i * n + j
+        if got.size:
+            keys = np.concatenate([got, keys])
+        keys.sort()
         fresh = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
         got = keys[fresh]
@@ -119,8 +126,10 @@ def _distinct_pairs(rng, n: int, count: int, ma: np.ndarray, mb: np.ndarray | No
         # drop a uniformly chosen surplus so the kept set stays uniform
         keep = rng.permutation(got.size)[:count]
         got = got[np.sort(keep)]
+    if mb is None:  # drawn as (min, max) already
+        return got
     i, j = np.divmod(got, n)
-    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+    return np.minimum(i, j) * n + np.maximum(i, j)
 
 
 def sample_graph(g: StepGraphon, n: int, seed: int) -> tuple[SparseGraph, LatentAssignment]:
@@ -148,23 +157,21 @@ def sample_graph(g: StepGraphon, n: int, seed: int) -> tuple[SparseGraph, Latent
                 continue
             if count > n_pairs // 2:
                 # dense block pair (only near the probability clamp at tiny n):
-                # enumerate the full pool and keep a uniform subset
+                # enumerate the full pool of keys and keep a uniform subset
                 if a == b:
                     iu, ju = np.triu_indices(ma.size, k=1)
-                    pool = np.stack([ma[iu], ma[ju]], axis=1)
+                    lo, hi = ma[iu], ma[ju]
                 else:
-                    pool = np.stack(
-                        [np.repeat(ma, mb.size), np.tile(mb, ma.size)], axis=1
-                    )
-                    pool = np.stack(
-                        [pool.min(axis=1), pool.max(axis=1)], axis=1
-                    )
+                    i, j = np.repeat(ma, mb.size), np.tile(mb, ma.size)
+                    lo, hi = np.minimum(i, j), np.maximum(i, j)
                 keep = np.sort(rng_edges.permutation(n_pairs)[:count])
-                chunks.append(pool[keep])
+                chunks.append(lo[keep] * n + hi[keep])
                 continue
             chunks.append(_distinct_pairs(rng_edges, n, count, ma, None if a == b else mb))
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return SparseGraph(n, edges), LatentAssignment(latents)
+    # the block pairs' pools are disjoint, so the keys are distinct; sorted,
+    # they order the edges as SparseGraph keeps them
+    keys = np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
+    return SparseGraph(n, np.stack(np.divmod(keys, n), axis=1)), LatentAssignment(latents)
 
 
 def split_edges(gr: SparseGraph, epsilon: float, seed: int) -> tuple[SparseGraph, SparseGraph]:

@@ -45,7 +45,8 @@ bulk modes to full tolerance. With s the operator scale, the block is held
 as two n-row iterates x_t and x_{t-1}, and a cube is three steps of the
 recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each one sparse product
 with s A and one in-place diagonal update. The block [x_t; s x_{t-1}] is
-re-orthonormalized by LAPACK's economic Householder QR only as often as the
+re-orthonormalized by an economic Householder QR, LAPACK's dgeqrf and dorgqr
+from numpy's own lapack_lite run in the block's buffer, only as often as the
 growth of lambda_1 over the cutoff requires (Rutishauser's RITZIT), and
 always before the Ritz pairs are read off. Candidates are judged by
 Rayleigh quotients of the uncubed operator, so a complex bulk eigenvalue
@@ -69,7 +70,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, sparse
+from numpy.linalg import lapack_lite
+from scipy import sparse
 
 from .graph_sampler import SparseGraph
 from .rng import substream
@@ -178,6 +180,7 @@ class Companion:
     scale: float = 1.0
     _adjacency: sparse.csr_matrix = field(init=False, repr=False, compare=False)
     _defect: np.ndarray = field(init=False, repr=False, compare=False)
+    _defect_block: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, scale = self.space, self.scale
@@ -192,7 +195,15 @@ class Companion:
 
     def step(self, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """x_{t+1} from (x_t, x_{t-1}) = (cur, prev) for a vector or a block; overwrites `prev`."""
-        prev *= self._defect.reshape(-1, *(1,) * (prev.ndim - 1))
+        defect = self._defect
+        if prev.ndim > 1:
+            # the diagonal repeated across the block, kept while the width
+            # holds: a same-shape multiply runs several times faster than a
+            # broadcast over the short width axis
+            if self._defect_block is None or self._defect_block.shape != prev.shape:
+                self._defect_block = np.repeat(defect, prev.shape[1]).reshape(prev.shape)
+            defect = self._defect_block
+        prev *= defect
         prev += self._adjacency @ cur
         return prev
 
@@ -355,8 +366,22 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(Z: np.ndarray) -> np.ndarray:
-    """Q of the economic Householder QR of Z, computed in Z's buffer when Z is Fortran-ordered."""
-    return linalg.qr(Z, mode="economic", overwrite_a=True, check_finite=False)[0]
+    """Q of the economic Householder QR of the Fortran-ordered float64 Z, computed in Z's buffer.
+
+    LAPACK's dgeqrf then dorgqr, from numpy's lapack_lite, run on the
+    C-contiguous view Z.T, which LAPACK reads as Z in column-major order;
+    each takes the workspace its query asks for. Returns Z, now holding Q.
+    """
+    m, k = Z.shape
+    a, tau = Z.T, np.empty(k)
+    for routine, dims in ((lapack_lite.dgeqrf, (m, k)), (lapack_lite.dorgqr, (m, k, k))):
+        work = np.empty(1)
+        routine(*dims, a, m, tau, work, -1, 0)  # workspace query
+        work = np.empty(max(int(work[0]), 1))
+        info = routine(*dims, a, m, tau, work, work.size, 0)["info"]
+        if info:
+            raise lapack_lite.LapackError(f"{routine.__name__} returned info = {info}")
+    return Z
 
 
 def _ritz_candidates(Q: np.ndarray, BQ: np.ndarray):
@@ -406,13 +431,17 @@ def _qr_period(lam1: float, cutoff: float) -> int:
 def _leading_basis(H: np.ndarray, guard: complex) -> np.ndarray:
     """Orthonormal coordinates U, in Q's basis, of the Ritz subspace whose values are at least |guard| in modulus.
 
-    Taken from the ordered real Schur form of the projected matrix H = Q'BQ,
-    so a complex pair is kept or dropped whole. The subspace's basis is QU,
-    and B maps it to (BQ)U.
+    Spanned by the eigenvectors of the projected matrix H = Q'BQ whose
+    eigenvalues clear that floor: the real part of each real one, and the
+    real and imaginary parts of one member of each conjugate pair, whose two
+    halves have the same modulus and so are kept or dropped whole. A QR of
+    these vectors gives U. The subspace's basis is QU, and B maps it to (BQ)U.
     """
-    floor = (1.0 - NEAR_MULTIPLICITY_RTOL) * abs(guard)
-    _, U, kept = linalg.schur(H, output="real", sort=lambda re, im: np.hypot(re, im) >= floor)
-    return U[:, :kept]
+    w, V = np.linalg.eig(H)
+    keep = (np.abs(w) >= (1.0 - NEAR_MULTIPLICITY_RTOL) * abs(guard)) & (w.imag >= 0)
+    V = V[:, keep]
+    paired = w[keep].imag > 0
+    return _orthonormalize(np.asfortranarray(np.concatenate([V.real, V[:, paired].imag], axis=1)))
 
 
 def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
@@ -543,10 +572,18 @@ def _start_block(seed: int, n: int, width: int, core) -> np.ndarray:
     A Gaussian (2n, width) block is drawn from `seed`'s subspace-init
     substream on all 2n coordinates, so the core's rows are those a
     whole-graph run would start from, and the rows of both halves at `core`
-    (an index array or a slice) are kept.
+    (an index array or a slice) are kept. The halves are drawn one after
+    the other, which continues the stream exactly as one draw would, and
+    only their core rows are written into the result.
     """
-    draw = substream(seed, "subspace-init").standard_normal((2 * n, width))
-    return np.asfortranarray(draw.reshape(2, n, width)[:, core].reshape(-1, width))
+    rng = substream(seed, "subspace-init")
+    top = rng.standard_normal((n, width))[core]
+    k = top.shape[0]
+    block = np.empty((2 * k, width), order="F")
+    block[:k] = top
+    del top
+    block[k:] = rng.standard_normal((n, width))[core]
+    return block
 
 
 def top_spectrum(

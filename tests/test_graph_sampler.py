@@ -45,7 +45,7 @@ def distinct_pairs_by_rows(rng, count, draw_a, draw_b, same_pool: bool):
 
 
 def reference_pairs(rng, n, count, ma, mb=None):
-    """The reference behind `_distinct_pairs`' signature: the same draws, rows as (min, max)."""
+    """The reference behind `_distinct_pairs`' signature: the same draws, as the keys min * n + max."""
     pool_b = ma if mb is None else mb
     pairs = distinct_pairs_by_rows(
         rng,
@@ -54,7 +54,7 @@ def reference_pairs(rng, n, count, ma, mb=None):
         lambda r, k: pool_b[r.integers(0, pool_b.size, size=k)],
         same_pool=mb is None,
     )
-    return np.stack([pairs.min(axis=1), pairs.max(axis=1)], axis=1)
+    return pairs.min(axis=1) * n + pairs.max(axis=1)
 
 
 class TestSampleGraph:

@@ -656,16 +656,36 @@ class TestSubspaceKernels:
     def test_orthonormalize_matches_numpy_qr(self):
         Z = np.random.default_rng(12).standard_normal((500, 6))
         want, _ = np.linalg.qr(Z)
-        got = nonbacktracking._orthonormalize(np.asfortranarray(Z))
+        buf = np.asfortranarray(Z)
+        got = nonbacktracking._orthonormalize(buf)
+        assert np.shares_memory(got, buf)  # computed in the input's buffer
         np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got.T @ got, np.eye(6), rtol=0, atol=1e-14)
+        R = got.T @ Z
+        np.testing.assert_allclose(np.tril(R, -1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(got @ np.triu(R), Z, atol=1e-12)
 
-    @pytest.mark.parametrize("guard, kept", [(0, 1), (1, 3), (2, 3), (3, 4), (5, 6)])
-    def test_leading_basis_keeps_whole_pairs(self, guard, kept):
-        # projected eigenvalues 5, 3 +- 2i, -2, 1 +- 0.5i (|.|-descending): a
-        # guard on either half of a complex pair keeps both halves
+    @pytest.mark.parametrize(
+        "values, guard, kept",
+        [
+            # projected eigenvalues 5, 3 +- 2i, -2, 1 +- 0.5i (|.|-descending): a
+            # guard on either half of a complex pair keeps both halves
+            *(
+                pytest.param((5.0, (3.0, 2.0), -2.0, (1.0, 0.5)), g, k, id=f"{g}-{k}")
+                for g, k in [(0, 1), (1, 3), (2, 3), (3, 4), (5, 6)]
+            ),
+            # 5, 3 +- 2i, 3 (1 + 1e-9), 3, -2: a guard on either of two near-equal
+            # real values keeps both
+            *(
+                pytest.param((5.0, 3.0 * (1 + 1e-9), 3.0, (3.0, 2.0), -2.0), g, k, id=f"near-double-{g}-{k}")
+                for g, k in [(3, 5), (4, 5), (5, 6)]
+            ),
+        ],
+    )
+    def test_leading_basis_keeps_whole_pairs(self, values, guard, kept):
+        # each entry of `values` is a real eigenvalue or a pair (re, im) for re +- i im
         rng = np.random.default_rng(13)
-        pair1, pair2 = [[3.0, 2.0], [-2.0, 3.0]], [[1.0, 0.5], [-0.5, 1.0]]
-        T = linalg.block_diag([[5.0]], pair1, [[-2.0]], pair2)
+        T = linalg.block_diag(*([[v]] if np.isscalar(v) else [[v[0], v[1]], [-v[1], v[0]]] for v in values))
         V = rng.standard_normal((6, 6))
         H = V @ T @ np.linalg.inv(V)
         w = np.linalg.eigvals(H)
