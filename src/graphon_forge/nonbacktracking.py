@@ -43,21 +43,24 @@ cubes the separation ratio between informative eigenvalues and the bulk,
 where a restarted Arnoldi iteration wastes its time converging continuum
 bulk modes to full tolerance. With s the operator scale, the block is held
 as two n-row iterates x_t and x_{t-1}, and a cube is three steps of the
-recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each one sparse product
-with s A and one in-place diagonal update. The block [x_t; s x_{t-1}] is
+recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each an in-place
+diagonal update of x_{t-1} into which the one sparse product with s A is
+accumulated, so a step allocates nothing. The block [x_t; s x_{t-1}] is
 re-orthonormalized by an economic Householder QR, LAPACK's dgeqrf and dorgqr
 from numpy's own lapack_lite run in the block's buffer, only as often as the
 growth of lambda_1 over the cutoff requires (Rutishauser's RITZIT), and
 always before the Ritz pairs are read off. Candidates are judged by
 Rayleigh quotients of the uncubed operator, so a complex bulk eigenvalue
 whose cube happens to land near the real axis still fails the residual test
-and cannot alias as informative. The Ritz vectors, their Rayleigh quotients
-and residuals come from block products with the projected eigenvectors,
-with no apply per vector; the one block apply CQ they need is the first
-step of the next cube. Once the accepted set has held for a few rounds
-and no candidate past the next one is climbing, the block is cut to the
-accepted Ritz vectors plus that next one as a guard (both halves of a
-complex pair) for the rest of the run.
+and cannot alias as informative. The Ritz values, Rayleigh quotients and
+residuals are read in Q's coordinates, with no apply per vector: the
+Rayleigh quotients off the projected matrix H = Q'CQ, the residuals summed
+over blocks of rows, and only the accepted Ritz vectors of the round that
+returns are formed; the one block apply CQ they need is the first step of
+the next cube. Once the accepted set has held for a few rounds and no
+candidate past the next one is climbing, the block is cut to the accepted
+Ritz vectors plus that next one as a guard (both halves of a complex pair)
+for the rest of the run.
 
 The operator scale handles spectra computed from a thinned edge subsample,
 rescaled by s = 1/(1 - epsilon): the rescaled bulk disk has radius
@@ -72,6 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import lapack_lite
 from scipy import sparse
+from scipy.sparse import _sparsetools  # csr_matvecs: Y += A X, which no public call does
 
 from .graph_sampler import SparseGraph
 from .rng import substream
@@ -194,7 +198,17 @@ class Companion:
         return 2 * self.space.n
 
     def step(self, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        """x_{t+1} from (x_t, x_{t-1}) = (cur, prev) for a vector or a block; overwrites `prev`."""
+        """x_{t+1} from (x_t, x_{t-1}) = (cur, prev) for a vector or a block; overwrites and returns `prev`.
+
+        `prev` must be a C-contiguous float64 array of cur's shape: s A x_t
+        is added straight into it by scipy's CSR multivector kernel, which
+        computes Y += A X, so a step allocates no product block.
+        """
+        adjacency, n = self._adjacency, self.space.n
+        if prev.dtype != np.float64 or not prev.flags.c_contiguous:
+            raise ValueError("prev must be a C-contiguous float64 array: the product is accumulated into it")
+        if prev.shape != cur.shape or prev.shape[0] != n:
+            raise ValueError(f"cur {cur.shape} and prev {prev.shape} must share one shape of {n} rows")
         defect = self._defect
         if prev.ndim > 1:
             # the diagonal repeated across the block, kept while the width
@@ -204,7 +218,8 @@ class Companion:
                 self._defect_block = np.repeat(defect, prev.shape[1]).reshape(prev.shape)
             defect = self._defect_block
         prev *= defect
-        prev += self._adjacency @ cur
+        width = 1 if prev.ndim == 1 else prev.shape[1]
+        _sparsetools.csr_matvecs(n, n, width, adjacency.indptr, adjacency.indices, adjacency.data, cur, prev)
         return prev
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
@@ -234,7 +249,7 @@ def _lift(space: OrientedEdgeSpace, aggregates: np.ndarray, lambdas: np.ndarray)
     xi = np.empty((space.m_oriented, lambdas.size), order="F")  # built a column at a time
     for k, lam in enumerate(lambdas):
         a, col = aggregates[:, k], xi[:, k]
-        np.take(a, space.tails, out=col)
+        np.take(a, space.tails, out=col, mode="clip")  # "raise" would buffer `out`; the indices are valid
         col *= lam
         col -= a[space.heads]
         col /= np.linalg.norm(col)
@@ -385,14 +400,17 @@ def _orthonormalize(Z: np.ndarray) -> np.ndarray:
 
 
 def _ritz_candidates(Q: np.ndarray, BQ: np.ndarray):
-    """Ritz pairs of the projected (uncubed) operator B, |.|-descending, from Q and BQ.
+    """Ritz pairs of the projected (uncubed) operator B, |.|-descending, in Q's coordinates.
 
-    Returns the projected eigenvalues, the realified unit Ritz vectors as the
-    columns of Y, their Rayleigh quotients y'By, the residuals
-    |By - (y'By) y| on the full operator, and the projected matrix Q'BQ. A
-    complex coefficient vector is turned real by rotating its largest entry
-    onto the positive axis, so Y = Q S and BY = (BQ) S are block products with
-    no apply per vector. BQ is only read; the two new blocks are Y and BY.
+    Returns the projected eigenvalues, the realified unit coefficient vectors
+    S of the Ritz vectors Y = Q S, their Rayleigh quotients y'By, the
+    residuals |By - (y'By) y| on the full operator, and the projected matrix
+    H = Q'BQ. A complex coefficient vector is turned real by rotating its
+    largest entry onto the positive axis. Q is orthonormal, so y = Q s is a
+    unit vector when s is, and y'By = s'Hs. The residual BQ s - (s'Hs) Q s is
+    formed and squared a block of rows at a time, never over all rows at
+    once and never through its Gram expansion |BQs|^2 - (s'Hs)^2, which
+    cancels: it cannot resolve a residual below about 1e-8 |BQs|.
     """
     H = Q.T @ BQ
     w, S = np.linalg.eig(H)
@@ -401,15 +419,16 @@ def _ritz_candidates(Q: np.ndarray, BQ: np.ndarray):
     if np.iscomplexobj(S):
         pivots = S[np.argmax(np.abs(S), axis=0), np.arange(S.shape[1])]
         S = (S * (np.abs(pivots) / pivots)).real
-    Y = (S.T @ Q.T).T  # Fortran-ordered, like Q: column passes stay contiguous
-    unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", Y, Y))
-    Y *= unit
-    BY = np.matmul(BQ, S * unit, out=np.empty(Y.shape, order="F"))
-    rayleigh = np.einsum("ij,ij->j", Y, BY)
-    for j, r in enumerate(rayleigh):  # a column at a time: no third block
-        BY[:, j] -= r * Y[:, j]
-    residuals = np.sqrt(np.einsum("ij,ij->j", BY, BY))
-    return w, Y, rayleigh, residuals, H
+    S /= np.sqrt(np.einsum("ij,ij->j", S, S))
+    rayleigh = np.einsum("ij,ij->j", S, H @ S)
+    scaled = S * rayleigh
+    squares = np.zeros(S.shape[1])
+    rows = 4096  # per block: two (width, rows) temporaries
+    for lo in range(0, Q.shape[0], rows):
+        R = S.T @ BQ[lo : lo + rows].T  # transposed, so that each residual is a contiguous row
+        R -= scaled.T @ Q[lo : lo + rows].T
+        squares += np.einsum("ij,ij->i", R, R)
+    return w, S, rayleigh, np.sqrt(squares), H
 
 
 def _qr_period(lam1: float, cutoff: float) -> int:
@@ -447,7 +466,9 @@ def _leading_basis(H: np.ndarray, guard: complex) -> np.ndarray:
 def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
     """Block subspace iteration on the cube of the companion `op` from the block `start`.
 
-    Returns (result, converged, iterations, orthonormalizations). The block
+    Returns (result, Q, converged, iterations, orthonormalizations), Q the
+    orthonormal block of the round that returns, in whose coordinates the
+    result's Ritz vectors are given (`_ritz_candidates`). The block
     is kept as two C-ordered (n, width) iterates x_t and x_{t-1}, advanced by
     `op.step`; a cube is three steps. [x_t; s x_{t-1}] is assembled and
     re-orthonormalized by QR after every cube until the first extraction
@@ -466,26 +487,26 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
     climbing, and only the stop is pending, the block is cut to the Ritz
     subspace QU down to one guard value past the last accepted one (both halves
     of a complex pair), its first step being (op Q)U, and the run finishes at
-    that width. The guard itself
+    that width; the wide blocks are let go before the narrow ones are
+    allocated. The guard itself
     may still climb: it stays in the block, and a guard that clears the
     cutoff fills the block, which makes `top_spectrum` widen and rerun. The
-    last of the MAX_ITERATIONS iterations always extracts, so a run that does
-    not raise returns a result.
+    last of the MAX_ITERATIONS iterations always extracts and returns, so a
+    run that does not raise returns a result.
     """
     n, s = op.space.n, op.scale
-    Q = _orthonormalize(start)  # in start's buffer
-    del start  # let that buffer go with Q
+    Q = _orthonormalize(start)  # in start's buffer, which _load hands on as Z
+    del start  # so that a cut can let it go
     orthonormalizations = 1
     stable = 0
     prev_key = None
     prev_mags = None
-    result = None
     period, since_qr = 1, 0
-    pair = Z = None
+    pair = None
     taken = 0  # steps of the current cube already taken at the last extraction
     for it in range(1, MAX_ITERATIONS + 1):
         if since_qr == 0 and not taken:  # restart the iterates from the orthonormal block Q
-            pair, Z, cur, prev = _load(Q, s, pair, Z)
+            pair, Z, cur, prev = _load(Q, s, pair)
         for _ in range(3 - taken):
             cur, prev = op.step(cur, prev), cur
         taken = 0
@@ -503,12 +524,11 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
         since_qr = 0
         if not extract:
             continue
-        result = vectors = None  # only the last round's result is returned: free its vectors first
-        pair, Z, cur, prev = _load(Q, s, pair, Z)
+        pair, Z, cur, prev = _load(Q, s, pair)
         cur, prev = op.step(cur, prev), cur  # pair = [x_1; x_0]
         taken = 1
         prev *= s  # pair = op Q
-        w, vectors, rayleigh, residuals, H = _ritz_candidates(Q, pair)
+        w, S, rayleigh, residuals, H = _ritz_candidates(Q, pair)
         prev[...] = Q[:n]  # x_0 again, exactly
         try:
             lam1, accepted, cutoff = classify_eigenvalues(w, e1, K_CAP, s)
@@ -531,9 +551,9 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
         stable = stable + 1 if key == prev_key else 1
         prev_key = key
         converged = all(residuals[i] <= RESIDUAL_TOL for i in accepted)
-        result = (w, vectors, residuals, rayleigh, accepted, lam1, cutoff)
-        if stable >= STABLE_ROUNDS and converged and not rising and it >= 2 * EXTRACT_EVERY:
-            return result, True, it, orthonormalizations
+        done = stable >= STABLE_ROUNDS and converged and not rising and it >= 2 * EXTRACT_EVERY
+        if done or it == MAX_ITERATIONS:
+            return (w, S, residuals, rayleigh, accepted, lam1, cutoff), Q, done, it, orthonormalizations
         period = _qr_period(lam1, cutoff)
         guard = max(accepted, default=-1) + 1
         if (
@@ -542,28 +562,29 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
             and all(mags[i] >= mags[guard] for i in climbing)
         ):
             U = _leading_basis(H, w[guard])
-            Q = Q @ U
-            pair = np.concatenate([cur @ U, Q[:n]])  # [x_1 U; x_0 U]
+            op._defect_block = None  # the diagonal repeated across the wide block
+            top, bottom = cur @ U, Q[:n] @ U  # x_1 U and x_0 U
+            Q = Z = pair = cur = prev = None  # the wide blocks go before the narrow ones are built
+            pair = np.concatenate([top, bottom])
+            del top, bottom
             Z = np.empty_like(pair, order="F")
             cur, prev = pair[:n], pair[n:]
-    return result, False, MAX_ITERATIONS, orthonormalizations
 
 
-def _load(Q: np.ndarray, s: float, pair, Z):
-    """(pair, Z, x_0, x_{-1}) for the block Q = [x_0; s x_{-1}], pair = [x_{-1}; x_0].
+def _load(Q: np.ndarray, s: float, pair):
+    """(pair, Z, x_0, x_{-1}) for the Fortran-ordered block Q = [x_0; s x_{-1}], pair = [x_{-1}; x_0].
 
     `pair` is C-ordered, so each half is one iterate, and one step from it
-    leaves [x_1; x_0]; Z is its Fortran-ordered twin, the buffer the block is
-    assembled and orthonormalized in. Both are reallocated when Q's width
-    differs from theirs.
+    leaves [x_1; x_0]; it is allocated on the first load. Z, the buffer the
+    block is next assembled and orthonormalized in, is Q's own: Q is read
+    until that assembly writes over it.
     """
     n = Q.shape[0] // 2
-    if pair is None or pair.shape[1] != Q.shape[1]:
+    if pair is None:
         pair = np.empty(Q.shape)
-        Z = np.empty_like(pair, order="F")
     np.divide(Q[n:], s, out=pair[:n])
     pair[n:] = Q[:n]
-    return pair, Z, pair[n:], pair[:n]
+    return pair, Q, pair[n:], pair[:n]
 
 
 def _start_block(seed: int, n: int, width: int, core) -> np.ndarray:
@@ -629,17 +650,17 @@ def top_spectrum(
     comp = Companion(space, scale)
     block_size = iterations = orthonormalizations = 0
     if comp.dim <= DENSE_FALLBACK_DIM:  # Ritz pairs on the whole space are the eigenpairs
-        eye = np.eye(comp.dim)
-        w, vectors, ray, residuals, _ = _ritz_candidates(eye, comp.matmat(eye))
+        Q = np.eye(comp.dim)
+        w, S, ray, residuals, _ = _ritz_candidates(Q, comp.matmat(Q))
         _, accepted, cutoff = classify_eigenvalues(w, e1, K_CAP, scale)
     else:
         block_size = min(max(6, K_CAP // 2 + 2), comp.dim - 1)
         widest = min(K_CAP + 4, comp.dim - 1)
         while True:
-            out, ok, its, qrs = _subspace_iterate(comp, _start_block(seed, full.n, block_size, core), e1)
+            out, Q, ok, its, qrs = _subspace_iterate(comp, _start_block(seed, full.n, block_size, core), e1)
             iterations += its
             orthonormalizations += qrs
-            w, vectors, residuals, ray, accepted, _, cutoff = out
+            w, S, residuals, ray, accepted, _, cutoff = out
             if not ok:
                 raise SpectrumConvergenceError(
                     f"subspace iteration did not converge within {MAX_ITERATIONS} iterations"
@@ -653,8 +674,9 @@ def top_spectrum(
     # accepted keeps classify_eigenvalues' order: |.|-descending, lambda_1 first
     lambdas = ray[accepted]
     unscaled = lambdas / scale
-    aggregates = _extend_to_trees(vectors[: space.n, accepted], unscaled, core, rounds, full.n)
-    del vectors, comp  # the solver's blocks and operator go before the lift
+    # the accepted Ritz vectors' top halves, the companion eigenvectors' aggregates
+    aggregates = _extend_to_trees(Q[: space.n] @ S[:, accepted], unscaled, core, rounds, full.n)
+    del Q, comp  # the solver's block and operator go before the lift
     return _finish(  # w and residuals come |.|-descending from _ritz_candidates
         full, scale, e1, lambdas, _lift(full, aggregates, unscaled), cutoff, w,
         iterations=iterations, start_block=block_size, block=w.size,
@@ -692,16 +714,20 @@ def _finish(
     aggregates = vertex_aggregates(vectors, space)
     lambdas = _bethe_hessian_eigenvalues(space, scale, aggregates, lambdas)
     # B xi(u->v) = a(u) - xi(v->u): the aggregates summed each vertex's
-    # in-edges in edge order, as B's incidence product does
-    reverse = np.arange(space.m_oriented) ^ 1
-    residuals = np.array(
-        [
-            np.linalg.norm(
-                scale * (aggregates[space.tails, c] - vectors[reverse, c]) - lambdas[c] * vectors[:, c]
-            )
-            for c in range(K)
-        ]
-    )
+    # in-edges in edge order, as B's incidence product does. Each column's
+    # residual s (a(u) - xi(v->u)) - lambda xi is formed in two reused
+    # buffers, reading the reversal through the pair view (edges 2i and 2i+1
+    # are reversals of each other)
+    residuals = np.empty(K)
+    Bxi, lam_xi = np.empty(space.m_oriented), np.empty(space.m_oriented)
+    for c in range(K):
+        xi = vectors[:, c]
+        np.take(aggregates[:, c], space.tails, out=Bxi, mode="clip")  # as in _lift
+        Bxi.reshape(-1, 2)[...] -= xi.reshape(-1, 2)[:, ::-1]
+        Bxi *= scale
+        np.multiply(xi, lambdas[c], out=lam_xi)
+        Bxi -= lam_xi
+        residuals[c] = np.linalg.norm(Bxi)
     return NbSpectrum(
         K=K,
         lambdas=lambdas,
