@@ -37,7 +37,7 @@ def main():
         for n in args.n_ladder:
             vals, ks = [], []
             for seed in range(args.seeds):
-                cfg = PipelineConfig(model=str(td / "a.json"), n=n, seed=seed, N_override=4)
+                cfg = PipelineConfig(model=str(td / "a.json"), n=n, seed=seed)
                 res = run_pipeline(cfg, out_dir=td / f"n{n}-s{seed}")
                 vals.append(res.metrics["delta2_upper"])
                 ks.append(res.manifest["K"])
@@ -47,9 +47,7 @@ def main():
         for h in args.h_ladder:
             vals, ks = [], []
             for seed in range(args.seeds):
-                cfg = PipelineConfig(
-                    model=str(td / "w.json"), n=args.n_scaled, seed=seed, N_override=4
-                )
+                cfg = PipelineConfig(model=str(td / "w.json"), n=args.n_scaled, seed=seed)
                 res = run_scaled(cfg, h, out_dir=td / f"h{h}-s{seed}")
                 vals.append(res.metrics["delta2_upper"])
                 ks.append(res.manifest["K"])

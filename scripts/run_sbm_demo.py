@@ -28,9 +28,7 @@ def main():
     model = StepGraphon(np.array([0.5, 0.5]), np.array([[7.0, 1.0], [1.0, 7.0]]))
     save_graphon(model, out / "model.json")
 
-    cfg = PipelineConfig(
-        model=str(out / "model.json"), n=args.n, seed=args.seed, N_override=4, out=str(out)
-    )
+    cfg = PipelineConfig(model=str(out / "model.json"), n=args.n, seed=args.seed, out=str(out))
     res = run_pipeline(cfg)
 
     print(f"graph: n={args.n}, degenerate={res.degenerate}")

@@ -56,7 +56,7 @@ def main():
         save_graphon(model, Path(td) / "model.json")
         walls = {}
         for n, h in args.cases:
-            cfg = PipelineConfig(model=str(Path(td) / "model.json"), n=n, seed=args.seed, N_override=4)
+            cfg = PipelineConfig(model=str(Path(td) / "model.json"), n=n, seed=args.seed)
             out = Path(td) / f"bench-{n}-h{h:g}"
             t0 = time.perf_counter()
             res = run_pipeline(cfg, out_dir=out) if h == 1 else run_scaled(cfg, h, out_dir=out)

@@ -7,7 +7,10 @@
 Stage subcommands consume the previous stage's dumps from the output
 directory and refuse inputs whose embedded config hash does not match. The
 default output directory comes from --out, the config, or the
-GRAPHON_FORGE_OUT environment variable, in that order.
+GRAPHON_FORGE_OUT environment variable, in that order. Reruns are
+byte-identical at a fixed BLAS thread count: numpy has loaded its BLAS before
+the arguments are parsed, so pin it in the environment before launch
+(OPENBLAS_NUM_THREADS=1).
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--deterministic", action="store_true")
         if name == "scaled":
             p.add_argument("--h", type=float, default=None, help="single scale; omit for the ladder")
     return parser
@@ -34,11 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.deterministic:
-        os.environ["OMP_NUM_THREADS"] = "1"
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-    from . import pipeline  # heavy imports after the thread env is pinned
+    from . import pipeline
 
     try:
         cfg = pipeline.PipelineConfig.from_json(args.config)

@@ -187,14 +187,14 @@ EDGE_DTYPE = np.dtype("<i4")
 LATENT_DTYPE = np.dtype("<f8")
 
 
-def _save_npy(arr: np.ndarray, path) -> None:
+def save_npy(arr: np.ndarray, path) -> None:
     # through an open file, so np.save writes exactly `path` (it appends
     # ".npy" to a name that lacks it)
     with open(path, "wb") as fh:
         np.save(fh, arr, allow_pickle=False)
 
 
-def _load_npy(path, dtype: np.dtype, ndim: int) -> np.ndarray:
+def load_npy(path, dtype: np.dtype, ndim: int) -> np.ndarray:
     """The array in `path`, refused unless it has `dtype` and `ndim` axes."""
     try:
         arr = np.load(path, allow_pickle=False)
@@ -209,7 +209,7 @@ def save_edge_list(gr: SparseGraph, path) -> None:
     """The (m, 2) rows u < v, 0-indexed, as one `<i4` .npy array."""
     if gr.n > np.iinfo(EDGE_DTYPE).max:
         raise ValueError(f"n = {gr.n} does not fit the {EDGE_DTYPE.str} edge dump")
-    _save_npy(gr.edges.astype(EDGE_DTYPE), path)
+    save_npy(gr.edges.astype(EDGE_DTYPE), path)
 
 
 def load_edge_list(path, n: int) -> SparseGraph:
@@ -219,7 +219,7 @@ def load_edge_list(path, n: int) -> SparseGraph:
     pipeline's config). SparseGraph's u < v, range and duplicate checks run
     on the loaded rows.
     """
-    edges = _load_npy(path, EDGE_DTYPE, 2)
+    edges = load_npy(path, EDGE_DTYPE, 2)
     if edges.shape[1] != 2:
         raise ValueError(f"{path}: expected 2 columns, found {edges.shape[1]}")
     try:
@@ -230,12 +230,12 @@ def load_edge_list(path, n: int) -> SparseGraph:
 
 def save_latents(lat: LatentAssignment, path) -> None:
     """The latents as one 1-D `<f8` .npy array; the round trip is bit for bit."""
-    _save_npy(lat.latents.astype(LATENT_DTYPE), path)
+    save_npy(lat.latents.astype(LATENT_DTYPE), path)
 
 
 def load_latents(path) -> LatentAssignment:
     """The latents `save_latents` wrote to `path`, refused unless a 1-D `<f8` array in [0, 1]."""
-    latents = _load_npy(path, LATENT_DTYPE, 1)
+    latents = load_npy(path, LATENT_DTYPE, 1)
     try:
         return LatentAssignment(latents)
     except ValueError as exc:

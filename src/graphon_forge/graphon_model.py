@@ -120,15 +120,18 @@ class SpectralGraphon(_Blocks):
         return (f * self.eigenvalues) @ f.T
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the first non-negligible coordinate is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.nonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))[0]
-        if big.size and col[big[0]] < 0:
-            out[:, j] = -col
-    return out
+def fix_signs(vectors: np.ndarray) -> None:
+    """Flip in place each column whose first non-negligible coordinate is negative.
+
+    An entry is negligible when its modulus is at most 1e-12 times the
+    column's largest; an all-zero column is left as it is.
+    """
+    for col in vectors.T:
+        top = 1e-12 * max(col.max(), -col.min(), 1e-300)
+        big = (col > top) | (col < -top)  # |col| > top, in one-byte temporaries
+        first = big.argmax()
+        if big[first] and col[first] < 0:
+            col *= -1.0  # numpy 2.4's in-place np.negative misreads a view with a 64-byte stride
 
 
 def spectral_decompose(g: StepGraphon) -> SpectralGraphon:
@@ -144,7 +147,9 @@ def spectral_decompose(g: StepGraphon) -> SpectralGraphon:
     order = np.lexsort((-w, -np.abs(w)))
     w, v = w[order], v[:, order]
     q = float(np.dot(g.values @ g.block_measures, g.block_measures))
-    return SpectralGraphon(w, _fix_signs(v / d[:, None]), degree_constant=q, block_measures=g.block_measures)
+    v /= d[:, None]
+    fix_signs(v)
+    return SpectralGraphon(w, v, degree_constant=q, block_measures=g.block_measures)
 
 
 @dataclass

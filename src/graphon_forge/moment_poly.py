@@ -234,11 +234,11 @@ def l1_norm_plus(fit: DensityFit, grid_resolution: int = 128) -> float:
     return norm2
 
 
-def node_resolution(per_axis: int, K: int) -> int:
-    """Per-axis node count: `per_axis`, lowered until the grid has at most NODE_BUDGET nodes."""
-    if per_axis < 1 or K < 1:
-        raise ValueError("need per_axis >= 1 and K >= 1")
-    r = min(per_axis, int(round(NODE_BUDGET ** (1.0 / K))) + 1)
+def node_resolution(K: int) -> int:
+    """Per-axis node count: SAMPLE_GRID, lowered until the grid has at most NODE_BUDGET nodes."""
+    if K < 1:
+        raise ValueError("need K >= 1")
+    r = min(SAMPLE_GRID, int(round(NODE_BUDGET ** (1.0 / K))) + 1)
     while r > 1 and r**K > NODE_BUDGET:
         r -= 1
     return r

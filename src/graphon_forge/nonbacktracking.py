@@ -78,6 +78,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools  # csr_matvecs: Y += A X, which no public call does
 
 from .graph_sampler import SparseGraph
+from .graphon_model import fix_signs
 from .rng import substream
 
 DENSE_FALLBACK_DIM = 24
@@ -253,7 +254,7 @@ def _lift(space: OrientedEdgeSpace, aggregates: np.ndarray, lambdas: np.ndarray)
         col *= lam
         col -= a[space.heads]
         col /= np.linalg.norm(col)
-        col[...] = _fix_sign(col)
+    fix_signs(xi)
     return xi
 
 
@@ -317,9 +318,9 @@ def _is_real(lam: complex) -> bool:
 
 
 def classify_eigenvalues(
-    eigenvalues: np.ndarray, e1: float, k_cap: int, bulk_scale: float = 1.0
+    eigenvalues: np.ndarray, e1: float, *, bulk_scale: float = 1.0
 ) -> tuple[float, list[int], float]:
-    """(lambda_1, indices accepted as informative, cutoff), in |.|-descending order.
+    """(lambda_1, at most K_CAP indices accepted as informative, cutoff), in |.|-descending order.
 
     When the leading modulus is tied (within NEAR_MULTIPLICITY_RTOL), as
     between +lambda_1 and -lambda_1 on a bipartite graph, the real positive
@@ -344,7 +345,7 @@ def classify_eigenvalues(
             break
         if _is_real(w[i]):
             accepted.append(int(order[i]))
-    return lam1, accepted[: max(k_cap, 0)], cutoff
+    return lam1, accepted[:K_CAP], cutoff
 
 
 @dataclass
@@ -371,13 +372,6 @@ class NbSpectrum:
     peel_rounds: int = 0            # leaf-peeling rounds down to the 2-core
     # final-block Ritz residuals on the companion, as all_eigenvalues
     ritz_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    big = np.nonzero(np.abs(v) > 1e-12 * max(np.abs(v).max(), 1e-300))[0]
-    if big.size and v[big[0]] < 0:
-        return -v
-    return v
 
 
 def _orthonormalize(Z: np.ndarray) -> np.ndarray:
@@ -531,7 +525,7 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
         w, S, rayleigh, residuals, H = _ritz_candidates(Q, pair)
         prev[...] = Q[:n]  # x_0 again, exactly
         try:
-            lam1, accepted, cutoff = classify_eigenvalues(w, e1, K_CAP, s)
+            lam1, accepted, cutoff = classify_eigenvalues(w, e1, bulk_scale=s)
         except DegenerateSpectrumError:
             if it >= MAX_ITERATIONS:
                 raise
@@ -652,7 +646,7 @@ def top_spectrum(
     if comp.dim <= DENSE_FALLBACK_DIM:  # Ritz pairs on the whole space are the eigenpairs
         Q = np.eye(comp.dim)
         w, S, ray, residuals, _ = _ritz_candidates(Q, comp.matmat(Q))
-        _, accepted, cutoff = classify_eigenvalues(w, e1, K_CAP, scale)
+        _, accepted, cutoff = classify_eigenvalues(w, e1, bulk_scale=scale)
     else:
         block_size = min(max(6, K_CAP // 2 + 2), comp.dim - 1)
         widest = min(K_CAP + 4, comp.dim - 1)
@@ -707,8 +701,7 @@ def _finish(
                     "eigenvector basis ambiguous"
                 )
                 qmat, _ = np.linalg.qr(vectors[:, cols])
-                for c in range(qmat.shape[1]):
-                    qmat[:, c] = _fix_sign(qmat[:, c])
+                fix_signs(qmat)
                 vectors[:, cols] = qmat
             i = j
     aggregates = vertex_aggregates(vectors, space)

@@ -13,7 +13,8 @@ bound (a degree-N fit on the conservative box resolves nothing at desk-scale
 N). Each stage can be run in isolation from the previous stage's dumps; both
 paths call the same compute functions, and every dump embeds the config hash
 so mismatched inputs are refused. Reruns with identical config and seed are
-byte-identical apart from the manifest's timing section.
+byte-identical apart from the manifest's timing section, at a fixed BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -32,11 +33,14 @@ from . import evaluation, graph_sampler, graphon_model, moment_poly, nonbacktrac
 EPSILON_CLAMP = (0.01, 0.5)
 DELTA_FLOOR = 0.05
 N_CAP = 4  # desk-scale cap on the formula N
+E0 = 0.5  # target accuracy in the formula N and delta, which N_CAP and DELTA_FLOOR override
 KAPPA_PAD = 1.1  # pad on the moment-implied feature scale
+H_LADDER = (1.0, 2.0, 4.0, 8.0)  # the scales `run_scaled_ladder` runs
 MANIFEST_NAME = "manifest.json"
 DEGENERATE_NAME = "degenerate.json"
 # generate-stage dumps by the PipelineState attribute that holds them
 GRAPH_DUMPS = {"latents": "latents.npy", "g1": "g1.npy", "g2": "g2.npy"}
+AGGREGATE_DTYPE = np.dtype("<f8")  # of the spectrum stage's (n, K) aggregates.npy
 
 
 class StageInputError(RuntimeError):
@@ -45,21 +49,15 @@ class StageInputError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    """Run parameters; everything that affects outputs feeds the config hash."""
+    """Run parameters; every field but `out` changes a run's dumps and feeds the config hash."""
 
     model: str = ""                 # path to the graphon JSON
     n: int = 1000
     seed: int = 0
-    e0: float = 0.5                 # target accuracy driving the formula constants
-    M: float | None = None          # kernel bound; default: max of the model values
     epsilon_override: float | None = None
     e1_override: float | None = None
     N_override: int | None = None
-    delta_override: float | None = None
-    m_override: int | None = None
-    kappa_override: float | None = None
     metrics_grid: int = 256
-    h_ladder: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
     out: str = ""
 
     @classmethod
@@ -70,19 +68,12 @@ class PipelineConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "h_ladder" in doc:
-            doc["h_ladder"] = tuple(doc["h_ladder"])
         return cls(**doc)
 
     def semantic_dict(self) -> dict:
-        """Fields that affect a run's dumps.
-
-        Leaves out the output directory and h_ladder, which only chooses the
-        runs of `run_scaled_ladder`.
-        """
+        """Fields that affect a run's dumps: all but the output directory."""
         d = asdict(self)
-        for name in ("out", "h_ladder"):
-            d.pop(name)
+        d.pop("out")
         return d
 
     def config_hash(self, model_bytes: bytes) -> str:
@@ -157,7 +148,7 @@ class PipelineState:
         self.config_hash = cfg.config_hash(model_bytes)
         self.truth = graphon_model.spectral_decompose(self.model)
         self.report = graphon_model.check_assumptions(self.model)
-        self.M = float(cfg.M) if cfg.M is not None else self.model.bound
+        self.M = self.model.bound
         self.latents = None
         self.g1 = None
         self.g2 = None
@@ -208,8 +199,10 @@ class PipelineState:
             lambdas = np.array(doc["lambdas"], dtype=float)
             K = doc["K"]
             n = self.cfg.n
-            raw = (self.out / "aggregates.bin").read_bytes()
-            aggregates = np.frombuffer(raw, dtype="<f8").reshape(n, K) if K else np.empty((n, 0))
+            path = self.out / "aggregates.npy"
+            aggregates = graph_sampler.load_npy(path, AGGREGATE_DTYPE, 2)
+            if aggregates.shape != (n, K):
+                raise ValueError(f"{path}: expected shape {(n, K)}, found {aggregates.shape}")
             self.spectrum = nonbacktracking.NbSpectrum(
                 K=K,
                 lambdas=lambdas,
@@ -320,14 +313,14 @@ def stage_spectrum(state: PipelineState) -> None:
                 "residuals": state.spectrum.residuals.tolist(),
             },
         )
-        with open(state.out / "aggregates.bin", "wb") as fh:
-            fh.write(state.spectrum.vertex_aggregates.astype("<f8").tobytes())
+        aggregates = np.ascontiguousarray(state.spectrum.vertex_aggregates, dtype=AGGREGATE_DTYPE)
+        graph_sampler.save_npy(aggregates, state.out / "aggregates.npy")
 
 
 def effective_N(state: PipelineState) -> int:
     cfg = state.cfg
     K = state.spectrum.K
-    n_formula = formula_N(K, state.M, cfg.e0)
+    n_formula = formula_N(K, state.M, E0)
     N = int(cfg.N_override) if cfg.N_override is not None else int(min(n_formula, N_CAP))
     state.constants.update(
         {
@@ -351,12 +344,7 @@ def stage_moments(state: PipelineState) -> None:
     N = effective_N(state)
     try:
         state.table = star_counts.moment_table(
-            state.g2,
-            state.spectrum.lambdas,
-            state.spectrum.vertex_aggregates,
-            N,
-            state.epsilon,
-            max_entries=star_counts.TABLE_BUDGET,
+            state.g2, state.spectrum.lambdas, state.spectrum.vertex_aggregates, N, state.epsilon
         )
     except star_counts.MomentTableTooLarge as exc:
         mark_degenerate(state, "moments", f"moment table refused: {exc}; constant estimator emitted")
@@ -373,7 +361,6 @@ def stage_moments(state: PipelineState) -> None:
 
 def stage_fit(state: PipelineState) -> None:
     """Mollify the moments and fit a nonnegative law on the box grid nodes."""
-    cfg = state.cfg
     if state.degenerate:
         return
     state.require_spectrum()
@@ -381,29 +368,24 @@ def stage_fit(state: PipelineState) -> None:
     K = state.spectrum.K
     lambda1 = float(state.spectrum.lambdas[0])
     N = state.table.N
-    delta = (
-        cfg.delta_override
-        if cfg.delta_override is not None
-        else max(formula_delta(K, lambda1, state.M, cfg.e0), DELTA_FLOOR)
-    )
+    delta_formula = formula_delta(K, lambda1, state.M, E0)
+    delta = max(delta_formula, DELTA_FLOOR)
     kappa_formula_val = 2.0 * state.M / math.sqrt(lambda1)
     scale_est = moment_feature_scale(state.table)
-    if cfg.kappa_override is not None:
-        kappa = float(cfg.kappa_override)
-    elif scale_est > 0:
+    if scale_est > 0:
         kappa = min(kappa_formula_val, max(KAPPA_PAD * scale_est, scale_est + 2 * delta))
     else:
         kappa = kappa_formula_val
     mm = moment_poly.mollifier_moments(delta, N)
     mollified = moment_poly.mollify_moments(state.table, mm)
-    resolution = moment_poly.node_resolution(moment_poly.SAMPLE_GRID, K)
+    resolution = moment_poly.node_resolution(K)
     try:
         state.fit = moment_poly.fit_nodes(mollified, kappa, K, resolution, delta=delta)
     except moment_poly.UnusableFitError as exc:
         mark_degenerate(state, "fit", f"moment fit unusable: {exc}")
     state.constants.update(
         {
-            "delta_formula": formula_delta(K, lambda1, state.M, cfg.e0),
+            "delta_formula": delta_formula,
             "delta": delta,
             "kappa_formula": kappa_formula_val,
             "kappa": kappa,
@@ -432,14 +414,13 @@ def stage_fit(state: PipelineState) -> None:
 def stage_estimate(state: PipelineState) -> None:
     """Draw one fit node per piece and build the step-kernel estimate on the fit's nodes."""
     cfg = state.cfg
-    m = int(cfg.m_override) if cfg.m_override is not None else cfg.n
     if state.degenerate:
         state.require_graphs([])
         mean_deg = 2.0 * sum(state.edge_counts.values()) / cfg.n
         state.estimate = est_mod.GraphonEstimate(
             np.array([mean_deg]),
             np.ones((1, 1)),
-            np.zeros(max(m, 1), dtype=np.int64),
+            np.zeros(cfg.n, dtype=np.int64),
             0.0,
             {"degenerate": True, "config_hash": state.config_hash},
         )
@@ -449,7 +430,7 @@ def stage_estimate(state: PipelineState) -> None:
         state.estimate = est_mod.GraphonEstimate(
             state.spectrum.lambdas,
             state.fit.nodes,
-            est_mod.sample_nodes(state.fit, m, cfg.seed),
+            est_mod.sample_nodes(state.fit, cfg.n, cfg.seed),
             state.fit.kappa,
             {"seed": cfg.seed, "config_hash": state.config_hash},
         )
@@ -576,7 +557,7 @@ def write_manifest(state: PipelineState) -> dict:
         "metrics": state.metrics,
         "stages": {
             "generate": [*GRAPH_DUMPS.values(), "split.json"],
-            "spectrum": ["spectrum.json", "aggregates.bin"],
+            "spectrum": ["spectrum.json", "aggregates.npy"],
             "moments": ["moments.json"],
             "fit": ["fit.json"],
             "estimate": ["estimate.json"],
@@ -664,10 +645,10 @@ def run_scaled_ladder(
     model: graphon_model.StepGraphon | None = None,
     out_dir: str | Path | None = None,
 ) -> dict:
-    """Error-vs-h table over the configured ladder."""
+    """Error-vs-h table over the scales of H_LADDER."""
     out = Path(out_dir if out_dir is not None else (cfg.out or "run-out"))
     rows = []
-    for h in cfg.h_ladder:
+    for h in H_LADDER:
         res = run_scaled(cfg, h, model=model, out_dir=out)
         rows.append(
             {

@@ -229,12 +229,11 @@ def moment_table(
     aggregates: np.ndarray,
     N: int,
     epsilon: float,
-    max_entries: int = TABLE_BUDGET,
 ) -> MomentTable:
     """Compute every P_alpha with |alpha| <= N from the (n, K) vertex aggregates.
 
     Power sums are computed once per block beta and shared across all alpha.
-    `max_entries` caps the (N+1)^K cells of the stored tensor.
+    The (N+1)^K cells of the stored tensor are refused above TABLE_BUDGET.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -245,8 +244,8 @@ def moment_table(
     K = lambdas.size
     shape = (N + 1,) * K
     n_entries = (N + 1) ** K
-    if n_entries > max_entries:
-        raise MomentTableTooLarge(f"(N+1)^K = {n_entries} exceeds cap {max_entries}")
+    if n_entries > TABLE_BUDGET:
+        raise MomentTableTooLarge(f"(N+1)^K = {n_entries} exceeds cap {TABLE_BUDGET}")
 
     p_diag = np.array(
         [normalize_pair(count_pair(G2, B[:, k]), epsilon, lambdas[k]) for k in range(K)]

@@ -80,7 +80,7 @@ def test_criterion_1_spectrum_vs_dense_oracle():
         dense = dense_nb_matrix(op)
         w_dense = np.linalg.eigvals(dense)
         try:
-            lam1, accepted, _ = classify_eigenvalues(w_dense, default_e1(n), 8)
+            lam1, accepted, _ = classify_eigenvalues(w_dense, default_e1(n))
         except DegenerateSpectrumError:
             continue
         want = np.array(sorted((w_dense[i].real for i in accepted), key=lambda t: -abs(t)))
@@ -344,7 +344,7 @@ def test_criterion_10_determinism(tmp_path):
         "g1.npy",
         "g2.npy",
         "spectrum.json",
-        "aggregates.bin",
+        "aggregates.npy",
         "moments.json",
         "fit.json",
         "estimate.json",

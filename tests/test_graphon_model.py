@@ -8,6 +8,7 @@ from graphon_forge.graphon_model import (
     SpectralGraphon,
     StepGraphon,
     check_assumptions,
+    fix_signs,
     load_graphon,
     save_graphon,
     scale,
@@ -182,3 +183,29 @@ def test_json_round_trip(tmp_path, assortative_2block):
     g = load_graphon(p)
     np.testing.assert_array_equal(g.values, assortative_2block.values)
     np.testing.assert_array_equal(g.block_measures, assortative_2block.block_measures)
+
+
+def reference_fix_signs(vectors):
+    """The sign rule as a copying loop: flip a column whose first entry above 1e-12 of its max modulus is negative."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        big = np.nonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))[0]
+        if big.size and col[big[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
+def test_fix_signs_flips_in_place_as_the_reference_rule():
+    rng = np.random.default_rng(7)
+    specials = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-14, -1e-14, 5e-13, -5e-13])
+    for case in range(600):
+        rows, cols = rng.integers(1, 9, size=2)
+        v = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-320, 5)
+        pick = rng.random(v.shape) < rng.random()  # anywhere from no entry to every entry
+        v[pick] = rng.choice(specials, size=int(pick.sum()))
+        if case % 3 == 0:
+            v = np.asfortranarray(v)
+        want = reference_fix_signs(v)
+        fix_signs(v)
+        assert v.tobytes() == want.tobytes(), case

@@ -375,9 +375,9 @@ class TestFitNodes:
         assert fits[0].residual == fits[1].residual
 
     def test_node_budget_for_every_K(self):
-        assert node_resolution(SAMPLE_GRID, 2) == SAMPLE_GRID
+        assert node_resolution(2) == SAMPLE_GRID
         for K in range(1, K_CAP + 1):
-            r = node_resolution(SAMPLE_GRID, K)
+            r = node_resolution(K)
             assert 1 <= r <= SAMPLE_GRID and r**K <= NODE_BUDGET, K
 
     def test_records_its_least_squares_solves(self):

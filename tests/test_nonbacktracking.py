@@ -10,6 +10,7 @@ from graphon_forge.graph_sampler import SparseGraph, sample_graph, split_edges
 from graphon_forge.graphon_model import StepGraphon
 from graphon_forge.nonbacktracking import (
     DENSE_FALLBACK_DIM,
+    K_CAP,
     Companion,
     DegenerateSpectrumError,
     OrientedEdgeSpace,
@@ -157,11 +158,11 @@ class TestVertexAggregates:
             np.testing.assert_allclose(vertex_aggregates(xi, space)[:, 0], want, atol=1e-12)
 
 
-def spectrum_oracle(gr: SparseGraph, n: int, e1=None, k_cap=8, bulk_scale=1.0):
+def spectrum_oracle(gr: SparseGraph, n: int, e1=None, bulk_scale=1.0):
     """Dense-eigensolve reference for the accepted set."""
     w = np.linalg.eigvals(dense_nb_matrix(build_nb_operator(gr)))
     e1 = default_e1(n) if e1 is None else e1
-    lam1, accepted, cutoff = classify_eigenvalues(w, e1, k_cap, bulk_scale)
+    lam1, accepted, cutoff = classify_eigenvalues(w, e1, bulk_scale=bulk_scale)
     lams = np.array(sorted((w[i].real for i in accepted), key=lambda t: -abs(t)))
     return lam1, lams, cutoff
 
@@ -463,7 +464,7 @@ class TestTwoCore:
         gr = pendant_graph()
         op = build_nb_operator(gr, scale=scale)
         w = np.linalg.eigvals(dense_nb_matrix(op))
-        _, accepted, _ = classify_eigenvalues(w, default_e1(gr.n), 8, bulk_scale=scale)
+        _, accepted, _ = classify_eigenvalues(w, default_e1(gr.n), bulk_scale=scale)
         if not dense:
             monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)
         spec = top_spectrum(gr, scale=scale, seed=0)
@@ -518,17 +519,25 @@ def complete_bipartite(a: int, b: int, drop=()) -> SparseGraph:
     return SparseGraph(a + b, np.array([e for k, e in enumerate(edges) if k not in drop]))
 
 
+def test_classify_keeps_at_most_K_CAP_and_takes_the_scale_by_keyword():
+    w = 100.0 + np.arange(2 * K_CAP, 0, -1)  # every entry far above the cutoff
+    _, accepted, _ = classify_eigenvalues(w, 0.1)
+    assert accepted == list(range(K_CAP))
+    with pytest.raises(TypeError):
+        classify_eigenvalues(w, 0.1, 8)  # a stale cap must not pass as bulk_scale
+
+
 class TestBipartiteTies:
     """On a bipartite graph -lambda_1 is an eigenvalue too, tied in modulus with lambda_1."""
 
     def test_tie_is_broken_toward_the_real_positive_entry(self):
         w = np.array([-2.0, 1j * 2.0, -1j * 2.0, 2.0 * (1 - 1e-9), 0.5])
-        lam1, accepted, cutoff = classify_eigenvalues(w, 0.1, 8)
+        lam1, accepted, cutoff = classify_eigenvalues(w, 0.1)
         assert lam1 == w[3].real and accepted == [3, 0]
         assert cutoff == bulk_cutoff(lam1, 0.1)
         # without a tie, a negative leading entry is still refused
         with pytest.raises(DegenerateSpectrumError):
-            classify_eigenvalues(np.array([-2.0, 2.0 * (1 - 1e-5), 0.5]), 0.1, 8)
+            classify_eigenvalues(np.array([-2.0, 2.0 * (1 - 1e-5), 0.5]), 0.1)
 
     @pytest.mark.parametrize("a, b, drop", [(2, 4, ()), (3, 4, (0, 5))])
     def test_tied_graphs_are_not_refused(self, a, b, drop):
@@ -538,7 +547,7 @@ class TestBipartiteTies:
         w = np.linalg.eigvals(dense_nb_matrix(op))
         mags = np.abs(w)
         assert np.sum(mags >= mags.max() * (1 - 1e-9)) >= 2
-        lam1, _, _ = classify_eigenvalues(w, default_e1(gr.n), 8)
+        lam1, _, _ = classify_eigenvalues(w, default_e1(gr.n))
         assert lam1 == pytest.approx(w.real.max(), rel=1e-12)
         assert top_spectrum(gr, seed=0).K == 0  # +-lambda_1 stay under the cutoff
 

@@ -1,6 +1,6 @@
+import dataclasses
 import functools
 import json
-import os
 import re
 import subprocess
 import sys
@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphon_forge import cli, graph_sampler, moment_poly, nonbacktracking, star_counts
+from graphon_forge import cli, graph_sampler, moment_poly, nonbacktracking, pipeline, star_counts
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.nonbacktracking import EXTRACT_EVERY
 from graphon_forge.pipeline import (
@@ -85,6 +85,18 @@ MALFORMED_DUMPS = {
     "latents-out-of-range": ("latents", ValueError, lambda p, a: np.save(p, a + 1.0)),
 }
 
+# how the spectrum stage's (n, K) aggregates.npy is spoilt from its good array
+MALFORMED_AGGREGATES = {
+    "object": _pickled,
+    "truncated": _truncated,
+    "float32": lambda p, a: np.save(p, a.astype("<f4")),
+    "big-endian": lambda p, a: np.save(p, a.astype(">f8")),
+    "1d": lambda p, a: np.save(p, a.ravel()),
+    "fewer-rows": lambda p, a: np.save(p, a[:-1]),
+    "extra-column": lambda p, a: np.save(p, np.c_[a, a[:, :1]]),
+    "transposed": lambda p, a: np.save(p, np.ascontiguousarray(a.T)),
+}
+
 
 class TestDefaults:
     def test_epsilon_clamped(self):
@@ -97,9 +109,11 @@ class TestDefaults:
 
     @pytest.mark.parametrize(
         "name",
-        # after "bogus": names that are module constants or read by nothing, not config fields
+        # after "bogus": names that are module constants or read by nothing, not config
+        # fields; the last six were fields that changed no run's dumps
         ["bogus", "threads", "determinism", "sample_grid", "kappa_pad", "N_cap",
-         "moment_entries_cap", "K_cap"],
+         "moment_entries_cap", "K_cap",
+         "e0", "M", "delta_override", "m_override", "kappa_override", "h_ladder"],
     )
     def test_config_rejects_unknown_fields(self, name, tmp_path):
         p = tmp_path / "cfg.json"
@@ -122,18 +136,16 @@ class TestConfigHash:
         base = small_config(model_file, tmp_path)
         h0 = base.config_hash(b"model")
         changed = {
+            "model": str(tmp_path / "other.json"),
             "n": 4000,
             "seed": 5,
-            "e0": 0.7,
-            "M": 9.0,
             "epsilon_override": 0.3,
             "e1_override": 0.2,
             "N_override": 4,
-            "delta_override": 0.06,
-            "m_override": 1000,
-            "kappa_override": 2.0,
             "metrics_grid": 128,
         }
+        # a new field fails here until it is shown to move the hash, or to be `out`
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} == {*changed, "out"}
         for field, value in changed.items():
             cfg = small_config(model_file, tmp_path)
             setattr(cfg, field, value)
@@ -144,7 +156,6 @@ class TestConfigHash:
         a = small_config(model_file, tmp_path)
         b = small_config(model_file, tmp_path)
         b.out = str(tmp_path / "elsewhere")
-        b.h_ladder = (1.0, 3.0)  # chooses the runs of a ladder, changes no run's dumps
         assert a.config_hash(b"m") == b.config_hash(b"m")
 
 
@@ -160,7 +171,7 @@ class TestRunPipeline:
             "g2.npy",
             "latents.npy",
             "spectrum.json",
-            "aggregates.bin",
+            "aggregates.npy",
             "moments.json",
             "fit.json",
             "estimate.json",
@@ -239,7 +250,7 @@ class TestRunPipeline:
         ra = run_pipeline(cfg_a)
         rb = run_pipeline(cfg_b)
         for name in ("g1.npy", "g2.npy", "latents.npy", "spectrum.json",
-                     "aggregates.bin", "moments.json", "fit.json", "estimate.json",
+                     "aggregates.npy", "moments.json", "fit.json", "estimate.json",
                      "metrics.json"):
             assert (ra.out_dir / name).read_bytes() == (rb.out_dir / name).read_bytes(), name
         ma = read_json(ra.out_dir / MANIFEST_NAME)
@@ -346,6 +357,18 @@ class TestStagedExecution:
         write(path, np.load(path))
         with pytest.raises(error, match=re.escape(str(path))):
             PipelineState(cfg, cfg.out).require_graphs([name])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_AGGREGATES))
+    def test_malformed_aggregates_refused_naming_its_file(self, case, model_file, tmp_path):
+        cfg = small_config(model_file, tmp_path)
+        for stage in ("generate", "spectrum"):
+            run_stage(stage, cfg)
+        path = tmp_path / "out" / "aggregates.npy"
+        good = np.load(path)
+        assert good.shape == (N_SMALL, read_json(tmp_path / "out" / "spectrum.json")["K"])
+        MALFORMED_AGGREGATES[case](path, good)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            PipelineState(cfg, cfg.out).require_spectrum()
 
     def test_estimate_without_hash_refused(self, model_file, tmp_path):
         cfg = small_config(model_file, tmp_path)
@@ -554,15 +577,27 @@ class TestCli:
         assert capsys.readouterr().err == "error [run]: unknown config fields: ['bogus']\n"
         assert not out.exists()
 
-    def test_deterministic_pins_exported_thread_counts(self, model_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "4")
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    def test_scaled_single_h(self, model_file, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
-        out = tmp_path / "det-out"
-        args = ("generate", "--config", str(cfg_path), "--out", str(out), "--deterministic")
-        assert self.run_cli(*args) == 0
-        assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        out = tmp_path / "scaled-out"
+        assert self.run_cli("scaled", "--config", str(cfg_path), "--out", str(out), "--h", "2") == 0
+        unscaled = out / "h-2" / "estimate_unscaled.json"
+        assert read_json(unscaled)["provenance"]["h"] == 2.0
+        printed = re.fullmatch(r"h=2: delta2_upper=(\S+)\n", capsys.readouterr().out)
+        assert printed and float(printed[1]) == read_json(out / "h-2" / MANIFEST_NAME)["scaled"][
+            "metrics_vs_unscaled"]["delta2_upper"]
+
+    def test_scaled_ladder_has_a_row_per_scale(self, model_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "H_LADDER", (1.0, 2.0))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
+        out = tmp_path / "ladder-out"
+        assert self.run_cli("scaled", "--config", str(cfg_path), "--out", str(out)) == 0
+        rows = read_json(out / "scaled_ladder.json")["ladder"]
+        assert [row["h"] for row in rows] == [1.0, 2.0]
+        assert all((out / f"h-{h:g}" / "estimate_unscaled.json").exists() for h in (1, 2))
+        assert capsys.readouterr().out.count("delta2_upper=") == 2
 
     def test_env_var_out_dir(self, model_file, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
@@ -582,7 +617,7 @@ class TestCli:
         out = tmp_path / "sub-out"
         proc = subprocess.run(
             [sys.executable, "-m", "graphon_forge.cli", "generate",
-             "--config", str(cfg_path), "--out", str(out), "--deterministic"],
+             "--config", str(cfg_path), "--out", str(out)],
             capture_output=True,
             text=True,
         )

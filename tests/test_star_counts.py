@@ -208,7 +208,7 @@ class TestMomentTable:
     def test_memory_guard(self):
         gr, B = self._graph_and_aggregates(3)
         with pytest.raises(MomentTableTooLarge):
-            moment_table(gr, np.array([4.0, 3.0]), N=200, epsilon=0.4, aggregates=B, max_entries=100)
+            moment_table(gr, np.array([4.0, 3.0]), N=200, epsilon=0.4, aggregates=B)
 
     @pytest.mark.parametrize("K, N", [(2, 3), (3, 2)])
     def test_only_total_degree_entries(self, K, N):
