@@ -8,9 +8,8 @@ Stage subcommands consume the previous stage's dumps from the output
 directory and refuse inputs whose embedded config hash does not match. The
 default output directory comes from --out, the config, or the
 GRAPHON_FORGE_OUT environment variable, in that order. Reruns are
-byte-identical at a fixed BLAS thread count: numpy has loaded its BLAS before
-the arguments are parsed, so pin it in the environment before launch
-(OPENBLAS_NUM_THREADS=1).
+byte-identical whatever the BLAS thread count; pinning it before launch
+(OPENBLAS_NUM_THREADS=1) is only a speed hint.
 """
 from __future__ import annotations
 

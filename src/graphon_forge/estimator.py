@@ -99,19 +99,6 @@ class GraphonEstimate:
         return (f * self.lambdas) @ f.T
 
 
-def assemble(Z: np.ndarray, lambdas: np.ndarray, kappa: float = np.inf, provenance=None) -> GraphonEstimate:
-    """Estimate from feature rows and the spectral weights.
-
-    Rows are the same atom only when their bytes are, so -0.0 and 0.0 stay
-    apart and Z round-trips bit for bit.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    Z = np.ascontiguousarray(Z, dtype=float).reshape(-1, lambdas.size)
-    rows = Z.view(np.dtype((np.void, Z.dtype.itemsize * Z.shape[1]))).ravel()
-    _, first, index = np.unique(rows, return_index=True, return_inverse=True)
-    return GraphonEstimate(lambdas, Z[first], index, kappa, provenance or {})
-
-
 def save_estimate(est: GraphonEstimate, path) -> None:
     doc = {
         "version": FORMAT_VERSION,

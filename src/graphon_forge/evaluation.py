@@ -2,9 +2,10 @@
 
 The graphon distance of interest minimizes the kernel L2 error over
 measure-preserving relabelings of [0,1]. The infimum is not computable, so
-two surrogates are reported: an exact minimum over cell permutations for
-small equal-cell kernels, and a canonicalization upper bound otherwise. The
-canonicalization sorts the pieces of each side by their (sign-adjusted)
+every run reports one surrogate, a canonicalization upper bound
+(`alignment_method` is always `canonical-sort`); the exact minimum over cell
+permutations of small equal-cell kernels is only a test oracle
+(tests/oracles.py). The canonicalization sorts the pieces of each side by their (sign-adjusted)
 feature vectors, all m pieces of the estimate before it is read off on the
 evaluation grid; any such relabeling is measure preserving, so every
 searched combination yields a valid upper bound and the reported value is
@@ -127,27 +128,6 @@ def delta2_upper(
         method="canonical-sort",
         priority_order=best_order,
     )
-
-
-def delta2_exact_cells(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact alignment distance within the class of equal-cell permutations.
-
-    Both kernels are p x p matrices on p equal-measure cells; minimizes the
-    cell-grid L2 distance over all p! relabelings of b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p = a.shape[0]
-    if a.shape != (p, p) or b.shape != (p, p):
-        raise ValueError("kernels must be square and same size")
-    if p > 9:
-        raise ValueError("factorial search capped at p = 9; use delta2_upper instead")
-    best = np.inf
-    for perm in permutations(range(p)):
-        perm = list(perm)
-        d = np.sqrt(np.mean((a - b[np.ix_(perm, perm)]) ** 2))
-        best = min(best, float(d))
-    return best
 
 
 @dataclass

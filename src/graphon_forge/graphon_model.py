@@ -211,7 +211,29 @@ def save_graphon(g: StepGraphon, path) -> None:
         )
 
 
-def load_graphon(path) -> StepGraphon:
+class JsonObject(dict):
+    """A JSON object read from `path`; looking up a missing field raises ValueError naming the file and the field."""
+
+    def __init__(self, path, doc: dict):
+        super().__init__(doc)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: field {key!r} is missing")
+
+
+def read_json_object(path) -> JsonObject:
+    """The JSON object in `path`; text that is not JSON, or JSON that is not an object, raises ValueError naming the file."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not readable JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level is a {type(doc).__name__}, not an object")
+    return JsonObject(path, doc)
+
+
+def load_graphon(path) -> StepGraphon:
+    doc = read_json_object(path)
     return StepGraphon(np.array(doc["block_measures"]), np.array(doc["values"]))

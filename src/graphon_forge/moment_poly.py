@@ -1,4 +1,4 @@
-"""Mollified moment matching: the pipeline's node fit and a Legendre reference.
+"""Mollified moment matching: a nonnegative grid-node fit of the moments.
 
 The estimated joint moments describe a distribution supported on a curve in
 R^K (the image of the eigenfunctions), so it is first convolved with a
@@ -11,15 +11,14 @@ mollified table in least squares, solved by an in-package Lawson-Hanson NNLS
 (`nnls`). Any nonnegative law matching those moments is close to the target
 whenever they determine it.
 
-The Legendre path (`fit_density`) is acceptance criterion 5's reference and
-is never run by the pipeline: the density on the same box in tensor products
-of unit-norm Legendre polynomials, whose coefficients the moments determine
-linearly. The positive part of such a low-degree expansion cannot approach a
-law concentrated near a few points.
+A Legendre density expansion on the same box, acceptance criterion 5's
+reference, is a test oracle in tests/oracles.py: its coefficients follow
+linearly from the moments, but the positive part of such a low-degree
+expansion cannot approach a law concentrated near a few points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -101,137 +100,8 @@ def mollify_moments(table: MomentTable, mm: MollifierMoments) -> np.ndarray:
     return _apply_axes(t, table.entries)
 
 
-@dataclass
-class LegendreBasis:
-    """Monomial coefficients of unit-L2-norm Legendre polynomials, plus the box scaling.
-
-    Row i of `coeffs` holds the monomial coefficients of L_i on [-1, 1];
-    `scaled_coeffs[i, j] = coeffs[i, j] / kappa^(j + 1/2)` are the monomial
-    coefficients of the rescaled basis on [-kappa, kappa].
-    """
-
-    N: int
-    kappa: float
-    coeffs: np.ndarray
-    scaled_coeffs: np.ndarray
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Basis values L~_i(x), shape (len(x), N+1); three-term recurrence."""
-        t = np.asarray(x, dtype=float) / self.kappa
-        van = npleg.legvander(t, self.N)
-        norms = np.sqrt((2 * np.arange(self.N + 1) + 1) / (2.0 * self.kappa))
-        return van * norms
-
-
-def legendre_basis(N: int, kappa: float) -> LegendreBasis:
-    if N < 0 or kappa <= 0:
-        raise ValueError("need N >= 0 and kappa > 0")
-    coeffs = np.zeros((N + 1, N + 1))
-    for i in range(N + 1):
-        unit = np.zeros(i + 1)
-        unit[i] = 1.0
-        coeffs[i, : i + 1] = npleg.leg2poly(unit) * np.sqrt((2 * i + 1) / 2.0)
-    scaled = coeffs / kappa ** (np.arange(N + 1)[None, :] + 0.5)
-    return LegendreBasis(N=N, kappa=kappa, coeffs=coeffs, scaled_coeffs=scaled)
-
-
-@dataclass
-class DensityFit:
-    """Coefficient tensor of the truncated density expansion on the box."""
-
-    K: int
-    N: int
-    kappa: float
-    delta: float
-    rho: np.ndarray
-    l1_norm_plus: float | None = None
-    resolution_warning: bool = False
-    _basis: LegendreBasis = field(default=None, repr=False, compare=False)
-
-    @property
-    def basis(self) -> LegendreBasis:
-        if self._basis is None:
-            self._basis = legendre_basis(self.N, self.kappa)
-        return self._basis
-
-
-def fit_density(M: np.ndarray, basis: LegendreBasis, K: int, delta: float = 0.0) -> DensityFit:
-    """Coefficients rho_alpha = sum_{beta <= alpha} C~[alpha_i, beta_i] M_beta.
-
-    The triangular scaled-coefficient matrix acts on the moment tensor along
-    every axis; with exact moments of a polynomial density this recovers its
-    basis coefficients exactly.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != K or any(s != basis.N + 1 for s in M.shape):
-        raise ValueError("moment tensor shape must be (N+1,) * K")
-    return DensityFit(
-        K=K,
-        N=basis.N,
-        kappa=basis.kappa,
-        delta=delta,
-        rho=_apply_axes(basis.scaled_coeffs, M),
-        _basis=basis,
-    )
-
-
-def _eval_points(fit: DensityFit, pts: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    inside = np.all(np.abs(pts) <= fit.kappa, axis=1)
-    vals = np.zeros(pts.shape[0])
-    if np.any(inside):
-        sub = pts[inside]
-        acc = np.broadcast_to(fit.rho, (sub.shape[0],) + fit.rho.shape).copy()
-        for axis in range(fit.K):
-            bv = fit.basis.values(sub[:, axis])
-            acc = np.einsum("pi...,pi->p...", acc, bv)
-        vals[inside] = acc.reshape(sub.shape[0])
-    return vals
-
-
-def eval_density(fit: DensityFit, x) -> np.ndarray | float:
-    """h_N at point(s) x; zero outside the box."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    out = _eval_points(fit, x)
-    return float(out[0]) if single else out
-
-
 def _midpoints(kappa: float, resolution: int) -> np.ndarray:
     return (np.arange(resolution) + 0.5) / resolution * 2 * kappa - kappa
-
-
-def density_grid(fit: DensityFit, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint tensor grid values of h_N: (axis midpoints, value tensor)."""
-    mids = _midpoints(fit.kappa, resolution)
-    bv = fit.basis.values(mids)  # (res, N+1)
-    acc = fit.rho
-    for _ in range(fit.K):
-        # contract the leading coefficient axis against the basis values,
-        # cycling so finished point-axes stay in order
-        acc = np.tensordot(acc, bv, axes=(0, 1))
-    return mids, acc
-
-
-def l1_norm_plus(fit: DensityFit, grid_resolution: int = 128) -> float:
-    """Box integral of max(h_N, 0) by midpoint quadrature; doubling check attached.
-
-    Stores the value on the fit and flags `resolution_warning` when doubling
-    the grid moves the result by 1e-4 relative or more.
-    """
-    if grid_resolution < 32:
-        raise ValueError("need at least 32 grid points per axis")
-    cell = (2 * fit.kappa / grid_resolution) ** fit.K
-    _, vals = density_grid(fit, grid_resolution)
-    norm = float(np.maximum(vals, 0.0).sum() * cell)
-    cell2 = (2 * fit.kappa / (2 * grid_resolution)) ** fit.K
-    _, vals2 = density_grid(fit, 2 * grid_resolution)
-    norm2 = float(np.maximum(vals2, 0.0).sum() * cell2)
-    if norm <= 0.0 or norm2 <= 0.0:
-        raise UnusableFitError("fitted density has nonpositive L1 norm")
-    fit.resolution_warning = abs(norm2 - norm) >= 1e-4 * abs(norm2)
-    fit.l1_norm_plus = norm2
-    return norm2
 
 
 def node_resolution(K: int) -> int:
@@ -325,7 +195,8 @@ def nnls(A, b, maxiter: int | None = None) -> NnlsResult:
         x[P] = z
         w = A.T @ (b - A[:, P] @ z)
         w[P] = -np.inf
-    return NnlsResult(x, float(np.linalg.norm(A @ x - b)), solves)
+    r = A @ x - b
+    return NnlsResult(x, float(np.sqrt(np.einsum("i,i->", r, r))), solves)  # not a BLAS norm: see _lift
 
 
 @dataclass

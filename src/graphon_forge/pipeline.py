@@ -13,7 +13,7 @@ bound (a degree-N fit on the conservative box resolves nothing at desk-scale
 N). Each stage can be run in isolation from the previous stage's dumps; both
 paths call the same compute functions, and every dump embeds the config hash
 so mismatched inputs are refused. Reruns with identical config and seed are
-byte-identical apart from the manifest's timing section, at a fixed BLAS
+byte-identical apart from the manifest's timing section, whatever the BLAS
 thread count.
 """
 from __future__ import annotations
@@ -62,8 +62,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = graphon_model.read_json_object(path)
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -118,11 +117,11 @@ def _write_json(path: Path, doc) -> None:
         json.dump(doc, fh, sort_keys=True, indent=1)
 
 
-def _load_stage(path: Path, expect_hash: str) -> dict:
+def _load_stage(path: Path, expect_hash: str) -> graphon_model.JsonObject:
+    """The stage dump at `path`, refused unless it was written under the config hash `expect_hash`."""
     if not path.exists():
         raise StageInputError(f"missing stage input {path}")
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = graphon_model.read_json_object(path)
     if doc.get("config_hash") != expect_hash:
         raise StageInputError(f"{path} was produced under a different config; refusing")
     return doc

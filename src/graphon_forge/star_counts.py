@@ -51,7 +51,8 @@ def count_pair(G2: SparseGraph, bk: np.ndarray) -> float:
     bk = np.asarray(bk, dtype=float)
     if G2.m == 0:
         return 0.0
-    return float(2.0 * np.dot(bk[G2.edges[:, 0]], bk[G2.edges[:, 1]]))
+    # einsum, not a BLAS dot, whose sum changes its last bits with the thread count
+    return float(2.0 * np.einsum("i,i->", bk[G2.edges[:, 0]], bk[G2.edges[:, 1]]))
 
 
 def normalize_pair(akk: float, epsilon: float, lambda_k: float) -> float:
@@ -140,18 +141,6 @@ def _profile_sum(alpha: tuple[int, ...], sums: dict, n: int) -> float:
             term = term * sums[beta]
         total += coeff * float(term.sum())
     return total
-
-
-def count_star(G2: SparseGraph, alpha: tuple[int, ...], B: np.ndarray) -> float:
-    """A_alpha over ordered tuples of pairwise-distinct neighbors per center."""
-    alpha = tuple(int(a) for a in alpha)
-    if sum(alpha) < 1:
-        raise ValueError("need |alpha| >= 1")
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != G2.n:
-        B = B.T
-    betas = sorted({b for _, blocks in injective_profiles(alpha) for b in blocks})
-    return _profile_sum(alpha, _power_sums(G2, B, betas), G2.n)
 
 
 def normalize_star(

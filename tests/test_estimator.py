@@ -7,13 +7,13 @@ from graphon_forge.estimator import (
     FORMAT_VERSION,
     EstimateParseError,
     GraphonEstimate,
-    assemble,
     load_estimate,
     sample_nodes,
     save_estimate,
 )
 from graphon_forge.moment_poly import NodeFit
 from graphon_forge.rng import substream
+from tests.oracles import assemble
 
 
 class TestAssembleAndEvaluate:

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from graphon_forge import evaluation
-from graphon_forge.estimator import GraphonEstimate, assemble
+from graphon_forge.estimator import GraphonEstimate
 from graphon_forge.evaluation import (
     ALIGNMENT_BUDGET,
     ATOM_SORT_WEIGHT,
-    delta2_exact_cells,
     delta2_upper,
     diagnostics_C,
     l2_distance_grid,
@@ -17,6 +16,7 @@ from graphon_forge.evaluation import (
 from graphon_forge.graph_sampler import LatentAssignment
 from graphon_forge.graphon_model import SpectralGraphon, StepGraphon, spectral_decompose
 from graphon_forge.pipeline import alignment_metrics
+from tests.oracles import assemble, delta2_exact_cells
 
 
 def constant_kernel(c):

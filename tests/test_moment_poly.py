@@ -7,16 +7,10 @@ from numpy.polynomial import legendre as npleg
 from graphon_forge.moment_poly import (
     NODE_BUDGET,
     SAMPLE_GRID,
-    DensityFit,
     QuadratureUnderflowError,
     UnusableFitError,
-    density_grid,
-    eval_density,
-    fit_density,
     fit_nodes,
     grid_nodes,
-    l1_norm_plus,
-    legendre_basis,
     mollifier_moments,
     mollify_moments,
     nnls,
@@ -26,6 +20,7 @@ from graphon_forge.moment_poly import (
 )
 from graphon_forge.nonbacktracking import K_CAP
 from graphon_forge.star_counts import MomentTable
+from tests.oracles import DensityFit, density_grid, eval_density, fit_density, l1_norm_plus, legendre_basis
 
 # unit-bump second moment, frozen from two Gauss-Legendre rules agreeing to 1e-12
 # (see test_mollifier_second_moment_dual_quadrature)

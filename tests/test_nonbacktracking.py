@@ -16,17 +16,16 @@ from graphon_forge.nonbacktracking import (
     OrientedEdgeSpace,
     SpectrumConvergenceError,
     _two_core,
-    build_nb_operator,
     bulk_cutoff,
     classify_eigenvalues,
     default_e1,
-    dense_nb_matrix,
-    ihara_bass_dense,
     top_spectrum,
     vertex_aggregates,
 )
 from graphon_forge.pipeline import default_epsilon
+from graphon_forge.rng import substream
 from tests.conftest import peel_to_two_core, random_simple_graph
+from tests.oracles import build_nb_operator, dense_nb_matrix, ihara_bass_dense
 
 PATH3 = SparseGraph(3, np.array([[0, 1], [1, 2]]))
 TRIANGLE = SparseGraph(3, np.array([[0, 1], [0, 2], [1, 2]]))
@@ -676,7 +675,42 @@ class TestIharaBass:
                 comp.step(cur, bad)
 
 
+def start_block_full_draw(seed: int, n: int, width: int, core) -> np.ndarray:
+    """The start block as drawn before row blocks: each (n, width) half whole, then its core rows."""
+    rng = substream(seed, "subspace-init")
+    top = rng.standard_normal((n, width))[core]
+    k = top.shape[0]
+    block = np.empty((2 * k, width), order="F")
+    block[:k] = top
+    del top
+    block[k:] = rng.standard_normal((n, width))[core]
+    return block
+
+
 class TestSubspaceKernels:
+    @pytest.mark.parametrize("n", [50, 4096, 10_001])
+    @pytest.mark.parametrize("peeled", [True, False], ids=["core", "whole"])
+    def test_start_block_equals_one_full_draw(self, n, peeled):
+        rng = np.random.default_rng(n)
+        core = np.flatnonzero(rng.random(n) < 0.6) if peeled else slice(None)
+        for seed, width in [(0, 6), (7, 12)]:
+            got = nonbacktracking._start_block(seed, n, width, core)
+            want = start_block_full_draw(seed, n, width, core)
+            assert got.flags.f_contiguous and got.shape == want.shape
+            assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    def test_start_block_draws_in_row_blocks(self):
+        # a whole (n, width) half is 2.3 MB here; the block returned is 1.4 MB
+        n, width = 50_000, 6
+        core = np.arange(0, n, 2)
+        tracemalloc.start()
+        try:
+            block = nonbacktracking._start_block(0, n, width, core)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block.nbytes + n + 3 * 4096 * width * 8
+
     def test_block_ritz_matches_per_vector_formula(self):
         rng = np.random.default_rng(11)
         gr = SparseGraph(200, random_simple_graph(rng, 200, 4.0 / 200))

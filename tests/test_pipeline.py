@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -577,6 +579,47 @@ class TestCli:
         assert capsys.readouterr().err == "error [run]: unknown config fields: ['bogus']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda text: text[:40], r"not readable JSON \("),
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "nodes"}),
+             r"field 'nodes' is missing"),
+        ],
+        ids=["truncated", "without-nodes"],
+    )
+    def test_unreadable_fit_dump_names_the_file(self, model_file, tmp_path, capsys, spoil, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        fit = out / "fit.json"
+        fit.write_text(spoil(fit.read_text()))
+        capsys.readouterr()
+        assert self.run_cli("estimate", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert re.match(rf"error \[estimate\]: {re.escape(str(fit))}: {message}", err), err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"n": 3000, "mo', r"cfg\.json: not readable JSON \("),
+            ("[1, 2]", r"cfg\.json: top level is a list, not an object$"),
+            ("MODEL", r"model\.json: field 'values' is missing$"),
+        ],
+        ids=["truncated-config", "config-list", "model-without-values"],
+    )
+    def test_unreadable_config_or_model_names_the_file(self, tmp_path, capsys, config, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"block_measures": [0.5, 0.5]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model), "n": N_SMALL}) if config == "MODEL" else config)
+        out = tmp_path / "never"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err.rstrip("\n")
+        assert err.startswith(f"error [run]: {tmp_path}"), err
+        assert re.search(message, err), err
+
     def test_scaled_single_h(self, model_file, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
@@ -623,3 +666,30 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "g1.npy").exists()
+
+    def test_dumps_do_not_depend_on_the_blas_thread_count(self, model_file, tmp_path):
+        # numpy hands long dot products and norms to a threaded BLAS, whose sums
+        # change their last bits with the thread count; the package's n- and
+        # m-long reductions avoid it
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": 20_000, "seed": 0}))
+        dumps = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphon_forge.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifest = read_json(out / MANIFEST_NAME)
+            assert manifest["K"] == 2
+            manifest.pop("timings_sec")
+            dumps[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != MANIFEST_NAME}
+            dumps[threads][MANIFEST_NAME] = manifest
+        assert sorted(dumps["1"]) == sorted(dumps["2"])
+        differ = [name for name in dumps["1"] if dumps["1"][name] != dumps["2"][name]]
+        assert differ == []

@@ -11,7 +11,6 @@ from graphon_forge.star_counts import (
     MomentTable,
     MomentTableTooLarge,
     count_pair,
-    count_star,
     injective_profiles,
     moment_table,
     normalize_pair,
@@ -19,6 +18,7 @@ from graphon_forge.star_counts import (
     total_degree_indices,
 )
 from tests.conftest import random_simple_graph
+from tests.oracles import count_star
 
 
 def brute_force_star(gr: SparseGraph, alpha, B) -> float:
