@@ -5,9 +5,9 @@ measure-preserving relabelings of [0,1]. The infimum is not computable, so
 every run reports one surrogate, a canonicalization upper bound
 (`alignment_method` is always `canonical-sort`); the exact minimum over cell
 permutations of small equal-cell kernels is only a test oracle
-(tests/oracles.py). The canonicalization sorts the pieces of each side by their (sign-adjusted)
-feature vectors, all m pieces of the estimate before it is read off on the
-evaluation grid; any such relabeling is measure preserving, so every
+(tests/oracles.py). The canonicalization sorts the pieces of each side by
+their (sign-adjusted) feature vectors, all m pieces of the estimate before it
+is read off on the evaluation grid; any such relabeling is measure preserving, so every
 searched combination yields a valid upper bound and the reported value is
 their minimum. Sorting only grid samples of the estimate would leave a noise
 floor that does not shrink as m grows. The m pieces repeat a few atoms, and
