@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphon_model import JsonObject
 from .moment_poly import NodeFit
 from .rng import substream
 
@@ -113,24 +114,6 @@ def save_estimate(est: GraphonEstimate, path) -> None:
         fh.write(json.dumps(doc))  # one C-encoder call; json.dump streams through the Python one
 
 
-def _numbers(doc: dict, key: str, kinds: str, path) -> np.ndarray:
-    """doc[key] as a 1-D array whose dtype kind is in `kinds`, or a parse error naming the field."""
-    value = doc.get(key)
-    if not isinstance(value, list):
-        what = "missing" if key not in doc else f"a {type(value).__name__}, not a list"
-        raise EstimateParseError(f"{path}: field {key!r} is {what}")
-    arr = None
-    if bool not in map(type, value):  # numpy would cast a JSON boolean to a number
-        try:
-            arr = np.array(value) if value else np.empty(0, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
-        kind = "integers" if kinds == "i" else "numbers"
-        raise EstimateParseError(f"{path}: field {key!r} holds entries that are not {kind}")
-    return arr
-
-
 def load_estimate(path) -> GraphonEstimate:
     with open(path) as fh:
         try:
@@ -144,19 +127,20 @@ def load_estimate(path) -> GraphonEstimate:
         raise EstimateParseError(
             f"{path}: unsupported estimate file version {version!r} (this reader takes {FORMAT_VERSION})"
         )
-    lambdas = _numbers(doc, "lambdas", "if", path)
-    atoms = _numbers(doc, "atoms", "if", path)
-    index = _numbers(doc, "index", "i", path)
-    m, kappa, provenance = doc.get("m"), doc.get("kappa"), doc.get("provenance", {})
+    doc = JsonObject(path, doc)
+    try:
+        lambdas, atoms, index = doc.numbers("lambdas"), doc.numbers("atoms"), doc.numbers("index", "i")
+        kappa = doc.number("kappa")
+    except ValueError as exc:
+        raise EstimateParseError(str(exc)) from exc
+    m, provenance = doc.get("m"), doc.get("provenance", {})
     if type(m) is not int:
         raise EstimateParseError(f"{path}: field 'm' is {m!r}, not an integer")
-    if type(kappa) not in (int, float):
-        raise EstimateParseError(f"{path}: field 'kappa' is {kappa!r}, not a number")
     if not isinstance(provenance, dict):
         raise EstimateParseError(f"{path}: field 'provenance' is not an object")
     if index.size != m:
         raise EstimateParseError(f"{path}: m={m} does not match the {index.size} entries of field 'index'")
     try:
-        return GraphonEstimate(lambdas, atoms, index, float(kappa), provenance)
+        return GraphonEstimate(lambdas, atoms, index, kappa, provenance)
     except ValueError as exc:
         raise EstimateParseError(f"{path}: {exc}") from exc

@@ -17,11 +17,11 @@ naming the file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from . import csr
 from .graphon_model import StepGraphon
 from .rng import substream
 
@@ -48,7 +48,6 @@ class SparseGraph:
 
     n: int
     edges: np.ndarray
-    _adjacency: sparse.csr_matrix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # an int64 array is kept as it is, not copied
@@ -76,16 +75,13 @@ class SparseGraph:
         return self.edges.shape[0]
 
     @property
-    def adjacency(self) -> sparse.csr_matrix:
-        if self._adjacency is None:
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            data = np.ones(2 * self.m)
-            rows = np.concatenate([u, v])
-            cols = np.concatenate([v, u])
-            self._adjacency = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(self.n, self.n)
-            )
-        return self._adjacency
+    def adjacency(self) -> csr.CsrMatrix:
+        """The 0/1 adjacency, built on each access.
+
+        Entered as u -> v, v -> u edge by edge: since the edges are sorted by
+        (u, v), that leaves each row's columns sorted, and the build sorts nothing.
+        """
+        return csr.build((self.n, self.n), self.edges.ravel(), self.edges[:, ::-1].ravel(), np.ones(2 * self.m))
 
     @property
     def degrees(self) -> np.ndarray:

@@ -212,7 +212,11 @@ def save_graphon(g: StepGraphon, path) -> None:
 
 
 class JsonObject(dict):
-    """A JSON object read from `path`; looking up a missing field raises ValueError naming the file and the field."""
+    """A JSON object read from `path`; a missing or mistyped field raises ValueError naming the file and the field.
+
+    `path` names an object inside the file too: `objects` gives each entry
+    of a list the label `<path>: <field>[<i>]`.
+    """
 
     def __init__(self, path, doc: dict):
         super().__init__(doc)
@@ -220,6 +224,35 @@ class JsonObject(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.path}: field {key!r} is missing")
+
+    def number(self, key: str) -> float:
+        value = self[key]
+        if type(value) not in (int, float):  # bool is an int subclass, so `type`, not isinstance
+            raise ValueError(f"{self.path}: field {key!r} is {value!r}, not a number")
+        return float(value)
+
+    def numbers(self, key: str, kinds: str = "if") -> np.ndarray:
+        """The field as a 1-D array whose dtype kind is in `kinds`: "if" numbers, "i" integers."""
+        value = self[key]
+        if not isinstance(value, list):
+            raise ValueError(f"{self.path}: field {key!r} is a {type(value).__name__}, not a list")
+        arr = None
+        if bool not in map(type, value):  # numpy would cast a JSON boolean to a number
+            try:
+                arr = np.array(value) if value else np.empty(0, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
+            kind = "integers" if kinds == "i" else "numbers"
+            raise ValueError(f"{self.path}: field {key!r} holds entries that are not {kind}")
+        return arr
+
+    def objects(self, key: str) -> list[JsonObject]:
+        """The field's list of objects, each labelled `<path>: <key>[<i>]` in the errors it raises."""
+        value = self[key]
+        if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+            raise ValueError(f"{self.path}: field {key!r} is not a list of objects")
+        return [JsonObject(f"{self.path}: {key}[{i}]", item) for i, item in enumerate(value)]
 
 
 def read_json_object(path) -> JsonObject:

@@ -46,7 +46,9 @@ bulk modes to full tolerance. With s the operator scale, the block is held
 as two n-row iterates x_t and x_{t-1}, and a cube is three steps of the
 recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each an in-place
 diagonal update of x_{t-1} into which the one sparse product with s A is
-accumulated, so a step allocates nothing. The block [x_t; s x_{t-1}] is
+accumulated, so a step allocates nothing. A and NbOperator's head incidence
+are `csr.CsrMatrix`es, whose products run on scipy's compiled CSR kernels
+without importing `scipy.sparse`. The block [x_t; s x_{t-1}] is
 re-orthonormalized by an economic Householder QR, LAPACK's dgeqrf and dorgqr
 from numpy's own lapack_lite run in the block's buffer, only as often as the
 growth of lambda_1 over the cutoff requires (Rutishauser's RITZIT), and
@@ -75,9 +77,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import lapack_lite
-from scipy import sparse
-from scipy.sparse import _sparsetools  # csr_matvecs: Y += A X, which no public call does
 
+from . import csr
 from .graph_sampler import SparseGraph
 from .graphon_model import fix_signs
 from .rng import substream
@@ -130,16 +131,13 @@ class NbOperator:
 
     space: OrientedEdgeSpace
     scale: float = 1.0
-    _incoming: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _incoming: csr.CsrMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.space
         # (n, 2m) head incidence; each CSR row lists its edges in index order,
         # so a product sums every vertex's incoming values in edge order
-        self._incoming = sparse.csr_matrix(
-            (np.ones(s.m_oriented), (s.heads, np.arange(s.m_oriented))),
-            shape=(s.n, s.m_oriented),
-        )
+        self._incoming = csr.build((s.n, s.m_oriented), s.heads, np.arange(s.m_oriented), np.ones(s.m_oriented))
 
     @property
     def dim(self) -> int:
@@ -174,15 +172,13 @@ class Companion:
 
     space: OrientedEdgeSpace
     scale: float = 1.0
-    _adjacency: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _adjacency: csr.CsrMatrix = field(init=False, repr=False, compare=False)
     _defect: np.ndarray = field(init=False, repr=False, compare=False)
     _defect_block: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, scale = self.space, self.scale
-        self._adjacency = sparse.csr_matrix(
-            (np.full(s.m_oriented, scale), (s.tails, s.heads)), shape=(s.n, s.n)
-        )
+        self._adjacency = csr.build((s.n, s.n), s.tails, s.heads, np.full(s.m_oriented, scale))
         self._defect = scale**2 * (1.0 - np.bincount(s.heads, minlength=s.n))
 
     @property
@@ -193,10 +189,11 @@ class Companion:
         """x_{t+1} from (x_t, x_{t-1}) = (cur, prev) for a vector or a block; overwrites and returns `prev`.
 
         `prev` must be a C-contiguous float64 array of cur's shape: s A x_t
-        is added straight into it by scipy's CSR multivector kernel, which
-        computes Y += A X, so a step allocates no product block.
+        is added straight into it by scipy's compiled CSR kernel, which
+        computes Y += A X (`csr.CsrMatrix.accumulate`), so a step allocates
+        no product block.
         """
-        adjacency, n = self._adjacency, self.space.n
+        n = self.space.n
         if prev.dtype != np.float64 or not prev.flags.c_contiguous:
             raise ValueError("prev must be a C-contiguous float64 array: the product is accumulated into it")
         if prev.shape != cur.shape or prev.shape[0] != n:
@@ -210,9 +207,7 @@ class Companion:
                 self._defect_block = np.repeat(defect, prev.shape[1]).reshape(prev.shape)
             defect = self._defect_block
         prev *= defect
-        width = 1 if prev.ndim == 1 else prev.shape[1]
-        _sparsetools.csr_matvecs(n, n, width, adjacency.indptr, adjacency.indices, adjacency.data, cur, prev)
-        return prev
+        return self._adjacency.accumulate(cur, prev)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """C X for a vector or a block of columns: one `step` from [X_top; X_bottom / s]."""

@@ -135,7 +135,6 @@ class PipelineState:
             raise ValueError("need n >= 100")
         self.cfg = cfg
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.model = model if model is not None else graphon_model.load_graphon(cfg.model)
         model_bytes = json.dumps(
             {
@@ -145,6 +144,7 @@ class PipelineState:
             sort_keys=True,
         ).encode()
         self.config_hash = cfg.config_hash(model_bytes)
+        self.out.mkdir(parents=True, exist_ok=True)  # after the model: an unreadable one leaves no directory
         self.truth = graphon_model.spectral_decompose(self.model)
         self.report = graphon_model.check_assumptions(self.model)
         self.M = self.model.bound
@@ -219,14 +219,19 @@ class PipelineState:
         if self.fit is None:
             doc = _load_stage(self.out / "fit.json", self.config_hash)
             K = doc["K"]
+            nodes, weights = doc.numbers("nodes"), doc.numbers("weights")
+            if nodes.size != K * weights.size:
+                raise ValueError(
+                    f"{doc.path}: field 'nodes' holds {nodes.size} numbers, not K = {K} for each of {weights.size} weights"
+                )
             self.fit = moment_poly.NodeFit(
                 K=K,
                 N=doc["N"],
                 kappa=doc["kappa"],
                 delta=doc["delta"],
                 resolution=doc["resolution"],
-                nodes=np.array(doc["nodes"], dtype=float).reshape(-1, K),
-                weights=np.array(doc["weights"], dtype=float),
+                nodes=nodes.astype(float).reshape(-1, K),
+                weights=weights.astype(float),
                 residual=doc["residual"],
                 iterations=doc["iterations"],
             )

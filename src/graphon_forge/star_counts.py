@@ -30,6 +30,7 @@ from math import factorial, prod
 import numpy as np
 
 from .graph_sampler import SparseGraph
+from .graphon_model import JsonObject
 
 
 TABLE_BUDGET = 20_000  # cap on the (N+1)^K cells of a moment table
@@ -197,17 +198,21 @@ class MomentTable:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "MomentTable":
-        shape = (doc["N"] + 1,) * doc["K"]
-        entries = np.zeros(shape)
-        for item in doc["entries"]:
-            entries[tuple(item["alpha"])] = item["value"]
+    def from_dict(cls, doc: JsonObject) -> "MomentTable":
+        """The table `to_dict` wrote, read back; a malformed entry raises ValueError naming its field."""
+        K, N = doc["K"], doc["N"]
+        entries = np.zeros((N + 1,) * K)
+        for item in doc.objects("entries"):
+            alpha = item.numbers("alpha", "i")
+            if alpha.size != K or np.any(alpha < 0) or np.any(alpha > N):
+                raise ValueError(f"{item.path}: field 'alpha' is {alpha.tolist()}, not {K} indices in 0..{N}")
+            entries[tuple(alpha)] = item.number("value")
         return cls(
-            K=doc["K"],
-            N=doc["N"],
+            K=K,
+            N=N,
             epsilon=doc["epsilon"],
             valid=doc["valid"],
-            pair_diagonal=np.array(doc["P_diag"], dtype=float),
+            pair_diagonal=doc.numbers("P_diag").astype(float),
             entries=entries,
         )
 

@@ -11,7 +11,8 @@ tests that use it, as an independent oracle:
   cannot approach a law concentrated near a few points, which is why the
   pipeline fits grid nodes (`moment_poly.fit_nodes`) instead;
 - the dense builders of the non-backtracking operator B and of its
-  Ihara-Bass companion, on which the spectrum's solver is checked;
+  Ihara-Bass companion, on which the spectrum's solver is checked, and the
+  dense adjacency, built from the edge list apart from `graphon_forge.csr`;
 - `count_star`, one star count A_alpha straight from its own power sums,
   against which `star_counts.moment_table` is checked;
 - `assemble`, an estimate from its m feature rows, which the pipeline
@@ -175,9 +176,17 @@ def dense_nb_matrix(op: NbOperator) -> np.ndarray:
     return op.matmat(np.eye(op.dim))
 
 
+def dense_adjacency(gr: SparseGraph) -> np.ndarray:
+    """The graph's (n, n) 0/1 adjacency, straight from its edge list."""
+    a = np.zeros((gr.n, gr.n))
+    a[gr.edges[:, 0], gr.edges[:, 1]] = 1.0
+    a[gr.edges[:, 1], gr.edges[:, 0]] = 1.0
+    return a
+
+
 def ihara_bass_dense(G1: SparseGraph) -> np.ndarray:
-    a = G1.adjacency.toarray()
-    d = np.diag(np.asarray(G1.adjacency.sum(axis=1)).ravel())
+    a = dense_adjacency(G1)
+    d = np.diag(a.sum(axis=1))
     n = G1.n
     top = np.concatenate([a, np.eye(n) - d], axis=1)
     bot = np.concatenate([np.eye(n), np.zeros((n, n))], axis=1)

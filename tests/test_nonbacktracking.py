@@ -25,7 +25,7 @@ from graphon_forge.nonbacktracking import (
 from graphon_forge.pipeline import default_epsilon
 from graphon_forge.rng import substream
 from tests.conftest import peel_to_two_core, random_simple_graph
-from tests.oracles import build_nb_operator, dense_nb_matrix, ihara_bass_dense
+from tests.oracles import build_nb_operator, dense_adjacency, dense_nb_matrix, ihara_bass_dense
 
 PATH3 = SparseGraph(3, np.array([[0, 1], [1, 2]]))
 TRIANGLE = SparseGraph(3, np.array([[0, 1], [0, 2], [1, 2]]))
@@ -649,7 +649,7 @@ class TestIharaBass:
         rng = np.random.default_rng(15)
         gr = SparseGraph(40, np.concatenate([random_simple_graph(rng, 39, 0.12), [[0, 39]]]))
         comp = Companion(OrientedEdgeSpace.from_graph(gr), scale=scale)
-        adjacency = gr.adjacency.toarray()
+        adjacency = dense_adjacency(gr)
         defect = scale**2 * (1.0 - adjacency.sum(axis=1))
         shape = (gr.n,) if width is None else (gr.n, width)
         cur, prev = rng.standard_normal(shape), rng.standard_normal(shape)

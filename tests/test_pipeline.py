@@ -600,6 +600,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.match(rf"error \[estimate\]: {re.escape(str(fit))}: {message}", err), err
 
+    @staticmethod
+    def _drop_value(doc):
+        del doc["entries"][0]["value"]
+
+    @staticmethod
+    def _set(field, value, entry=None):
+        def spoil(doc):
+            (doc if entry is None else doc["entries"][entry])[field] = value
+
+        return spoil
+
+    @pytest.mark.parametrize(
+        "dump, stage, spoil, message",
+        [
+            ("moments.json", "fit", _drop_value, r"entries\[0\]: field 'value' is missing"),
+            ("moments.json", "fit", _set("value", "abc", entry=2), r"entries\[2\]: field 'value' is 'abc', not a number"),
+            ("moments.json", "fit", _set("alpha", [0, 1, 0], entry=1),
+             r"entries\[1\]: field 'alpha' is \[0, 1, 0\], not 2 indices in 0\.\.3"),
+            ("moments.json", "fit", _set("entries", [1, 2]), r"field 'entries' is not a list of objects"),
+            ("fit.json", "estimate", _set("nodes", "abc"), r"field 'nodes' is a str, not a list"),
+            ("fit.json", "estimate", _set("weights", ["abc"]), r"field 'weights' holds entries that are not numbers"),
+            ("fit.json", "estimate", lambda doc: doc["weights"].append(0.5),
+             r"field 'nodes' holds \d+ numbers, not K = 2 for each of \d+ weights"),
+        ],
+        ids=["value-missing", "value-not-a-number", "alpha-of-3", "entries-not-objects", "nodes-a-string",
+             "weights-not-numbers", "nodes-and-weights-disagree"],
+    )
+    def test_malformed_stage_dump_names_the_file_and_field(self, model_file, tmp_path, capsys, dump, stage, spoil, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
+        out = tmp_path / "out"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        path = out / dump
+        doc = json.loads(path.read_text())
+        assert doc["K"] == 2
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run_cli(stage, "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert re.match(rf"error \[{stage}\]: {re.escape(str(path))}: {message}\n$", err), err
+
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -619,6 +661,7 @@ class TestCli:
         err = capsys.readouterr().err.rstrip("\n")
         assert err.startswith(f"error [run]: {tmp_path}"), err
         assert re.search(message, err), err
+        assert not out.exists()
 
     def test_scaled_single_h(self, model_file, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
