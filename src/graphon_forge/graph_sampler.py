@@ -44,7 +44,12 @@ class LatentAssignment:
 
 @dataclass
 class SparseGraph:
-    """Simple undirected graph; edges stored as sorted (u < v) int64 rows."""
+    """Simple undirected graph; edges stored as sorted (u < v) int64 rows.
+
+    Its 2m oriented edges, on which the non-backtracking operator lives, are
+    numbered from the rows: edge 2i is row i, u -> v, and 2i + 1 is its
+    reversal v -> u.
+    """
 
     n: int
     edges: np.ndarray

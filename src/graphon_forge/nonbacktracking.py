@@ -1,11 +1,12 @@
 """Non-backtracking operator of a sparse graph and its informative spectrum.
 
-The operator B lives on oriented edges: entry (e, f) is 1 exactly when e
-feeds into f's tail without reversing f. One application costs O(|E|) via
-the two-pass trick (aggregate incoming values per vertex, subtract the
-reversal). `NbOperator` applies it matrix-free; the spectrum never builds
-it. It is the reference the solver is checked against, through the dense
-builders in tests/oracles.py.
+The operator B lives on the 2|E| oriented edges of a `SparseGraph`, in the
+order its docstring fixes: edge 2i is row i, u -> v, and 2i + 1 its
+reversal. Entry (e, f) is 1 exactly when e feeds into f's tail without
+reversing f. One application costs O(|E|) via the two-pass trick (aggregate
+incoming values per vertex, subtract the reversal). `NbOperator` applies it
+matrix-free; the spectrum never builds it. It is the reference the solver is
+checked against, through the dense builders in tests/oracles.py.
 Eigenvalues outside the bulk disk of radius sqrt(lambda_1) estimate the
 kernel's informative eigenvalues; K counts the real eigenvalues clearing the
 cutoff sqrt(lambda_1) + e1(n) with e1(n) = 1/sqrt(log n).
@@ -20,9 +21,11 @@ pass the cutoff: whenever lambda_1 > 1 the cutoff exceeds 1, and a graph
 with lambda_1 <= 1 (its 2-core empty, as when it has no edge, or a union
 of cycles) is refused as degenerate before any solve.
 
-C is built on the graph's 2-core only, found by peeling leaves round by
-round. No non-backtracking walk leaves a pendant tree once it has entered,
-so the trees add only zero eigenvalues to B, and an eigenvector of a
+The solver takes the `SparseGraph` itself and builds C on its 2-core only,
+found by peeling leaves round by round over the m edge rows; the relabelled
+core is kept as a `SparseGraph`, whose labels rise with vertex order, so its
+rows stay sorted. No non-backtracking walk leaves a pendant tree once it has
+entered, so the trees add only zero eigenvalues to B, and an eigenvector of a
 nonzero eigenvalue follows exactly from its core part: in reverse peel
 order a(v) = a(parent) / lambda, and a = 0 on tree-only components. A graph
 with no leaf is iterated on as it is. Each accepted aggregate, so extended,
@@ -46,9 +49,9 @@ bulk modes to full tolerance. With s the operator scale, the block is held
 as two n-row iterates x_t and x_{t-1}, and a cube is three steps of the
 recurrence x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}, each an in-place
 diagonal update of x_{t-1} into which the one sparse product with s A is
-accumulated, so a step allocates nothing. A and NbOperator's head incidence
-are `csr.CsrMatrix`es, whose products run on scipy's compiled CSR kernels
-without importing `scipy.sparse`. The block [x_t; s x_{t-1}] is
+accumulated, so a step allocates nothing. A (the core's `adjacency`) and
+NbOperator's head incidence are `csr.CsrMatrix`es, whose products run on
+scipy's compiled CSR kernels without importing `scipy.sparse`. The block [x_t; s x_{t-1}] is
 re-orthonormalized by an economic Householder QR, LAPACK's dgeqrf and dorgqr
 from numpy's own lapack_lite run in the block's buffer, only as often as the
 growth of lambda_1 over the cutoff requires (Rutishauser's RITZIT), and
@@ -102,51 +105,39 @@ class SpectrumConvergenceError(RuntimeError):
     """The subspace iteration ran out of iterations before the accepted set settled."""
 
 
-@dataclass
-class OrientedEdgeSpace:
-    """Indexing of the 2|E| oriented edges; reversal is index XOR 1."""
+def _tails(graph: SparseGraph) -> np.ndarray:
+    """Tail of each of the graph's 2m oriented edges, a view of its rows: edge 2i is row i, u -> v, and 2i + 1 its reversal."""
+    return graph.edges.ravel()
 
-    n: int
-    tails: np.ndarray
-    heads: np.ndarray
 
-    @classmethod
-    def from_graph(cls, gr: SparseGraph) -> "OrientedEdgeSpace":
-        u, v = gr.edges[:, 0], gr.edges[:, 1]
-        tails = np.empty(2 * gr.m, dtype=np.int64)
-        heads = np.empty(2 * gr.m, dtype=np.int64)
-        tails[0::2], heads[0::2] = u, v
-        tails[1::2], heads[1::2] = v, u
-        return cls(gr.n, tails, heads)
-
-    @property
-    def m_oriented(self) -> int:
-        return self.tails.size
+def _heads(graph: SparseGraph) -> np.ndarray:
+    """Head of each oriented edge, in `_tails`' order: a copy, made on each call so that no caller holds it past its use."""
+    return graph.edges[:, ::-1].ravel()
 
 
 # kept in the package because perfbench/spans.py looks it up when it installs its trace hooks
 @dataclass
 class NbOperator:
-    """Matrix-free non-backtracking operator, optionally rescaled by `scale`."""
+    """Matrix-free non-backtracking operator on the graph's oriented edges, optionally rescaled by `scale`."""
 
-    space: OrientedEdgeSpace
+    graph: SparseGraph
     scale: float = 1.0
     _incoming: csr.CsrMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = self.space
+        g, dim = self.graph, self.dim
         # (n, 2m) head incidence; each CSR row lists its edges in index order,
         # so a product sums every vertex's incoming values in edge order
-        self._incoming = csr.build((s.n, s.m_oriented), s.heads, np.arange(s.m_oriented), np.ones(s.m_oriented))
+        self._incoming = csr.build((g.n, dim), _heads(g), np.arange(dim), np.ones(dim))
 
     @property
     def dim(self) -> int:
-        return self.space.m_oriented
+        return 2 * self.graph.m
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """B X for a vector or a block of columns: incoming sum at the tail minus the reversal."""
         X = np.asarray(X)
-        y = np.take(self._incoming @ X, self.space.tails, axis=0)
+        y = np.take(self._incoming @ X, _tails(self.graph), axis=0)
         # oriented edges 2i and 2i+1 are reversals of each other
         pairs = (-1, 2, *X.shape[1:])
         y.reshape(pairs)[...] -= X.reshape(pairs)[:, ::-1]
@@ -161,29 +152,30 @@ class NbOperator:
 class Companion:
     """Ihara-Bass companion scale * [[A, I - D], [I, 0]] on 2n coordinates.
 
-    Built from the oriented-edge space: A has a 1 at (tail, head) of every
-    oriented edge and D is the in-degree. Its eigenvalues are those of the
-    equally scaled NbOperator, apart from trivial ones at +-scale.
+    Built from the graph's `adjacency` A, its data times the scale, and its
+    `degrees` D. Its eigenvalues are those of the equally scaled NbOperator,
+    apart from trivial ones at +-scale.
 
     With s = scale, C maps [x_t; s x_{t-1}] to [x_{t+1}; s x_t] where
     x_{t+1} = s A x_t + s^2 (I - D) x_{t-1}: one sparse product with s A
     plus the diagonal s^2 (I - D) (`step`).
     """
 
-    space: OrientedEdgeSpace
+    graph: SparseGraph
     scale: float = 1.0
     _adjacency: csr.CsrMatrix = field(init=False, repr=False, compare=False)
     _defect: np.ndarray = field(init=False, repr=False, compare=False)
     _defect_block: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s, scale = self.space, self.scale
-        self._adjacency = csr.build((s.n, s.n), s.tails, s.heads, np.full(s.m_oriented, scale))
-        self._defect = scale**2 * (1.0 - np.bincount(s.heads, minlength=s.n))
+        scale = self.scale
+        self._adjacency = self.graph.adjacency  # built on this access, so its data is the companion's own
+        self._adjacency.data[...] *= scale
+        self._defect = scale**2 * (1.0 - self.graph.degrees)
 
     @property
     def dim(self) -> int:
-        return 2 * self.space.n
+        return 2 * self.graph.n
 
     def step(self, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """x_{t+1} from (x_t, x_{t-1}) = (cur, prev) for a vector or a block; overwrites and returns `prev`.
@@ -193,7 +185,7 @@ class Companion:
         computes Y += A X (`csr.CsrMatrix.accumulate`), so a step allocates
         no product block.
         """
-        n = self.space.n
+        n = self.graph.n
         if prev.dtype != np.float64 or not prev.flags.c_contiguous:
             raise ValueError("prev must be a C-contiguous float64 array: the product is accumulated into it")
         if prev.shape != cur.shape or prev.shape[0] != n:
@@ -212,7 +204,7 @@ class Companion:
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """C X for a vector or a block of columns: one `step` from [X_top; X_bottom / s]."""
         X = np.asarray(X)
-        n = self.space.n
+        n = self.graph.n
         out = np.empty(X.shape)
         np.divide(X[n:], self.scale, out=out[n:])
         out[:n] = self.step(X[:n], out[n:])
@@ -223,30 +215,31 @@ class Companion:
     __matmul__ = matmat
 
 
-def _lift(space: OrientedEdgeSpace, aggregates: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+def _lift(graph: SparseGraph, aggregates: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """Unit oriented-edge eigenvectors of B from their vertex aggregates.
 
     Column k of the (n, K) `aggregates` is the top half a of a companion
     eigenvector [a; a / lambda] of the unscaled eigenvalue lambdas[k], and
     xi(u->v) = (lambda a(u) - a(v)) / (lambda^2 - 1); the factor
     1 / (lambda^2 - 1) goes in the normalization, and the first
-    non-negligible entry of each column of the (m_oriented, K) result is
-    made positive.
+    non-negligible entry of each column of the (2m, K) result is made
+    positive.
     """
-    xi = np.empty((space.m_oriented, lambdas.size), order="F")  # built a column at a time
+    tails, heads = _tails(graph), _heads(graph)
+    xi = np.empty((tails.size, lambdas.size), order="F")  # built a column at a time
     for k, lam in enumerate(lambdas):
         a, col = aggregates[:, k], xi[:, k]
-        np.take(a, space.tails, out=col, mode="clip")  # "raise" would buffer `out`; the indices are valid
+        np.take(a, tails, out=col, mode="clip")  # "raise" would buffer `out`; the indices are valid
         col *= lam
-        col -= a[space.heads]
+        col -= a[heads]
         # einsum, not a BLAS norm, whose sum changes its last bits with the thread count
         col /= np.sqrt(np.einsum("i,i->", col, col))
     fix_signs(xi)
     return xi
 
 
-def _two_core(space: OrientedEdgeSpace):
-    """(alive oriented edges, core degrees, peel rounds) of the graph's 2-core.
+def _two_core(graph: SparseGraph):
+    """(alive edge rows, core degrees, peel rounds) of the graph's 2-core.
 
     Leaves are peeled until none is left. Round r lists its leaves and, for
     each, its one neighbour still alive in that round (its parent): a pair
@@ -254,19 +247,23 @@ def _two_core(space: OrientedEdgeSpace):
     Core degrees are 0 off the core. B's spectral radius is 0 when the core
     is empty and 1 when every core component is a cycle; a core vertex of
     degree 3 or more makes non-backtracking walks branch. Each round costs
-    O(|E|); there are as many as the deepest pendant tree is deep, which is
-    O(log n) on sampled sparse graphs.
+    O(|E|), and the degrees lose only the rows it peels; there are as many
+    rounds as the deepest pendant tree is deep, which is O(log n) on sampled
+    sparse graphs.
     """
-    alive = np.ones(space.m_oriented, dtype=bool)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    alive, degree = np.ones(graph.m, dtype=bool), graph.degrees
     rounds = []
     while True:
-        degree = np.bincount(space.heads[alive], minlength=space.n)
         leaf = degree == 1
         if not leaf.any():
             return alive, degree, rounds
-        out = alive & leaf[space.tails]  # each leaf's one alive edge, leaf -> parent
-        rounds.append((space.tails[out], space.heads[out]))
-        alive &= ~(leaf[space.heads] | leaf[space.tails])
+        # each leaf's one alive row, read leaf -> parent
+        leaf_u, leaf_v = alive & leaf[u], alive & leaf[v]
+        rounds.append((np.concatenate([u[leaf_u], v[leaf_v]]), np.concatenate([v[leaf_u], u[leaf_v]])))
+        peeled = leaf_u | leaf_v
+        alive &= ~peeled
+        degree = degree - np.bincount(u[peeled], minlength=graph.n) - np.bincount(v[peeled], minlength=graph.n)
 
 
 def _extend_to_trees(core_aggregates, lambdas, core, rounds, n: int) -> np.ndarray:
@@ -475,7 +472,7 @@ def _subspace_iterate(op: Companion, start: np.ndarray, e1: float):
     last of the MAX_ITERATIONS iterations always extracts and returns, so a
     run that does not raise returns a result.
     """
-    n, s = op.space.n, op.scale
+    n, s = op.graph.n, op.scale
     Q = _orthonormalize(start)  # in start's buffer, which _load hands on as Z
     del start  # so that a cut can let it go
     orthonormalizations = 1
@@ -618,24 +615,24 @@ def top_spectrum(
     the leading eigenvalue is not real positive, and
     SpectrumConvergenceError when a run exhausts MAX_ITERATIONS.
     """
-    full = OrientedEdgeSpace.from_graph(graph)
-    e1 = default_e1(full.n) if e1_override is None else float(e1_override)
+    e1 = default_e1(graph.n) if e1_override is None else float(e1_override)
     # the companion's trivial eigenvalues +-scale clear no cutoff once B's
     # radius exceeds 1; below that the run is degenerate whatever they do
-    alive, core_degree, rounds = _two_core(full)
+    alive, core_degree, rounds = _two_core(graph)
     if core_degree.max(initial=0) < 3:
         raise DegenerateSpectrumError(
             "non-backtracking spectral radius is at most 1 (2-core empty or all cycles)"
         )
-    core, space = slice(None), full  # nothing peeled: the graph is its own core
-    if rounds:  # the 2-core, relabelled 0..core.size-1 in vertex order
+    core, core_graph = slice(None), graph  # nothing peeled: the graph is its own core
+    if rounds:  # the 2-core, relabelled 0..core.size-1 in vertex order, so its rows stay sorted
         core = np.flatnonzero(core_degree)
-        label = np.zeros(full.n, dtype=np.int64)
+        label = np.zeros(graph.n, dtype=np.int64)
         label[core] = np.arange(core.size)
-        space = OrientedEdgeSpace(core.size, label[full.tails[alive]], label[full.heads[alive]])
+        core_graph = SparseGraph(core.size, label[graph.edges[alive]])
         del label
     del alive, core_degree  # not held through the solve
-    comp = Companion(space, scale)
+    comp = Companion(core_graph, scale)
+    core_vertices = core_graph.n
     block_size = iterations = orthonormalizations = 0
     if comp.dim <= DENSE_FALLBACK_DIM:  # Ritz pairs on the whole space are the eigenpairs
         Q = np.eye(comp.dim)
@@ -645,7 +642,7 @@ def top_spectrum(
         block_size = min(max(6, K_CAP // 2 + 2), comp.dim - 1)
         widest = min(K_CAP + 4, comp.dim - 1)
         while True:
-            out, Q, ok, its, qrs = _subspace_iterate(comp, _start_block(seed, full.n, block_size, core), e1)
+            out, Q, ok, its, qrs = _subspace_iterate(comp, _start_block(seed, graph.n, block_size, core), e1)
             iterations += its
             orthonormalizations += qrs
             w, S, residuals, ray, accepted, _, cutoff = out
@@ -663,18 +660,18 @@ def top_spectrum(
     lambdas = ray[accepted]
     unscaled = lambdas / scale
     # the accepted Ritz vectors' top halves, the companion eigenvectors' aggregates
-    aggregates = _extend_to_trees(Q[: space.n] @ S[:, accepted], unscaled, core, rounds, full.n)
-    del Q, comp  # the solver's block and operator go before the lift
+    aggregates = _extend_to_trees(Q[:core_vertices] @ S[:, accepted], unscaled, core, rounds, graph.n)
+    del Q, comp, core_graph  # the solver's block, operator and core go before the lift
     return _finish(  # w and residuals come |.|-descending from _ritz_candidates
-        full, scale, e1, lambdas, _lift(full, aggregates, unscaled), cutoff, w,
+        graph, scale, e1, lambdas, _lift(graph, aggregates, unscaled), cutoff, w,
         iterations=iterations, start_block=block_size, block=w.size,
-        orthonormalizations=orthonormalizations, iterated_dim=2 * space.n,
-        core_vertices=space.n, peel_rounds=len(rounds), ritz_residuals=residuals,
+        orthonormalizations=orthonormalizations, iterated_dim=2 * core_vertices,
+        core_vertices=core_vertices, peel_rounds=len(rounds), ritz_residuals=residuals,
     )
 
 
 def _finish(
-    space: OrientedEdgeSpace, scale: float, e1, lambdas, vectors, cutoff, all_eigs, **solver
+    graph: SparseGraph, scale: float, e1, lambdas, vectors, cutoff, all_eigs, **solver
 ) -> NbSpectrum:
     warnings: list[str] = []
     K = lambdas.size
@@ -698,18 +695,19 @@ def _finish(
                 fix_signs(qmat)
                 vectors[:, cols] = qmat
             i = j
-    aggregates = vertex_aggregates(vectors, space)
-    lambdas = _bethe_hessian_eigenvalues(space, scale, aggregates, lambdas)
+    aggregates = vertex_aggregates(vectors, graph)
+    lambdas = _bethe_hessian_eigenvalues(graph, scale, aggregates, lambdas)
     # B xi(u->v) = a(u) - xi(v->u): the aggregates summed each vertex's
     # in-edges in edge order, as B's incidence product does. Each column's
     # residual s (a(u) - xi(v->u)) - lambda xi is formed in two reused
     # buffers, reading the reversal through the pair view (edges 2i and 2i+1
     # are reversals of each other)
     residuals = np.empty(K)
-    Bxi, lam_xi = np.empty(space.m_oriented), np.empty(space.m_oriented)
+    tails = _tails(graph)
+    Bxi, lam_xi = np.empty(tails.size), np.empty(tails.size)
     for c in range(K):
         xi = vectors[:, c]
-        np.take(aggregates[:, c], space.tails, out=Bxi, mode="clip")  # as in _lift
+        np.take(aggregates[:, c], tails, out=Bxi, mode="clip")  # as in _lift
         Bxi.reshape(-1, 2)[...] -= xi.reshape(-1, 2)[:, ::-1]
         Bxi *= scale
         np.multiply(xi, lambdas[c], out=lam_xi)
@@ -729,7 +727,7 @@ def _finish(
 
 
 def _bethe_hessian_eigenvalues(
-    space: OrientedEdgeSpace, s: float, aggregates: np.ndarray, lambdas: np.ndarray
+    graph: SparseGraph, s: float, aggregates: np.ndarray, lambdas: np.ndarray
 ) -> np.ndarray:
     """Eigenvalues of B, rescaled by s, read off the symmetric Ihara-Bass form of their vertex aggregates.
 
@@ -743,13 +741,16 @@ def _bethe_hessian_eigenvalues(
     taken by one Newton step from lambda / s: that lands on the root up to
     the square of lambda's error, and q(lambda / s) is formed as a'r from the
     small vector r = H(lambda / s) a, free of the cancellation between q's
-    coefficients. A value whose step is not finite is kept.
+    coefficients. A value whose step is not finite is kept. A a sums each
+    vertex's in-edges in edge order, as the oriented edges' bincount lists
+    them; the adjacency's CSR product has the same bits but would be built
+    while the lifted vectors are held.
     """
-    degree = np.bincount(space.heads, minlength=space.n)
+    degree, tails, heads = graph.degrees, _tails(graph), _heads(graph)
     out = np.array(lambdas, dtype=float)
     for k, lam in enumerate(out / s):
         a = aggregates[:, k]
-        Aa = np.bincount(space.heads, weights=a[space.tails], minlength=space.n)
+        Aa = np.bincount(heads, weights=a[tails], minlength=graph.n)
         r = (lam * lam - 1.0 + degree) * a - lam * Aa
         a_r, a_a, a_Aa = (np.einsum("i,i->", a, v) for v in (r, a, Aa))  # not BLAS dots: see _lift
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -759,17 +760,15 @@ def _bethe_hessian_eigenvalues(
     return out
 
 
-def vertex_aggregates(vectors, space: OrientedEdgeSpace) -> np.ndarray:
+def vertex_aggregates(vectors, graph: SparseGraph) -> np.ndarray:
     """Per-vertex sums of eigenvector entries over incoming oriented edges.
 
-    `vectors` is an (m_oriented, K) array or a single oriented-edge vector;
-    isolated vertices get 0.
+    `vectors` is a (2m, K) array or a single oriented-edge vector, in the
+    graph's oriented-edge order; isolated vertices get 0.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vectors.shape[0] != space.m_oriented:
+    heads = _heads(graph)
+    if vectors.shape[0] != heads.size:
         vectors = vectors.T
-    cols = [
-        np.bincount(space.heads, weights=vectors[:, k], minlength=space.n)
-        for k in range(vectors.shape[1])
-    ]
-    return np.stack(cols, axis=1) if cols else np.empty((space.n, 0))
+    cols = [np.bincount(heads, weights=vectors[:, k], minlength=graph.n) for k in range(vectors.shape[1])]
+    return np.stack(cols, axis=1) if cols else np.empty((graph.n, 0))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -80,6 +81,37 @@ class PipelineConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)  # a JSON true is no integer
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def check_config(cfg: PipelineConfig) -> None:
+    """Refuse the first field of `cfg` of the wrong type or out of range, naming it.
+
+    The seed is kept to the 32 bits `rng.substream` reads, so that no two
+    seeds draw one graph under two config hashes.
+    """
+    rules = {  # field: (test, what it must be)
+        "model": (lambda v: isinstance(v, str), "a path string"),
+        "n": (lambda v: _is_int(v) and v >= 100, "n >= 100, an integer"),
+        "seed": (lambda v: _is_int(v) and 0 <= v < 2**32, "0 <= seed < 2**32, an integer"),
+        "epsilon_override": (lambda v: v is None or (_is_real(v) and 0 < v < 1), "0 < epsilon_override < 1, or null"),
+        "e1_override": (lambda v: v is None or (_is_real(v) and math.isfinite(v) and v >= 0),
+                        "a finite e1_override >= 0, or null"),
+        "N_override": (lambda v: v is None or (_is_int(v) and v >= 1), "N_override >= 1, an integer, or null"),
+        "metrics_grid": (lambda v: _is_int(v) and v >= 1, "metrics_grid >= 1, an integer"),
+        "out": (lambda v: isinstance(v, str), "a path string"),
+    }
+    for name, (allowed, need) in rules.items():
+        value = getattr(cfg, name)
+        if not allowed(value):
+            raise ValueError(f"config field {name!r} is {value!r}; need {need}")
+
+
 def default_epsilon(n: int) -> float:
     raw = 1.0 / math.log(math.log(n))
     return min(max(raw, EPSILON_CLAMP[0]), EPSILON_CLAMP[1])
@@ -131,8 +163,7 @@ class PipelineState:
     """Shared context between stages; loads whatever is not in memory from disk."""
 
     def __init__(self, cfg: PipelineConfig, out_dir, model: graphon_model.StepGraphon | None = None):
-        if cfg.n < 100:
-            raise ValueError("need n >= 100")
+        check_config(cfg)
         self.cfg = cfg
         self.out = Path(out_dir)
         self.model = model if model is not None else graphon_model.load_graphon(cfg.model)
@@ -558,7 +589,6 @@ def write_manifest(state: PipelineState) -> dict:
         "fit": fit_telemetry(state.fit),
         "estimate": estimate_telemetry(state.estimate),
         "warnings": state.warnings,
-        "metrics": state.metrics,
         "stages": {
             "generate": [*GRAPH_DUMPS.values(), "split.json"],
             "spectrum": ["spectrum.json", "aggregates.npy"],
@@ -620,6 +650,7 @@ def run_scaled(
     and evaluate against the unscaled truth."""
     if h <= 0:
         raise ValueError("h must be positive")
+    check_config(cfg)  # before the model is read from the path it names
     if model is None:
         model = graphon_model.load_graphon(cfg.model)
     scaled_model = graphon_model.scale(model, h)

@@ -34,6 +34,10 @@ from .graphon_model import JsonObject
 
 
 TABLE_BUDGET = 20_000  # cap on the (N+1)^K cells of a moment table
+# cap on the profile terms of the expansion over every |alpha| <= N; each term
+# costs one length-n product per block. K <= 6 at N = 4 has at most 1 547 and
+# K = 2 at N = 20 has 1 371 843
+TERM_BUDGET = 10_000
 
 
 class MomentTableTooLarge(MemoryError):
@@ -112,6 +116,29 @@ def injective_profiles(alpha: tuple[int, ...]) -> tuple[tuple[float, tuple[tuple
             den *= prod(map(factorial, beta)) * run
         out.append((float(num // den), part[::-1]))
     return tuple(out)
+
+
+def profile_terms(K: int, N: int, stop: float = np.inf) -> int:
+    """Profile terms of `injective_profiles` summed over every alpha with |alpha| <= N, without enumerating them.
+
+    The profiles of alpha are its vector partitions. Their counts p are
+    built on the (N+1,) * K box one block beta (|beta| <= N) at a time:
+    letting beta repeat turns p(alpha) into the sum of p(alpha - t beta)
+    over t >= 0. Each block only adds terms, so the count is returned as
+    soon as it exceeds `stop`, and a count above `stop` is a lower bound.
+    """
+    p = np.zeros((N + 1,) * K, dtype=np.int64)
+    p[(0,) * K] = 1
+    inside = sum(np.indices(p.shape)) <= N
+    total = 1
+    for beta in total_degree_indices(K, N)[1:]:
+        before = p.copy()
+        for t in range(1, N // max(beta) + 1):
+            p[tuple(slice(t * b, None) for b in beta)] += before[tuple(slice(None, N + 1 - t * b) for b in beta)]
+        total = int(p[inside].sum())
+        if total > stop:
+            break
+    return total
 
 
 def _power_sums(G2: SparseGraph, B: np.ndarray, betas) -> dict[tuple[int, ...], np.ndarray]:
@@ -227,7 +254,9 @@ def moment_table(
     """Compute every P_alpha with |alpha| <= N from the (n, K) vertex aggregates.
 
     Power sums are computed once per block beta and shared across all alpha.
-    The (N+1)^K cells of the stored tensor are refused above TABLE_BUDGET.
+    The (N+1)^K cells of the stored tensor are refused above TABLE_BUDGET,
+    and the expansion's profile terms above TERM_BUDGET, counted before
+    any is enumerated.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -240,6 +269,9 @@ def moment_table(
     n_entries = (N + 1) ** K
     if n_entries > TABLE_BUDGET:
         raise MomentTableTooLarge(f"(N+1)^K = {n_entries} exceeds cap {TABLE_BUDGET}")
+    terms = profile_terms(K, N, stop=TERM_BUDGET)
+    if terms > TERM_BUDGET:
+        raise MomentTableTooLarge(f"K = {K}, N = {N}: over {TERM_BUDGET} profile terms (at least {terms})")
 
     p_diag = np.array(
         [normalize_pair(count_pair(G2, B[:, k]), epsilon, lambdas[k]) for k in range(K)]

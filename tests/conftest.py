@@ -23,6 +23,15 @@ def random_simple_graph(rng, n, p):
     return np.stack([iu[keep], ju[keep]], axis=1)
 
 
+def oriented_edges(gr):
+    """(tails, heads) of the graph's 2m oriented edges: edge 2i is row i, u -> v, and 2i + 1 its reversal."""
+    tails, heads = [], []
+    for u, v in gr.edges.tolist():
+        tails += [u, v]
+        heads += [v, u]
+    return np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
+
+
 def peel_to_two_core(n, edges):
     """Reference 2-core by per-vertex leaf peeling in synchronous rounds.
 

@@ -32,7 +32,7 @@ from numpy.polynomial import legendre as npleg
 from graphon_forge.estimator import GraphonEstimate
 from graphon_forge.graph_sampler import SparseGraph
 from graphon_forge.moment_poly import UnusableFitError, _apply_axes, _midpoints
-from graphon_forge.nonbacktracking import NbOperator, OrientedEdgeSpace
+from graphon_forge.nonbacktracking import NbOperator
 from graphon_forge.star_counts import _power_sums, _profile_sum, injective_profiles
 
 
@@ -168,7 +168,7 @@ def l1_norm_plus(fit: DensityFit, grid_resolution: int = 128) -> float:
 def build_nb_operator(G1: SparseGraph, scale: float = 1.0) -> NbOperator:
     if G1.m == 0:
         raise ValueError("graph has no edges")
-    return NbOperator(OrientedEdgeSpace.from_graph(G1), scale=scale)
+    return NbOperator(G1, scale=scale)
 
 
 def dense_nb_matrix(op: NbOperator) -> np.ndarray:

@@ -14,8 +14,8 @@ import graphon_forge
 from graphon_forge import csr
 from graphon_forge.graph_sampler import SparseGraph, sample_graph
 from graphon_forge.graphon_model import StepGraphon
-from graphon_forge.nonbacktracking import Companion, NbOperator, OrientedEdgeSpace, top_spectrum
-from tests.conftest import random_simple_graph
+from graphon_forge.nonbacktracking import Companion, NbOperator, top_spectrum
+from tests.conftest import oriented_edges, random_simple_graph
 
 # run in a fresh process, in which the package's kernel and scipy.sparse load in
 # the order given by sys.argv[1]; prints how many products differ from scipy's
@@ -31,17 +31,18 @@ PRODUCTS = textwrap.dedent(
         from scipy import sparse
         from graphon_forge import csr
     from graphon_forge.graph_sampler import SparseGraph
-    from graphon_forge.nonbacktracking import Companion, OrientedEdgeSpace
+    from graphon_forge.nonbacktracking import Companion
 
     rng = np.random.default_rng(3)
     n = 3000
     edges = np.unique(np.sort(rng.integers(0, n, size=(12000, 2)), axis=1), axis=0)
     gr = SparseGraph(n, edges[edges[:, 0] < edges[:, 1]])
-    space = OrientedEdgeSpace.from_graph(gr)
+    # the oriented edges: edge 2i is row i, u -> v, and 2i + 1 its reversal
+    tails, heads = gr.edges.ravel(), gr.edges[:, ::-1].ravel()
     pairs = [
-        (gr.adjacency, sparse.csr_matrix((np.ones(2 * gr.m), (space.tails, space.heads)), shape=(n, n))),
-        (Companion(space, 1.3)._adjacency,
-         sparse.csr_matrix((np.full(2 * gr.m, 1.3), (space.tails, space.heads)), shape=(n, n))),
+        (gr.adjacency, sparse.csr_matrix((np.ones(2 * gr.m), (tails, heads)), shape=(n, n))),
+        (Companion(gr, 1.3)._adjacency,
+         sparse.csr_matrix((np.full(2 * gr.m, 1.3), (tails, heads)), shape=(n, n))),
     ]
     differ = 0
     for mine, theirs in pairs:
@@ -94,13 +95,13 @@ GRAPHS = {
 def test_builder_lays_out_as_csr_matrix(graph):
     gr = GRAPHS[graph](np.random.default_rng(5))
     assert_layout(gr.adjacency, *adjacency_entries(gr))
-    space = OrientedEdgeSpace.from_graph(gr)
-    comp = Companion(space, scale=1.7)
-    assert_layout(comp._adjacency, (gr.n, gr.n), space.tails, space.heads, np.full(space.m_oriented, 1.7))
+    tails, heads = oriented_edges(gr)
+    comp = Companion(gr, scale=1.7)
+    assert_layout(comp._adjacency, (gr.n, gr.n), tails, heads, np.full(tails.size, 1.7))
     # the (n, 2m) head incidence of the oriented-edge operator
-    op = NbOperator(space)
-    idx = np.arange(space.m_oriented)
-    assert_layout(op._incoming, (gr.n, space.m_oriented), space.heads, idx, np.ones(space.m_oriented))
+    op = NbOperator(gr)
+    idx = np.arange(tails.size)
+    assert_layout(op._incoming, (gr.n, tails.size), heads, idx, np.ones(tails.size))
 
 
 def test_builder_sorts_columns_given_in_any_order():

@@ -13,7 +13,6 @@ from graphon_forge.nonbacktracking import (
     K_CAP,
     Companion,
     DegenerateSpectrumError,
-    OrientedEdgeSpace,
     SpectrumConvergenceError,
     _two_core,
     bulk_cutoff,
@@ -24,7 +23,7 @@ from graphon_forge.nonbacktracking import (
 )
 from graphon_forge.pipeline import default_epsilon
 from graphon_forge.rng import substream
-from tests.conftest import peel_to_two_core, random_simple_graph
+from tests.conftest import oriented_edges, peel_to_two_core, random_simple_graph
 from tests.oracles import build_nb_operator, dense_adjacency, dense_nb_matrix, ihara_bass_dense
 
 PATH3 = SparseGraph(3, np.array([[0, 1], [1, 2]]))
@@ -33,13 +32,13 @@ TRIANGLE = SparseGraph(3, np.array([[0, 1], [0, 2], [1, 2]]))
 
 def brute_force_nb_matrix(gr: SparseGraph) -> np.ndarray:
     """Independent construction straight from the indicator definition."""
-    space = OrientedEdgeSpace.from_graph(gr)
-    m = space.m_oriented
+    tails, heads = oriented_edges(gr)
+    m = tails.size
     out = np.zeros((m, m))
     for f in range(m):
         for e in range(m):
-            feeds = space.heads[e] == space.tails[f]
-            reverses = space.tails[e] == space.heads[f] and space.heads[e] == space.tails[f]
+            feeds = heads[e] == tails[f]
+            reverses = tails[e] == heads[f] and heads[e] == tails[f]
             out[f, e] = 1.0 if feeds and not reverses else 0.0
     return out
 
@@ -99,12 +98,12 @@ class TestOperator:
         # reference: per-vertex incoming sums by bincount, one column at a time
         gr, _ = sample_graph(StepGraphon(np.array([1.0]), np.array([[4.0]])), 2000, seed=5)
         op = build_nb_operator(gr, scale=1.7)
-        s = op.space
-        rev = np.bitwise_xor(np.arange(s.m_oriented), 1)
+        tails, heads = oriented_edges(gr)
+        rev = np.bitwise_xor(np.arange(op.dim), 1)
         X = np.random.default_rng(2).standard_normal((op.dim, 6))
         want = np.stack(
             [
-                (np.bincount(s.heads, weights=x, minlength=s.n)[s.tails] - x[rev]) * 1.7
+                (np.bincount(heads, weights=x, minlength=gr.n)[tails] - x[rev]) * 1.7
                 for x in X.T
             ],
             axis=1,
@@ -126,19 +125,17 @@ class TestOperator:
 class TestVertexAggregates:
     def test_single_edge(self):
         gr = SparseGraph(2, np.array([[0, 1]]))
-        space = OrientedEdgeSpace.from_graph(gr)
         # oriented order: (0->1), (1->0)
         xi = np.array([[2.0], [5.0]])
-        agg = vertex_aggregates(xi, space)
+        agg = vertex_aggregates(xi, gr)
         assert agg[0, 0] == 5.0  # edges with head 0: (1->0)
         assert agg[1, 0] == 2.0
 
     def test_total_mass_identity(self):
         rng = np.random.default_rng(2)
         gr = SparseGraph(8, random_simple_graph(rng, 8, 0.5))
-        space = OrientedEdgeSpace.from_graph(gr)
-        xi = rng.standard_normal((space.m_oriented, 3))
-        agg = vertex_aggregates(xi, space)
+        xi = rng.standard_normal((2 * gr.m, 3))
+        agg = vertex_aggregates(xi, gr)
         np.testing.assert_allclose(agg.sum(axis=0), xi.sum(axis=0), atol=1e-12)
 
     def test_matches_brute_force(self):
@@ -149,12 +146,12 @@ class TestVertexAggregates:
             if edges.shape[0] == 0:
                 continue
             gr = SparseGraph(n, edges)
-            space = OrientedEdgeSpace.from_graph(gr)
-            xi = rng.standard_normal(space.m_oriented)
+            heads = oriented_edges(gr)[1]
+            xi = rng.standard_normal(heads.size)
             want = np.zeros(n)
-            for e in range(space.m_oriented):
-                want[space.heads[e]] += xi[e]
-            np.testing.assert_allclose(vertex_aggregates(xi, space)[:, 0], want, atol=1e-12)
+            for e in range(heads.size):
+                want[heads[e]] += xi[e]
+            np.testing.assert_allclose(vertex_aggregates(xi, gr)[:, 0], want, atol=1e-12)
 
 
 def spectrum_oracle(gr: SparseGraph, n: int, e1=None, bulk_scale=1.0):
@@ -292,7 +289,7 @@ class TestTopSpectrum:
             v = v.real / np.linalg.norm(v.real)
             if v[np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]] < 0:
                 v = -v
-            want = vertex_aggregates(v, op.space)[:, 0]
+            want = vertex_aggregates(v, g1)[:, 0]
             got = spec.vertex_aggregates[:, k]
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
@@ -317,7 +314,7 @@ class TestTopSpectrum:
                 continue
             gr = SparseGraph(n, edges)
             radius = np.abs(np.linalg.eigvals(dense_nb_matrix(build_nb_operator(gr)))).max()
-            got = bool(_two_core(OrientedEdgeSpace.from_graph(gr))[1].max(initial=0) >= 3)
+            got = bool(_two_core(gr)[1].max(initial=0) >= 3)
             assert got == (radius > 1 + 1e-6), (edges.tolist(), radius)
             seen.add(got)
         assert seen == {True, False}
@@ -446,12 +443,11 @@ class TestTwoCore:
         for _ in range(60):
             n = int(rng.integers(5, 60))
             gr = SparseGraph(n, random_simple_graph(rng, n, rng.uniform(1.0, 3.5) / n))
-            space = OrientedEdgeSpace.from_graph(gr)
-            alive, degree, rounds = _two_core(space)
+            alive, degree, rounds = _two_core(gr)
             want_degree, want_rounds = peel_to_two_core(n, gr.edges)
             np.testing.assert_array_equal(degree, want_degree)
             core = want_degree > 0
-            np.testing.assert_array_equal(alive, core[space.tails] & core[space.heads])
+            np.testing.assert_array_equal(alive, core[gr.edges[:, 0]] & core[gr.edges[:, 1]])
             assert [dict(zip(v.tolist(), p.tolist())) for v, p in rounds] == want_rounds
 
     @pytest.mark.parametrize(
@@ -484,26 +480,24 @@ class TestTwoCore:
         xi = V[:, np.argmax(w.real)].real
         xi /= np.linalg.norm(xi)
         xi = -xi if xi[np.flatnonzero(np.abs(xi) > 1e-12 * np.abs(xi).max())[0]] < 0 else xi
-        np.testing.assert_allclose(a, vertex_aggregates(xi, op.space)[:, 0], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(a, vertex_aggregates(xi, gr)[:, 0], rtol=0, atol=1e-8)
 
     def test_leafless_graph_iterates_on_its_own_space(self, monkeypatch):
         # K_5 and K_4 apart, and an isolated vertex: nothing to peel
         edges = [[u, v] for k, o in ((5, 0), (4, 5)) for u, v in itertools.combinations(range(o, o + k), 2)]
         gr = SparseGraph(10, np.array(edges))
-        op = build_nb_operator(gr)
         monkeypatch.setattr(nonbacktracking, "DENSE_FALLBACK_DIM", 0)  # its companion (20) would be solved densely
-        spaces = []
+        graphs = []
 
         class Recorded(Companion):
             def __post_init__(self):
-                spaces.append(self.space)
+                graphs.append(self.graph)
                 super().__post_init__()
 
         monkeypatch.setattr(nonbacktracking, "Companion", Recorded)
         spec = top_spectrum(gr, seed=0)
-        assert len(spaces) == 1 and spaces[0].n == gr.n
-        np.testing.assert_array_equal(spaces[0].tails, op.space.tails)
-        np.testing.assert_array_equal(spaces[0].heads, op.space.heads)
+        assert len(graphs) == 1 and graphs[0].n == gr.n
+        np.testing.assert_array_equal(graphs[0].edges, gr.edges)
         assert (spec.core_vertices, spec.iterated_dim, spec.peel_rounds) == (10, 20, 0)
         assert spec.iterations > 0
         _, lams, _ = spectrum_oracle(gr, gr.n)
@@ -595,12 +589,12 @@ class TestIharaBass:
     def test_operator_matches_dense(self):
         rng = np.random.default_rng(6)
         gr = SparseGraph(10, random_simple_graph(rng, 10, 0.4))
-        lo = Companion(OrientedEdgeSpace.from_graph(gr))
+        lo = Companion(gr)
         dense = ihara_bass_dense(gr)
         x = rng.standard_normal(2 * gr.n)
         np.testing.assert_allclose(lo @ x, dense @ x, atol=1e-12)
         X = rng.standard_normal((2 * gr.n, 4))
-        scaled = Companion(OrientedEdgeSpace.from_graph(gr), scale=1.7)
+        scaled = Companion(gr, scale=1.7)
         np.testing.assert_allclose(scaled.matmat(X), 1.7 * dense @ X, atol=1e-12)
 
     def test_lift_gives_nb_eigenvectors(self):
@@ -612,12 +606,12 @@ class TestIharaBass:
             if gr.m < 6:
                 continue
             op = build_nb_operator(gr, scale=1.3)
-            comp = Companion(op.space, scale=1.3)
+            comp = Companion(gr, scale=1.3)
             w, V = np.linalg.eig(comp.matmat(np.eye(comp.dim)))
             i = int(np.argmax(w.real))
             if abs(w[i].imag) > 1e-9 or w[i].real <= 1.3 + 1e-6:
                 continue
-            xi = nonbacktracking._lift(op.space, V[: gr.n, [i]].real, w[[i]].real / 1.3)[:, 0]
+            xi = nonbacktracking._lift(gr, V[: gr.n, [i]].real, w[[i]].real / 1.3)[:, 0]
             assert np.linalg.norm(xi) == pytest.approx(1.0)
             np.testing.assert_allclose(op.matvec(xi), w[i].real * xi, atol=1e-10)
             done += 1
@@ -627,10 +621,10 @@ class TestIharaBass:
         rng = np.random.default_rng(10)
         # vertex 30 is a leaf on vertex 0, and 31 and 32 are isolated, so I - D has 0 and 1
         edges = np.concatenate([random_simple_graph(rng, 30, 0.15), [[0, 30]]])
-        space = OrientedEdgeSpace.from_graph(SparseGraph(33, edges))
-        assert {0, 1} <= set(np.bincount(space.heads, minlength=33).tolist())
-        comp = Companion(space, scale=scale)
-        n = space.n
+        gr = SparseGraph(33, edges)
+        assert {0, 1} <= set(np.bincount(oriented_edges(gr)[1], minlength=33).tolist())
+        comp = Companion(gr, scale=scale)
+        n = gr.n
         Q = rng.standard_normal((comp.dim, 5))
         want = comp.matmat(comp.matmat(comp.matmat(Q)))
         cur, prev = Q[:n].copy(), Q[n:] / scale  # [x_0; s x_{-1}] = Q
@@ -648,7 +642,7 @@ class TestIharaBass:
     def test_step_accumulates_into_prev(self, scale, width):
         rng = np.random.default_rng(15)
         gr = SparseGraph(40, np.concatenate([random_simple_graph(rng, 39, 0.12), [[0, 39]]]))
-        comp = Companion(OrientedEdgeSpace.from_graph(gr), scale=scale)
+        comp = Companion(gr, scale=scale)
         adjacency = dense_adjacency(gr)
         defect = scale**2 * (1.0 - adjacency.sum(axis=1))
         shape = (gr.n,) if width is None else (gr.n, width)
@@ -714,7 +708,7 @@ class TestSubspaceKernels:
     def test_block_ritz_matches_per_vector_formula(self):
         rng = np.random.default_rng(11)
         gr = SparseGraph(200, random_simple_graph(rng, 200, 4.0 / 200))
-        comp = Companion(OrientedEdgeSpace.from_graph(gr), scale=1.3)
+        comp = Companion(gr, scale=1.3)
         Q = nonbacktracking._orthonormalize(np.asfortranarray(rng.standard_normal((comp.dim, 6))))
         w, S, rayleigh, residuals, H = nonbacktracking._ritz_candidates(Q, comp.matmat(Q))
         Y = Q @ S
@@ -797,15 +791,18 @@ class TestSubspaceKernels:
     def test_spectrum_memory_on_workload_graph(self, assortative_2block):
         # sparse-2block's graph at graph seed 0, split as the pipeline splits
         # it, traced from the sample on with the split graphs held as the
-        # pipeline holds them (1.2 MB). top_spectrum peaks at 8.6 MB here. It
-        # peaked at 12.3 MB while each extraction built two (2n, width) Ritz
-        # blocks to read a few numbers off them, the QR had a buffer apart from
-        # the loaded block, each step allocated its (n, width) product and the
-        # block cut built the narrow blocks beside the wide ones. The bound
-        # sits between: the Ritz blocks (11.9 MB) or the separate QR buffer
-        # (10.2 MB) coming back crosses it. The step's product and the cut's
-        # order cost 0.45 MB each at the peak, too little for a bound with a
-        # margin; test_step_accumulates_into_prev pins the step's.
+        # pipeline holds them (1.2 MB). top_spectrum peaks at 7.1 MB here. It
+        # peaked at 8.6 MB while it held the tails and heads of G1's oriented
+        # edges and of its 2-core, and at 12.3 MB before that, while each
+        # extraction built two (2n, width) Ritz blocks to read a few numbers
+        # off them, the QR had a buffer apart from the loaded block, each step
+        # allocated its (n, width) product and the block cut built the narrow
+        # blocks beside the wide ones. Back then the Ritz blocks (11.9 MB) or
+        # the separate QR buffer (10.2 MB) coming back crossed a 10 MB bound;
+        # now the QR buffer coming back reads 8.45 MB, and the bound sits
+        # between. The step's product and the cut's order cost 0.45 MB each
+        # at the peak, too little for a bound with a margin;
+        # test_step_accumulates_into_prev pins the step's.
         n, seed = 30000, 0
         tracemalloc.start()
         try:
@@ -819,4 +816,27 @@ class TestSubspaceKernels:
         finally:
             tracemalloc.stop()
         assert (spec.iterations, spec.K) == (55, 2)
-        assert peak <= 10.0, f"top_spectrum traced peak {peak:.2f} MB"
+        assert peak <= 7.8, f"top_spectrum traced peak {peak:.2f} MB"
+
+    def test_spectrum_memory_on_dense_workload_graph(self, weak_2block):
+        # dense-scaled-h8's graph at graph seed 0 (2m = 213 664 oriented edges
+        # in G1), traced as above. top_spectrum peaks at 10.3 MB here. It
+        # peaked at 13.3 MB while it held the tails and heads of G1's
+        # oriented edges and of its 2-core through the solve and the lift.
+        # One 2m int64 index array held through the lift adds 1.6 MB and
+        # crosses the bound.
+        n, seed = 12000, 0
+        dense = StepGraphon(weak_2block.block_measures, 8.0 * weak_2block.values)
+        tracemalloc.start()
+        try:
+            gr, _ = sample_graph(dense, n, seed=seed)
+            eps = default_epsilon(n)
+            g1, g2 = split_edges(gr, eps, seed=seed)
+            del gr
+            tracemalloc.reset_peak()
+            spec = top_spectrum(g1, scale=1.0 / (1.0 - eps), seed=seed)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert (spec.iterations, spec.K, 2 * g1.m) == (15, 2, 213_664)
+        assert peak <= 11.5, f"top_spectrum traced peak {peak:.2f} MB"

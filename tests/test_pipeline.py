@@ -19,6 +19,7 @@ from graphon_forge.pipeline import (
     PipelineConfig,
     PipelineState,
     StageInputError,
+    check_config,
     default_epsilon,
     fit_telemetry,
     formula_N,
@@ -131,6 +132,34 @@ class TestDefaults:
         with pytest.raises(ValueError, match="need n >= 100"):
             run_stage("generate", cfg)
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 3000.0), ("n", True), ("n", 99),
+            ("seed", "1"), ("seed", -1), ("seed", 2**32), ("seed", False),
+            ("metrics_grid", 0), ("metrics_grid", 256.0),
+            ("N_override", 0), ("N_override", 4.0), ("N_override", True),
+            ("epsilon_override", 0.0), ("epsilon_override", 1.0), ("epsilon_override", float("nan")),
+            ("e1_override", -0.1), ("e1_override", float("inf")), ("e1_override", float("nan")),
+            ("e1_override", "0.5"),
+            ("model", None), ("out", None),
+        ],
+    )
+    def test_config_field_refused_by_name(self, field, value, model_file, tmp_path):
+        cfg = small_config(model_file, tmp_path)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=f"^config field '{field}' is {re.escape(repr(value))}; need "):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_range_ends_accepted(self, model_file, tmp_path):
+        for field, value in [("n", 100), ("seed", 0), ("seed", 2**32 - 1), ("metrics_grid", 1), ("N_override", 1),
+                             ("epsilon_override", 0.5), ("e1_override", 0.0), ("e1_override", 0)]:
+            cfg = small_config(model_file, tmp_path)
+            setattr(cfg, field, value)
+            check_config(cfg)
 
 
 class TestConfigHash:
@@ -444,7 +473,7 @@ class TestStagedExecution:
         np.testing.assert_array_equal(res.estimate.Z, 1.0)
 
     @pytest.mark.parametrize(
-        "case", ["spectrum-raises", "no-eigenvalue", "table-too-large", "fit-unusable"]
+        "case", ["spectrum-raises", "no-eigenvalue", "table-too-large", "too-many-terms", "fit-unusable"]
     )
     def test_degenerate_stages_match_pipeline(self, case, model_file, tmp_path, monkeypatch):
         cfg = small_config(model_file, tmp_path)
@@ -452,6 +481,7 @@ class TestStagedExecution:
             "spectrum-raises": "spectrum",
             "no-eigenvalue": "spectrum",
             "table-too-large": "moments",
+            "too-many-terms": "moments",
             "fit-unusable": "fit",
         }[case]
         if case == "spectrum-raises":
@@ -463,6 +493,8 @@ class TestStagedExecution:
         elif case == "table-too-large":
             cfg.N_override = 4  # K = 2: (4 + 1)^2 = 25 entries
             monkeypatch.setattr(star_counts, "TABLE_BUDGET", 10)
+        elif case == "too-many-terms":
+            cfg.N_override = 20  # K = 2: 441 cells, but 1 371 843 profile terms
         else:
             monkeypatch.setattr(
                 "graphon_forge.moment_poly.nnls", lambda A, b: (np.zeros(A.shape[1]), 1.0)
@@ -477,6 +509,8 @@ class TestStagedExecution:
         assert record["reason"] in full.manifest["warnings"]
         if case == "table-too-large":
             assert "25" in record["reason"] and "cap 10" in record["reason"]
+        if case == "too-many-terms":
+            assert f"over {star_counts.TERM_BUDGET} profile terms" in record["reason"]
         for name in ("estimate.json", "metrics.json"):
             assert (
                 (tmp_path / "staged" / name).read_bytes() == (full.out_dir / name).read_bytes()
@@ -578,6 +612,33 @@ class TestCli:
         assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 1
         assert capsys.readouterr().err == "error [run]: unknown config fields: ['bogus']\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, args, message",
+        [
+            ({"n": 3000.0}, [], "config field 'n' is 3000.0; need n >= 100, an integer"),
+            ({"seed": "1"}, [], "config field 'seed' is '1'; need 0 <= seed < 2**32, an integer"),
+            ({"metrics_grid": 0}, [], "config field 'metrics_grid' is 0; need metrics_grid >= 1, an integer"),
+            ({"N_override": 0}, [], "config field 'N_override' is 0; need N_override >= 1, an integer, or null"),
+            ({}, ["--seed", "-1"], "config field 'seed' is -1; need 0 <= seed < 2**32, an integer"),
+            ({}, ["--n", "50"], "config field 'n' is 50; need n >= 100, an integer"),
+        ],
+    )
+    def test_bad_config_field_is_a_stage_tagged_error(self, field, args, message, model_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, **field}))
+        out = tmp_path / "never"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out), *args) == 1
+        assert capsys.readouterr().err == f"error [run]: {message}\n"
+        assert not out.exists()
+
+    def test_scaled_checks_the_config_before_reading_the_model(self, tmp_path, capsys):
+        # an integer model "path" would be opened as a file descriptor
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": 5, "n": N_SMALL}))
+        assert self.run_cli("scaled", "--config", str(cfg_path), "--h", "2", "--out", str(tmp_path / "never")) == 1
+        assert capsys.readouterr().err == "error [scaled]: config field 'model' is 5; need a path string\n"
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize(
         "spoil, message",

@@ -1,14 +1,17 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphon_forge import star_counts
 from graphon_forge.graph_sampler import SparseGraph
 from graphon_forge.graphon_model import JsonObject
 from graphon_forge.star_counts import (
+    TERM_BUDGET,
     MomentTable,
     MomentTableTooLarge,
     count_pair,
@@ -16,6 +19,7 @@ from graphon_forge.star_counts import (
     moment_table,
     normalize_pair,
     normalize_star,
+    profile_terms,
     total_degree_indices,
 )
 from tests.conftest import random_simple_graph
@@ -210,6 +214,33 @@ class TestMomentTable:
         gr, B = self._graph_and_aggregates(3)
         with pytest.raises(MomentTableTooLarge):
             moment_table(gr, np.array([4.0, 3.0]), N=200, epsilon=0.4, aggregates=B)
+
+    def test_term_guard_refuses_before_expanding(self, monkeypatch):
+        # K = 2, N = 20: 441 cells, inside TABLE_BUDGET, but 1 371 843 profile
+        # terms, whose expansion alone took 9.6 s
+        gr, B = self._graph_and_aggregates(3)
+
+        def expanded(alpha):
+            raise AssertionError(f"profiles of {alpha} enumerated")
+
+        monkeypatch.setattr(star_counts, "injective_profiles", expanded)
+        t0 = time.perf_counter()
+        with pytest.raises(MomentTableTooLarge, match="profile terms"):
+            moment_table(gr, np.array([4.0, 3.0]), N=20, epsilon=0.4, aggregates=B)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "K, N, terms",
+        # the (K, N) in use: K <= 6 at the default N = 4, and K = 3 at N = 6
+        [(0, 4, 1), (1, 4, 12), (2, 4, 56), (3, 4, 171), (4, 4, 410), (5, 4, 841), (6, 4, 1547), (3, 6, 1407),
+         (1, 30, 28629), (2, 10, 4435)],
+    )
+    def test_profile_terms_count_the_expansion(self, K, N, terms):
+        assert profile_terms(K, N) == terms
+        assert terms == sum(len(injective_profiles(alpha)) for alpha in total_degree_indices(K, N))
+        assert (terms <= TERM_BUDGET) == (N <= 10)
+        # a count past `stop` may return early, as a lower bound
+        assert terms // 2 < profile_terms(K, N, stop=terms // 2) <= terms
 
     @pytest.mark.parametrize("K, N", [(2, 3), (3, 2)])
     def test_only_total_degree_entries(self, K, N):
