@@ -13,17 +13,17 @@ solver did, as recorded in the run's manifest: iterations, the spectrum
 stage's milliseconds per iteration, start and final block width, block QRs,
 iterated dimension, cutoff, and the final block's Ritz values with their
 residuals. Each case also prints the bytes its run directory holds and
-the process's peak RSS after it (`ru_maxrss`, MB = 2^20 bytes). That peak
-only ever grows within one process, so after the first case it is the
-largest of the cases so far, not the case's own; run one case per
-invocation (`--cases 200000`) for that case's peak. The last lines give the
-wall-time ratio between n = 1e5 and 2.5e4 at h = 1 (acceptance criterion 9,
-bound 6) and the ratio between the smallest and largest h = 1 sizes against
-the n log n ideal.
+its peak RSS (`ru_maxrss`, MB = 2^20 bytes). Every case runs in a fresh
+interpreter, spawned for it alone, because `ru_maxrss` only ever grows
+within one process: the peak printed is that case's own, imports included.
+The last lines give the wall-time ratio between n = 1e5 and 2.5e4 at h = 1
+(acceptance criterion 9, bound 6) and the ratio between the smallest and
+largest h = 1 sizes against the n log n ideal.
 
 Usage: python scripts/scaling_benchmark.py [--cases 25000:1 100000:1 200000:1 50000:8] [--seed 0]
 """
 import argparse
+import multiprocessing
 import os
 import resource
 import tempfile
@@ -44,6 +44,31 @@ def parse_case(text: str) -> tuple[int, float]:
     return int(n), float(h or 1)
 
 
+def run_case(model_path: str, out: str, n: int, h: float, seed: int) -> tuple[float, str]:
+    """One case's wall time and its printed report; run in a process of its own."""
+    cfg = PipelineConfig(model=model_path, n=n, seed=seed)
+    t0 = time.perf_counter()
+    res = run_pipeline(cfg, out_dir=out) if h == 1 else run_scaled(cfg, h, out_dir=out)
+    wall = time.perf_counter() - t0
+    timings = res.manifest["timings_sec"]
+    lines = [f"n={n:>8d} h={h:g}: {wall:6.2f}s  stages={ {k: round(v, 2) for k, v in timings.items()} }"]
+    dump_bytes = sum(p.stat().st_size for p in res.out_dir.iterdir())
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    lines.append(f"{'':12}dumps {dump_bytes} B ({dump_bytes / 2**20:.2f} MB), peak RSS {peak_mb:.1f} MB")
+    spec = res.manifest["spectrum"]
+    if spec is not None:
+        per_it = 1e3 * timings["spectrum"] / max(spec["iterations"], 1)
+        ritz = ", ".join(f"{complex(re, im):.3g}" for re, im in spec["ritz_values"])
+        res_ = ", ".join(f"{r:.1e}" for r in spec.get("ritz_residuals", []))
+        lines.append(f"{'':12}spectrum: {spec['iterations']} iterations, {per_it:.1f} ms/iteration, "
+                     f"block {spec['start_block']} -> {spec['block']}, "
+                     f"{spec['orthonormalizations']} QRs, "
+                     f"dim {spec['iterated_dim']} ({spec['core_vertices']} core vertices, "
+                     f"{spec['peel_rounds']} peel rounds), cutoff {spec['cutoff']:.3f}")
+        lines.append(f"{'':12}ritz [{ritz}]  residuals [{res_}]")
+    return wall, "\n".join(lines)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--cases", type=parse_case, nargs="+", metavar="N[:H]",
@@ -52,34 +77,16 @@ def main():
     args = ap.parse_args()
 
     model = StepGraphon(np.array([0.5, 0.5]), np.array([[7.0, 1.0], [1.0, 7.0]]))
+    spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as td:
-        save_graphon(model, Path(td) / "model.json")
+        model_path = str(Path(td) / "model.json")
+        save_graphon(model, model_path)
         walls = {}
         for n, h in args.cases:
-            cfg = PipelineConfig(model=str(Path(td) / "model.json"), n=n, seed=args.seed)
-            out = Path(td) / f"bench-{n}-h{h:g}"
-            t0 = time.perf_counter()
-            res = run_pipeline(cfg, out_dir=out) if h == 1 else run_scaled(cfg, h, out_dir=out)
-            wall = time.perf_counter() - t0
+            with spawn.Pool(1) as pool:
+                wall, report = pool.apply(run_case, (model_path, str(Path(td) / f"bench-{n}-h{h:g}"), n, h, args.seed))
             walls[n, h] = wall
-            timings = res.manifest["timings_sec"]
-            print(f"n={n:>8d} h={h:g}: {wall:6.2f}s  stages="
-                  f"{ {k: round(v, 2) for k, v in timings.items()} }")
-            dump_bytes = sum(p.stat().st_size for p in res.out_dir.iterdir())
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-            print(f"{'':12}dumps {dump_bytes} B ({dump_bytes / 2**20:.2f} MB), "
-                  f"peak RSS so far {peak_mb:.1f} MB")
-            spec = res.manifest["spectrum"]
-            if spec is not None:
-                per_it = 1e3 * timings["spectrum"] / max(spec["iterations"], 1)
-                ritz = ", ".join(f"{complex(re, im):.3g}" for re, im in spec["ritz_values"])
-                res_ = ", ".join(f"{r:.1e}" for r in spec.get("ritz_residuals", []))
-                print(f"{'':12}spectrum: {spec['iterations']} iterations, {per_it:.1f} ms/iteration, "
-                      f"block {spec['start_block']} -> {spec['block']}, "
-                      f"{spec['orthonormalizations']} QRs, "
-                      f"dim {spec['iterated_dim']} ({spec['core_vertices']} core vertices, "
-                      f"{spec['peel_rounds']} peel rounds), cutoff {spec['cutoff']:.3f}")
-                print(f"{'':12}ritz [{ritz}]  residuals [{res_}]")
+            print(report, flush=True)
         if (25_000, 1.0) in walls and (100_000, 1.0) in walls:
             print(f"criterion 9: ratio {walls[100_000, 1.0] / walls[25_000, 1.0]:.2f} "
                   f"(n = 1e5 vs 2.5e4, bound 6)")

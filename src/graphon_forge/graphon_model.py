@@ -212,9 +212,10 @@ def save_graphon(g: StepGraphon, path) -> None:
 
 
 class JsonObject(dict):
-    """A JSON object read from `path`; a missing or mistyped field raises ValueError naming the file and the field.
+    """A JSON object read from `path`.
 
-    `path` names an object inside the file too: `objects` gives each entry
+    A field that is missing, mistyped or out of range raises ValueError
+    naming the file and the field. `path` names an object inside the file too: `objects` gives each entry
     of a list the label `<path>: <field>[<i>]`.
     """
 
@@ -225,14 +226,34 @@ class JsonObject(dict):
     def __missing__(self, key):
         raise ValueError(f"{self.path}: field {key!r} is missing")
 
-    def number(self, key: str) -> float:
+    def number(self, key: str, above: float | None = None, below: float | None = None) -> float:
+        """The field as a float; given `above` (and `below`), one strictly above it (and below that)."""
         value = self[key]
-        if type(value) not in (int, float):  # bool is an int subclass, so `type`, not isinstance
-            raise ValueError(f"{self.path}: field {key!r} is {value!r}, not a number")
-        return float(value)
+        # bool is an int subclass, so `type`, not isinstance
+        if type(value) in (int, float) and (above is None or value > above) and (below is None or value < below):
+            return float(value)
+        bounds = "" if above is None else f" > {above}" if below is None else f" in ({above}, {below})"
+        raise ValueError(f"{self.path}: field {key!r} is {value!r}, not a number{bounds}")
 
-    def numbers(self, key: str, kinds: str = "if") -> np.ndarray:
-        """The field as a 1-D array whose dtype kind is in `kinds`: "if" numbers, "i" integers."""
+    def integer(self, key: str, low: int, high: int | None = None) -> int:
+        """The field as an int in [low, high]; a JSON boolean is no integer."""
+        value = self[key]
+        if type(value) is int and low <= value and (high is None or value <= high):
+            return value
+        bounds = f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise ValueError(f"{self.path}: field {key!r} is {value!r}, not an integer{bounds}")
+
+    def boolean(self, key: str) -> bool:
+        value = self[key]
+        if type(value) is not bool:
+            raise ValueError(f"{self.path}: field {key!r} is {value!r}, not true or false")
+        return value
+
+    def numbers(self, key: str, kinds: str = "if", size: int | None = None) -> np.ndarray:
+        """The field as a 1-D array whose dtype kind is in `kinds`: "if" numbers, "i" integers.
+
+        Given `size`, a list of another length is refused.
+        """
         value = self[key]
         if not isinstance(value, list):
             raise ValueError(f"{self.path}: field {key!r} is a {type(value).__name__}, not a list")
@@ -245,6 +266,8 @@ class JsonObject(dict):
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
             kind = "integers" if kinds == "i" else "numbers"
             raise ValueError(f"{self.path}: field {key!r} holds entries that are not {kind}")
+        if size is not None and arr.size != size:
+            raise ValueError(f"{self.path}: field {key!r} has length {arr.size}, not {size}")
         return arr
 
     def objects(self, key: str) -> list[JsonObject]:

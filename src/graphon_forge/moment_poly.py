@@ -18,13 +18,13 @@ expansion cannot approach a law concentrated near a few points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .star_counts import MomentTable, total_degree_indices
+from .star_counts import MomentTable
 
 
 SAMPLE_GRID = 128  # per-axis node count of the fit grid, lowered to meet NODE_BUDGET
@@ -82,22 +82,28 @@ def _binomial_convolution_matrix(mm: MollifierMoments, N: int) -> np.ndarray:
     return t
 
 
-def _apply_axes(matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Apply `matrix` along every axis of `tensor`."""
-    out = tensor
-    for axis in range(tensor.ndim):
-        out = np.moveaxis(np.tensordot(matrix, out, axes=(1, axis)), 0, axis)
-    return out
+def mollify_moments(table: MomentTable, mm: MollifierMoments) -> MomentTable:
+    """The table of M_alpha = sum_{beta <= alpha} P_beta prod_i C(a_i, b_i) E[N^(a_i - b_i)].
 
-
-def mollify_moments(table: MomentTable, mm: MollifierMoments) -> np.ndarray:
-    """M_alpha = sum_{beta <= alpha} P_beta prod_i C(a_i, b_i) E[N^(a_i - b_i)]."""
+    The convolution matrix acts on one axis at a time. Along an axis, the
+    entries that agree off it form a line; each line is a column of an
+    (N+1, lines) matrix, zero above total degree N, so one matrix product
+    covers every line. Its bits are those of the matrix applied along each
+    axis of the (N+1,) * K tensor, which the tests check.
+    """
     if not table.valid:
         raise UnusableFitError("moment table is invalid (some pair diagonal <= 0)")
     if mm.N < table.N:
         raise ValueError("mollifier moments shorter than moment table order")
     t = _binomial_convolution_matrix(mm, table.N)
-    return _apply_axes(t, table.entries)
+    alphas = np.array(table.alphas).reshape(-1, table.K)
+    values = table.values
+    for axis in range(table.K):
+        line = np.unique(np.delete(alphas, axis, axis=1), axis=0, return_inverse=True)[1].ravel()
+        lines = np.zeros((table.N + 1, line.max() + 1))
+        lines[alphas[:, axis], line] = values
+        values = (t @ lines)[alphas[:, axis], line]
+    return replace(table, values=values)
 
 
 def _midpoints(kappa: float, resolution: int) -> np.ndarray:
@@ -219,27 +225,22 @@ class NodeFit:
     iterations: int
 
 
-def fit_nodes(M: np.ndarray, kappa: float, K: int, resolution: int, delta: float = 0.0) -> NodeFit:
-    """Nonnegative grid-node law whose total-degree <= N moments match M.
+def fit_nodes(M: MomentTable, kappa: float, K: int, resolution: int, delta: float = 0.0) -> NodeFit:
+    """Nonnegative grid-node law whose total-degree <= N moments match the table M.
 
     Solves min ||A w - m||_2 over w >= 0 (`nnls`, Lawson-Hanson), where A holds
     the monomials of the midpoint-grid nodes of [-kappa, kappa]^K and m the
-    entries M_alpha with |alpha| <= N, the moments the star-count table
-    computes (`star_counts.total_degree_indices`). Each such entry of the
-    mollified table combines only table entries beta <= alpha, so it never
-    reads the table's zeros above total degree N. The weights are then
-    normalised to sum to 1. Non-finite moments, a solve that does not
-    converge, and a fit with no weight raise UnusableFitError.
+    values of M (the mollified moment table), one per alpha with
+    |alpha| <= N. The weights are then normalised to sum to 1. Non-finite
+    moments, a solve that does not converge, and a fit with no weight raise
+    UnusableFitError.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != K or len(set(M.shape)) != 1:
-        raise ValueError("moment tensor shape must be (N+1,) * K")
+    if M.K != K:
+        raise ValueError(f"moment table has K = {M.K}, not {K}")
     if kappa <= 0 or resolution < 1:
         raise ValueError("need kappa > 0 and resolution >= 1")
-    N = M.shape[0] - 1
-    alphas = total_degree_indices(K, N)
     nodes = grid_nodes(kappa, K, resolution)
-    solved = nnls(node_moments(nodes, alphas), np.array([M[a] for a in alphas]))
+    solved = nnls(node_moments(nodes, M.alphas), M.values)
     w, residual = solved
     total = w.sum()
     if not total > 0:
@@ -247,7 +248,7 @@ def fit_nodes(M: np.ndarray, kappa: float, K: int, resolution: int, delta: float
     keep = np.flatnonzero(w > 0)
     return NodeFit(
         K=K,
-        N=N,
+        N=M.N,
         kappa=kappa,
         delta=delta,
         resolution=resolution,

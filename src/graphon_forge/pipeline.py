@@ -37,6 +37,9 @@ N_CAP = 4  # desk-scale cap on the formula N
 E0 = 0.5  # target accuracy in the formula N and delta, which N_CAP and DELTA_FLOOR override
 KAPPA_PAD = 1.1  # pad on the moment-implied feature scale
 H_LADDER = (1.0, 2.0, 4.0, 8.0)  # the scales `run_scaled_ladder` runs
+# largest metrics_grid g: the evaluate stage holds about 24 g^2 bytes (400 MB
+# here), whether or not the alignment search fits its budget
+METRICS_GRID_MAX = 4096
 MANIFEST_NAME = "manifest.json"
 DEGENERATE_NAME = "degenerate.json"
 # generate-stage dumps by the PipelineState attribute that holds them
@@ -103,7 +106,8 @@ def check_config(cfg: PipelineConfig) -> None:
         "e1_override": (lambda v: v is None or (_is_real(v) and math.isfinite(v) and v >= 0),
                         "a finite e1_override >= 0, or null"),
         "N_override": (lambda v: v is None or (_is_int(v) and v >= 1), "N_override >= 1, an integer, or null"),
-        "metrics_grid": (lambda v: _is_int(v) and v >= 1, "metrics_grid >= 1, an integer"),
+        "metrics_grid": (lambda v: _is_int(v) and 1 <= v <= METRICS_GRID_MAX,
+                         f"1 <= metrics_grid <= {METRICS_GRID_MAX}, an integer"),
         "out": (lambda v: isinstance(v, str), "a path string"),
     }
     for name, (allowed, need) in rules.items():
@@ -205,8 +209,8 @@ class PipelineState:
         """
         if self.epsilon is None:
             doc = _load_stage(self.out / "split.json", self.config_hash)
-            self.epsilon = doc["epsilon"]
-            self.edge_counts = {"g1": doc["m1"], "g2": doc["m2"]}
+            self.epsilon = doc.number("epsilon", 0, 1)
+            self.edge_counts = {"g1": doc.integer("m1", 0), "g2": doc.integer("m2", 0)}
         for name in names:
             if getattr(self, name) is not None:
                 continue
@@ -226,8 +230,7 @@ class PipelineState:
     def require_spectrum(self):
         if self.spectrum is None:
             doc = _load_stage(self.out / "spectrum.json", self.config_hash)
-            lambdas = np.array(doc["lambdas"], dtype=float)
-            K = doc["K"]
+            K = doc.integer("K", 0, nonbacktracking.K_CAP)  # 0 when no eigenvalue cleared the cutoff
             n = self.cfg.n
             path = self.out / "aggregates.npy"
             aggregates = graph_sampler.load_npy(path, AGGREGATE_DTYPE, 2)
@@ -235,21 +238,30 @@ class PipelineState:
                 raise ValueError(f"{path}: expected shape {(n, K)}, found {aggregates.shape}")
             self.spectrum = nonbacktracking.NbSpectrum(
                 K=K,
-                lambdas=lambdas,
+                lambdas=doc.numbers("lambdas", size=K).astype(float),
                 vertex_aggregates=aggregates,
-                e1=doc["e1"],
-                residuals=np.array(doc["residuals"], dtype=float),
+                e1=doc.number("e1"),
+                residuals=doc.numbers("residuals", size=K).astype(float),
             )
+
+    def _require_K(self, doc: graphon_model.JsonObject) -> int:
+        """`doc`'s K, refused unless it is spectrum.json's."""
+        self.require_spectrum()
+        K = doc.integer("K", 1, nonbacktracking.K_CAP)
+        if K != self.spectrum.K:
+            raise ValueError(f"{doc.path}: field 'K' is {K}, not spectrum.json's {self.spectrum.K}")
+        return K
 
     def require_table(self):
         if self.table is None:
             doc = _load_stage(self.out / "moments.json", self.config_hash)
+            self._require_K(doc)
             self.table = star_counts.MomentTable.from_dict(doc)
 
     def require_fit(self):
         if self.fit is None:
             doc = _load_stage(self.out / "fit.json", self.config_hash)
-            K = doc["K"]
+            K = self._require_K(doc)
             nodes, weights = doc.numbers("nodes"), doc.numbers("weights")
             if nodes.size != K * weights.size:
                 raise ValueError(
@@ -257,14 +269,14 @@ class PipelineState:
                 )
             self.fit = moment_poly.NodeFit(
                 K=K,
-                N=doc["N"],
-                kappa=doc["kappa"],
-                delta=doc["delta"],
-                resolution=doc["resolution"],
+                N=doc.integer("N", 1),
+                kappa=doc.number("kappa", 0),
+                delta=doc.number("delta", 0),
+                resolution=doc.integer("resolution", 1),
                 nodes=nodes.astype(float).reshape(-1, K),
                 weights=weights.astype(float),
-                residual=doc["residual"],
-                iterations=doc["iterations"],
+                residual=doc.number("residual"),
+                iterations=doc.integer("iterations", 0),
             )
 
     def read_degeneracy(self, stage: str) -> None:
@@ -272,6 +284,8 @@ class PipelineState:
         path = self.out / DEGENERATE_NAME
         if path.exists():
             doc = _load_stage(path, self.config_hash)
+            if doc["stage"] not in STAGE_ORDER:
+                raise ValueError(f"{path}: field 'stage' is {doc['stage']!r}, not one of {list(STAGE_ORDER)}")
             self.degenerate = STAGE_ORDER.index(doc["stage"]) < STAGE_ORDER.index(stage)
 
     def require_estimate(self):

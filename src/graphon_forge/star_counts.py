@@ -9,11 +9,11 @@ A_alpha into a combination of power sums
 S_beta(w) = sum_{j ~ w} prod_i B_i(j)^{beta_i}. Every S_beta is one sparse
 matvec against the adjacency of G2, shared across all entries that need it.
 
-This module decides which moments exist: the table holds the multi-indices
-of total degree |alpha| <= N (`total_degree_indices`), the only ones the
-moment fit reads. Entries of higher total degree cost most of the expansion
-and are never computed; the table keeps them as exact zeros of its
-(N+1,) * K tensor.
+This module decides which moments exist: the table is a list of values, one
+per multi-index of total degree |alpha| <= N (`total_degree_indices`, in its
+lexicographic order), the only moments the fit reads. Entries of higher
+total degree cost most of the expansion, and the table has no place for
+them.
 
 Normalized entries P_alpha estimate the joint eigenfunction moments
 int f_1^{a_1} ... f_K^{a_K}; P_kk (pair diagonal) must be positive for the
@@ -24,19 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import factorial, prod
+from itertools import product, zip_longest
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .graph_sampler import SparseGraph
 from .graphon_model import JsonObject
+from .nonbacktracking import K_CAP
 
 
-TABLE_BUDGET = 20_000  # cap on the (N+1)^K cells of a moment table
 # cap on the profile terms of the expansion over every |alpha| <= N; each term
-# costs one length-n product per block. K <= 6 at N = 4 has at most 1 547 and
-# K = 2 at N = 20 has 1 371 843
+# costs one length-n product per block. Every alpha has a term, so the cap
+# also bounds the table's C(N+K, K) entries. K = 8 at N = 4 has 4 191 terms
+# and K = 2 at N = 20 has 1 371 843
 TERM_BUDGET = 10_000
 
 
@@ -122,20 +123,23 @@ def profile_terms(K: int, N: int, stop: float = np.inf) -> int:
     """Profile terms of `injective_profiles` summed over every alpha with |alpha| <= N, without enumerating them.
 
     The profiles of alpha are its vector partitions. Their counts p are
-    built on the (N+1,) * K box one block beta (|beta| <= N) at a time:
-    letting beta repeat turns p(alpha) into the sum of p(alpha - t beta)
-    over t >= 0. Each block only adds terms, so the count is returned as
-    soon as it exceeds `stop`, and a count above `stop` is a lower bound.
+    built on the alpha list one block beta at a time: letting beta repeat
+    adds p(alpha - beta) to p(alpha), for alpha = beta + gamma in ascending
+    order. Each block only adds terms, so the count is returned as soon as
+    it exceeds `stop`, and a count above `stop` is a lower bound. Every
+    alpha has at least one profile, so C(N+K, K) entries above `stop` are
+    returned before any list is built.
     """
-    p = np.zeros((N + 1,) * K, dtype=np.int64)
-    p[(0,) * K] = 1
-    inside = sum(np.indices(p.shape)) <= N
-    total = 1
-    for beta in total_degree_indices(K, N)[1:]:
-        before = p.copy()
-        for t in range(1, N // max(beta) + 1):
-            p[tuple(slice(t * b, None) for b in beta)] += before[tuple(slice(None, N + 1 - t * b) for b in beta)]
-        total = int(p[inside].sum())
+    entries = comb(N + K, K)
+    if entries > stop:
+        return entries
+    alphas = total_degree_indices(K, N)
+    p = dict.fromkeys(alphas, 0)
+    p[alphas[0]] = total = 1
+    for beta in alphas[1:]:
+        for gamma in total_degree_indices(K, N - sum(beta)):
+            p[tuple([b + g for b, g in zip(beta, gamma)])] += p[gamma]
+            total += p[gamma]
         if total > stop:
             break
     return total
@@ -196,9 +200,8 @@ def normalize_star(
 class MomentTable:
     """P_alpha for |alpha| <= N, plus the pair diagonal it was scaled by.
 
-    `entries` is the (N+1,) * K tensor; entries of total degree above N are
-    exact zeros. Mollification maps each alpha only to beta <= alpha, so they
-    never reach the fit.
+    `values[i]` is P_alpha for the i-th alpha of `alphas`, the list
+    `total_degree_indices(K, N)`.
     """
 
     K: int
@@ -206,10 +209,28 @@ class MomentTable:
     epsilon: float
     valid: bool
     pair_diagonal: np.ndarray
-    entries: np.ndarray  # shape (N+1,) * K, zero above total degree N
+    values: np.ndarray  # one per alpha of total_degree_indices(K, N), in its order
+
+    @property
+    def alphas(self) -> list[tuple[int, ...]]:
+        return total_degree_indices(self.K, self.N)
 
     def value(self, alpha) -> float:
-        return float(self.entries[tuple(alpha)])
+        return float(self.values[self.alphas.index(tuple(alpha))])
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only (N+1,) * K tensor of the values, zero above total degree N, built on each access.
+
+        Nothing in the package reads it: it serves perfbench/checks.py,
+        perfbench/spans.py and perfbench/test_perfbench_checks.py, which
+        index the table as that tensor.
+        """
+        out = np.zeros((self.N + 1,) * self.K)
+        for alpha, v in zip(self.alphas, self.values):
+            out[alpha] = v
+        out.flags.writeable = False
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -218,29 +239,38 @@ class MomentTable:
             "epsilon": self.epsilon,
             "valid": self.valid,
             "P_diag": self.pair_diagonal.tolist(),
-            "entries": [
-                {"alpha": list(alpha), "value": float(self.entries[alpha])}
-                for alpha in total_degree_indices(self.K, self.N)
-            ],
+            "entries": [{"alpha": list(a), "value": float(v)} for a, v in zip(self.alphas, self.values)],
         }
 
     @classmethod
     def from_dict(cls, doc: JsonObject) -> "MomentTable":
-        """The table `to_dict` wrote, read back; a malformed entry raises ValueError naming its field."""
-        K, N = doc["K"], doc["N"]
-        entries = np.zeros((N + 1,) * K)
-        for item in doc.objects("entries"):
-            alpha = item.numbers("alpha", "i")
-            if alpha.size != K or np.any(alpha < 0) or np.any(alpha > N):
-                raise ValueError(f"{item.path}: field 'alpha' is {alpha.tolist()}, not {K} indices in 0..{N}")
-            entries[tuple(alpha)] = item.number("value")
+        """The table `to_dict` wrote, read back; a malformed field raises ValueError naming it.
+
+        The entries must list each alpha of `total_degree_indices(K, N)`
+        once, in its order; the first one that does not is named.
+        """
+        K, N = doc.integer("K", 1, K_CAP), doc.integer("N", 1)
+        if comb(N + K, K) > TERM_BUDGET:  # moment_table writes no such table
+            raise ValueError(f"{doc.path}: field 'N' is {N}; at K = {K} that is over {TERM_BUDGET} entries")
+        alphas = total_degree_indices(K, N)
+        items = doc.objects("entries")
+        for item, want in zip_longest(items, alphas):
+            if item is None:
+                raise ValueError(f"{doc.path}: field 'entries' ends before alpha {list(want)}")
+            alpha = item.numbers("alpha", "i").tolist()
+            if want is None or alpha != list(want):
+                place = f"past the last of the {len(alphas)} alphas" if want is None else f"not {list(want)}"
+                raise ValueError(
+                    f"{item.path}: field 'alpha' is {alpha}, {place}; "
+                    f"entries list each alpha with |alpha| <= {N} once, in lexicographic order"
+                )
         return cls(
             K=K,
             N=N,
-            epsilon=doc["epsilon"],
-            valid=doc["valid"],
-            pair_diagonal=doc.numbers("P_diag").astype(float),
-            entries=entries,
+            epsilon=doc.number("epsilon", 0, 1),
+            valid=doc.boolean("valid"),
+            pair_diagonal=doc.numbers("P_diag", size=K).astype(float),
+            values=np.array([item.number("value") for item in items]),
         )
 
 
@@ -254,9 +284,8 @@ def moment_table(
     """Compute every P_alpha with |alpha| <= N from the (n, K) vertex aggregates.
 
     Power sums are computed once per block beta and shared across all alpha.
-    The (N+1)^K cells of the stored tensor are refused above TABLE_BUDGET,
-    and the expansion's profile terms above TERM_BUDGET, counted before
-    any is enumerated.
+    The expansion's profile terms are refused above TERM_BUDGET, counted
+    before any is enumerated.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -265,25 +294,20 @@ def moment_table(
     if B.shape[0] != G2.n:
         B = B.T
     K = lambdas.size
-    shape = (N + 1,) * K
-    n_entries = (N + 1) ** K
-    if n_entries > TABLE_BUDGET:
-        raise MomentTableTooLarge(f"(N+1)^K = {n_entries} exceeds cap {TABLE_BUDGET}")
     terms = profile_terms(K, N, stop=TERM_BUDGET)
     if terms > TERM_BUDGET:
         raise MomentTableTooLarge(f"K = {K}, N = {N}: over {TERM_BUDGET} profile terms (at least {terms})")
 
+    alphas = total_degree_indices(K, N)
     p_diag = np.array(
         [normalize_pair(count_pair(G2, B[:, k]), epsilon, lambdas[k]) for k in range(K)]
     )
     if np.any(p_diag <= 0):
-        return MomentTable(K, N, epsilon, False, p_diag, np.zeros(shape))
+        return MomentTable(K, N, epsilon, False, p_diag, np.zeros(len(alphas)))
 
-    alphas = total_degree_indices(K, N)
     betas = sorted({b for alpha in alphas for _, blocks in injective_profiles(alpha) for b in blocks})
     sums = _power_sums(G2, B, betas)
-
-    entries = np.zeros(shape)
-    for alpha in alphas:
-        entries[alpha] = normalize_star(_profile_sum(alpha, sums, G2.n), alpha, G2.n, epsilon, lambdas, p_diag)
-    return MomentTable(K, N, epsilon, True, p_diag, entries)
+    values = [
+        normalize_star(_profile_sum(alpha, sums, G2.n), alpha, G2.n, epsilon, lambdas, p_diag) for alpha in alphas
+    ]
+    return MomentTable(K, N, epsilon, True, p_diag, np.array(values))

@@ -13,8 +13,13 @@ tests that use it, as an independent oracle:
 - the dense builders of the non-backtracking operator B and of its
   Ihara-Bass companion, on which the spectrum's solver is checked, and the
   dense adjacency, built from the edge list apart from `graphon_forge.csr`;
+- `_apply_axes`, a matrix applied along every axis of a dense tensor: the
+  Legendre path's coefficient map, and the reference for
+  `moment_poly.mollify_moments` on the table's (N+1,) * K view;
 - `count_star`, one star count A_alpha straight from its own power sums,
-  against which `star_counts.moment_table` is checked;
+  against which `star_counts.moment_table` is checked, and
+  `box_profile_terms`, the expansion's term count on the (N+1,) * K box,
+  against which `star_counts.profile_terms` is checked;
 - `assemble`, an estimate from its m feature rows, which the pipeline
   instead builds from its atoms and piece index;
 - `delta2_exact_cells`, the exact alignment distance over cell permutations
@@ -31,9 +36,17 @@ from numpy.polynomial import legendre as npleg
 
 from graphon_forge.estimator import GraphonEstimate
 from graphon_forge.graph_sampler import SparseGraph
-from graphon_forge.moment_poly import UnusableFitError, _apply_axes, _midpoints
+from graphon_forge.moment_poly import UnusableFitError, _midpoints
 from graphon_forge.nonbacktracking import NbOperator
-from graphon_forge.star_counts import _power_sums, _profile_sum, injective_profiles
+from graphon_forge.star_counts import _power_sums, _profile_sum, injective_profiles, total_degree_indices
+
+
+def _apply_axes(matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Apply `matrix` along every axis of `tensor`."""
+    out = tensor
+    for axis in range(tensor.ndim):
+        out = np.moveaxis(np.tensordot(matrix, out, axes=(1, axis)), 0, axis)
+    return out
 
 
 @dataclass
@@ -203,6 +216,21 @@ def count_star(G2: SparseGraph, alpha: tuple[int, ...], B: np.ndarray) -> float:
         B = B.T
     betas = sorted({b for _, blocks in injective_profiles(alpha) for b in blocks})
     return _profile_sum(alpha, _power_sums(G2, B, betas), G2.n)
+
+
+def box_profile_terms(K: int, N: int) -> int:
+    """Vector partitions of every alpha with |alpha| <= N, counted on the (N+1,) * K box.
+
+    Letting each block beta (|beta| <= N) repeat turns the count p(alpha)
+    into the sum of p(alpha - t beta) over t >= 0.
+    """
+    p = np.zeros((N + 1,) * K, dtype=np.int64)
+    p[(0,) * K] = 1
+    for beta in total_degree_indices(K, N)[1:]:
+        before = p.copy()
+        for t in range(1, N // max(beta) + 1):
+            p[tuple(slice(t * b, None) for b in beta)] += before[tuple(slice(None, N + 1 - t * b) for b in beta)]
+    return int(p[sum(np.indices(p.shape)) <= N].sum())
 
 
 def assemble(Z: np.ndarray, lambdas: np.ndarray, kappa: float = np.inf, provenance=None) -> GraphonEstimate:

@@ -16,11 +16,19 @@ from graphon_forge.moment_poly import (
     nnls,
     node_moments,
     node_resolution,
-    total_degree_indices,
 )
+from graphon_forge.moment_poly import _binomial_convolution_matrix
 from graphon_forge.nonbacktracking import K_CAP
-from graphon_forge.star_counts import MomentTable
-from tests.oracles import DensityFit, density_grid, eval_density, fit_density, l1_norm_plus, legendre_basis
+from graphon_forge.star_counts import MomentTable, total_degree_indices
+from tests.oracles import (
+    DensityFit,
+    _apply_axes,
+    density_grid,
+    eval_density,
+    fit_density,
+    l1_norm_plus,
+    legendre_basis,
+)
 
 # unit-bump second moment, frozen from two Gauss-Legendre rules agreeing to 1e-12
 # (see test_mollifier_second_moment_dual_quadrature)
@@ -68,14 +76,15 @@ class TestMollifierMoments:
 
 
 def table_from_entries(entries: np.ndarray, epsilon=0.4) -> MomentTable:
-    K = entries.ndim
+    """The table whose (N+1,) * K view is `entries` up to total degree N; cells above it are dropped."""
+    K, N = entries.ndim, entries.shape[0] - 1
     return MomentTable(
         K=K,
-        N=entries.shape[0] - 1,
+        N=N,
         epsilon=epsilon,
         valid=True,
         pair_diagonal=np.ones(K),
-        entries=entries,
+        values=np.array([entries[a] for a in total_degree_indices(K, N)]),
     )
 
 
@@ -87,13 +96,13 @@ class TestMollifyMoments:
         mm = mollifier_moments(1.0, 4)
         mm.moments[:] = 0.0
         mm.moments[0] = 1.0  # point-mass mollifier
-        np.testing.assert_allclose(mollify_moments(table, mm), P, atol=0)
+        np.testing.assert_allclose(mollify_moments(table, mm).values, table.values, atol=0)
 
     def test_k1_alpha2_formula(self):
         P = np.array([1.0, 0.3, 0.9])
         table = table_from_entries(P)
         mm = mollifier_moments(0.4, 2)
-        M = mollify_moments(table, mm)
+        M = mollify_moments(table, mm).values
         assert M[0] == pytest.approx(1.0)
         assert M[2] == pytest.approx(P[2] + mm.moments[2] * P[0])
 
@@ -103,7 +112,7 @@ class TestMollifyMoments:
         P = np.array([c**j for j in range(N + 1)])
         table = table_from_entries(P)
         mm = mollifier_moments(delta, N)
-        M = mollify_moments(table, mm)
+        M = mollify_moments(table, mm).values
         rng = np.random.default_rng(1)
         samples = np.empty(0)
         while samples.size < 10**6:
@@ -121,6 +130,21 @@ class TestMollifyMoments:
         table.valid = False
         with pytest.raises(UnusableFitError):
             mollify_moments(table, mollifier_moments(0.3, 2))
+
+    def test_matches_dense_tensor_oracle_bit_for_bit(self):
+        # the list, one axis at a time, against the convolution matrix along
+        # every axis of the (N+1,) * K view
+        rng = np.random.default_rng(9)
+        for K, N, _ in itertools.product(range(1, 5), range(7), range(5)):
+            alphas = total_degree_indices(K, N)
+            values = rng.standard_normal(len(alphas)) * 10.0 ** rng.uniform(-3, 3)
+            table = MomentTable(K, N, 0.4, True, np.ones(K), values)
+            mm = mollifier_moments(rng.uniform(0.05, 1.5), N)
+            dense = _apply_axes(_binomial_convolution_matrix(mm, N), table.entries)
+            want = np.array([dense[a] for a in alphas])
+            got = mollify_moments(table, mm)
+            assert got.alphas == alphas and got.K == K and got.N == N
+            np.testing.assert_array_equal(got.values.view(np.int64), want.view(np.int64), f"K={K} N={N}")
 
 
 class TestLegendreBasis:
@@ -319,7 +343,7 @@ def two_block_moments(N: int) -> np.ndarray:
 class TestFitNodes:
     def test_two_block_atoms_recovered(self):
         kappa, res = 1.1, 128
-        fit = fit_nodes(two_block_moments(4), kappa, 2, res)
+        fit = fit_nodes(table_from_entries(two_block_moments(4)), kappa, 2, res)
         spacing = 2 * kappa / res
         for atom in ((1.0, 1.0), (1.0, -1.0)):
             near = np.all(np.abs(fit.nodes - np.array(atom)) <= spacing, axis=1)
@@ -328,7 +352,7 @@ class TestFitNodes:
     def test_weights_nonnegative_and_normalised(self):
         rng = np.random.default_rng(5)
         M = mollify_moments(table_from_entries(two_block_moments(4)), mollifier_moments(0.2, 4))
-        for M_in in (M, M + 0.05 * rng.standard_normal(M.shape)):
+        for M_in in (M, table_from_entries(M.entries + 0.05 * rng.standard_normal(M.entries.shape))):
             fit = fit_nodes(M_in, 1.4, 2, 64)
             assert np.all(fit.weights >= 0)
             assert fit.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -342,7 +366,7 @@ class TestFitNodes:
             M = mollify_moments(table_from_entries(two_block_moments(N)), mollifier_moments(delta, N))
             fit = fit_nodes(M, 1.3, K, 128, delta=delta)
             got = node_moments(fit.nodes, alphas) @ fit.weights
-            want = np.array([M[a] for a in alphas])
+            want = np.array([M.value(a) for a in alphas])
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_total_degree_indices_match_product_filter(self):
@@ -350,24 +374,6 @@ class TestFitNodes:
             for N in range(5):
                 want = [a for a in itertools.product(range(N + 1), repeat=K) if sum(a) <= N]
                 assert total_degree_indices(K, N) == want, (K, N)
-
-    def test_entries_above_total_degree_never_reach_the_fit(self):
-        # the table leaves entries with |alpha| > N at zero; whatever they hold,
-        # mollification and the fit give the same bits
-        N, K = 4, 2
-        entries = two_block_moments(N)
-        high = np.add.outer(np.arange(N + 1), np.arange(N + 1)) > N
-        entries[high] = 0.0
-        noisy = entries.copy()
-        noisy[high] = np.random.default_rng(8).standard_normal(int(high.sum()))
-        mm = mollifier_moments(0.2, N)
-        fits = [
-            fit_nodes(mollify_moments(table_from_entries(e), mm), 1.3, K, 64, delta=0.2)
-            for e in (entries, noisy)
-        ]
-        np.testing.assert_array_equal(fits[0].nodes, fits[1].nodes)
-        np.testing.assert_array_equal(fits[0].weights, fits[1].weights)
-        assert fits[0].residual == fits[1].residual
 
     def test_node_budget_for_every_K(self):
         assert node_resolution(2) == SAMPLE_GRID
@@ -384,13 +390,13 @@ class TestFitNodes:
         M = two_block_moments(4)
         M[1, 2] = np.nan
         with pytest.raises(UnusableFitError, match="non-finite"):
-            fit_nodes(M, 1.3, 2, 16)
+            fit_nodes(table_from_entries(M), 1.3, 2, 16)
 
     def test_no_positive_weight_rejected(self):
         M = np.zeros((3, 3))
         M[0, 0] = -1.0  # only the zero vector is closest in the nonnegative cone
         with pytest.raises(UnusableFitError):
-            fit_nodes(M, 1.0, 2, 16)
+            fit_nodes(table_from_entries(M), 1.0, 2, 16)
 
 
 class TestNnls:
@@ -443,7 +449,7 @@ class TestNnls:
         alphas = total_degree_indices(K, N)
         A = node_moments(grid_nodes(1.3, K, 128), alphas)
         M = mollify_moments(table_from_entries(two_block_moments(N)), mollifier_moments(0.2, N))
-        M = M + 0.01 * np.random.default_rng(4).standard_normal(M.shape)
+        M = M.entries + 0.01 * np.random.default_rng(4).standard_normal(M.entries.shape)
         b = np.array([M[a] for a in alphas])
         assert A.shape == (15, 16384)
         x, rnorm = nnls(A, b)

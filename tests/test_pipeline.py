@@ -139,7 +139,7 @@ class TestDefaults:
         [
             ("n", 3000.0), ("n", True), ("n", 99),
             ("seed", "1"), ("seed", -1), ("seed", 2**32), ("seed", False),
-            ("metrics_grid", 0), ("metrics_grid", 256.0),
+            ("metrics_grid", 0), ("metrics_grid", 256.0), ("metrics_grid", 20000),
             ("N_override", 0), ("N_override", 4.0), ("N_override", True),
             ("epsilon_override", 0.0), ("epsilon_override", 1.0), ("epsilon_override", float("nan")),
             ("e1_override", -0.1), ("e1_override", float("inf")), ("e1_override", float("nan")),
@@ -155,8 +155,8 @@ class TestDefaults:
         assert not (tmp_path / "out").exists()
 
     def test_config_range_ends_accepted(self, model_file, tmp_path):
-        for field, value in [("n", 100), ("seed", 0), ("seed", 2**32 - 1), ("metrics_grid", 1), ("N_override", 1),
-                             ("epsilon_override", 0.5), ("e1_override", 0.0), ("e1_override", 0)]:
+        for field, value in [("n", 100), ("seed", 0), ("seed", 2**32 - 1), ("metrics_grid", 1), ("metrics_grid", 4096),
+                             ("N_override", 1), ("epsilon_override", 0.5), ("e1_override", 0.0), ("e1_override", 0)]:
             cfg = small_config(model_file, tmp_path)
             setattr(cfg, field, value)
             check_config(cfg)
@@ -324,6 +324,21 @@ class TestRunPipeline:
         assert "alignment_warning" not in res.metrics
         assert len(res.metrics["sign_pattern"]) == 4
 
+    def test_eight_features_reach_an_estimate(self, tmp_path):
+        # r0 = K_CAP = 8: the table's 495 entries of |alpha| <= 4 pass; its
+        # (N+1)^K = 390 625 cells did not, and the run fell to the constant estimator
+        values = np.ones((8, 8))
+        np.fill_diagonal(values, np.linspace(70, 40, 8))
+        model = tmp_path / "model.json"
+        save_graphon(StepGraphon(np.full(8, 1 / 8), values), model)
+        res = run_pipeline(PipelineConfig(model=str(model), n=20_000, seed=0), out_dir=tmp_path / "out")
+        assert res.manifest["model"]["r0"] == res.manifest["K"] == nonbacktracking.K_CAP
+        assert not res.degenerate and res.manifest["warnings"] == []
+        assert len(read_json(res.out_dir / "moments.json")["entries"]) == 495
+        assert res.manifest["fit"]["support"] == res.estimate.atoms.shape[0] > 0
+        # the alignment search over 8! * 2^8 candidates is refused, not run
+        assert res.metrics["delta2_upper"] is None and "exceeds the budget" in res.metrics["alignment_warning"]
+
     def test_edgeless_g1_is_degenerate_at_the_spectrum(self, tmp_path):
         p = tmp_path / "model.json"
         save_graphon(StepGraphon(np.array([1.0]), np.array([[1e-6]])), p)  # draws no edge at n = 100
@@ -454,7 +469,7 @@ class TestStagedExecution:
         if case == "non-finite-moments":
             monkeypatch.setattr(
                 "graphon_forge.moment_poly.mollify_moments",
-                lambda table, mm: np.full(table.entries.shape, np.nan),
+                lambda table, mm: dataclasses.replace(table, values=np.full(table.values.shape, np.nan)),
             )
             detail = "non-finite"
         else:
@@ -491,10 +506,10 @@ class TestStagedExecution:
         elif case == "no-eigenvalue":
             cfg.e1_override = 50.0
         elif case == "table-too-large":
-            cfg.N_override = 4  # K = 2: (4 + 1)^2 = 25 entries
-            monkeypatch.setattr(star_counts, "TABLE_BUDGET", 10)
+            cfg.N_override = 4  # K = 2: C(4 + 2, 2) = 15 entries, each with a profile term
+            monkeypatch.setattr(star_counts, "TERM_BUDGET", 10)
         elif case == "too-many-terms":
-            cfg.N_override = 20  # K = 2: 441 cells, but 1 371 843 profile terms
+            cfg.N_override = 20  # K = 2: 231 entries, but 1 371 843 profile terms
         else:
             monkeypatch.setattr(
                 "graphon_forge.moment_poly.nnls", lambda A, b: (np.zeros(A.shape[1]), 1.0)
@@ -508,7 +523,7 @@ class TestStagedExecution:
         assert record == read_json(full.out_dir / DEGENERATE_NAME)
         assert record["reason"] in full.manifest["warnings"]
         if case == "table-too-large":
-            assert "25" in record["reason"] and "cap 10" in record["reason"]
+            assert "at least 15" in record["reason"] and "over 10 profile terms" in record["reason"]
         if case == "too-many-terms":
             assert f"over {star_counts.TERM_BUDGET} profile terms" in record["reason"]
         for name in ("estimate.json", "metrics.json"):
@@ -618,7 +633,7 @@ class TestCli:
         [
             ({"n": 3000.0}, [], "config field 'n' is 3000.0; need n >= 100, an integer"),
             ({"seed": "1"}, [], "config field 'seed' is '1'; need 0 <= seed < 2**32, an integer"),
-            ({"metrics_grid": 0}, [], "config field 'metrics_grid' is 0; need metrics_grid >= 1, an integer"),
+            ({"metrics_grid": 0}, [], "config field 'metrics_grid' is 0; need 1 <= metrics_grid <= 4096, an integer"),
             ({"N_override": 0}, [], "config field 'N_override' is 0; need N_override >= 1, an integer, or null"),
             ({}, ["--seed", "-1"], "config field 'seed' is -1; need 0 <= seed < 2**32, an integer"),
             ({}, ["--n", "50"], "config field 'n' is 50; need n >= 100, an integer"),
@@ -678,30 +693,64 @@ class TestCli:
             ("moments.json", "fit", _drop_value, r"entries\[0\]: field 'value' is missing"),
             ("moments.json", "fit", _set("value", "abc", entry=2), r"entries\[2\]: field 'value' is 'abc', not a number"),
             ("moments.json", "fit", _set("alpha", [0, 1, 0], entry=1),
-             r"entries\[1\]: field 'alpha' is \[0, 1, 0\], not 2 indices in 0\.\.3"),
+             r"entries\[1\]: field 'alpha' is \[0, 1, 0\], not \[0, 1\]; "
+             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
             ("moments.json", "fit", _set("entries", [1, 2]), r"field 'entries' is not a list of objects"),
+            # K = 2, N = 3: entries[2] is alpha (0, 2)
+            ("moments.json", "fit", lambda doc: doc["entries"].pop(2),
+             r"entries\[2\]: field 'alpha' is \[0, 3\], not \[0, 2\]"),
+            ("moments.json", "fit", lambda doc: doc["entries"].append(dict(doc["entries"][2])),
+             r"entries\[10\]: field 'alpha' is \[0, 2\], past the last of the 10 alphas"),
+            ("moments.json", "fit", lambda doc: doc["entries"].insert(1, doc["entries"].pop(2)),
+             r"entries\[1\]: field 'alpha' is \[0, 2\], not \[0, 1\]"),
+            ("moments.json", "fit", lambda doc: doc["entries"].pop(), r"field 'entries' ends before alpha \[3, 0\]"),
+            ("moments.json", "fit", _set("N", 4), r"entries\[4\]: field 'alpha' is \[1, 0\], not \[0, 4\]"),
+            ("moments.json", "fit", _set("K", 3), r"field 'K' is 3, not spectrum.json's 2"),
+            ("moments.json", "fit", _set("P_diag", [1.0]), r"field 'P_diag' has length 1, not 2"),
             ("fit.json", "estimate", _set("nodes", "abc"), r"field 'nodes' is a str, not a list"),
             ("fit.json", "estimate", _set("weights", ["abc"]), r"field 'weights' holds entries that are not numbers"),
             ("fit.json", "estimate", lambda doc: doc["weights"].append(0.5),
              r"field 'nodes' holds \d+ numbers, not K = 2 for each of \d+ weights"),
+            ("fit.json", "estimate", _set("kappa", "1"), r"field 'kappa' is '1', not a number > 0"),
+            ("fit.json", "estimate", _set("delta", 0.0), r"field 'delta' is 0\.0, not a number > 0"),
+            ("fit.json", "estimate", _set("N", "4"), r"field 'N' is '4', not an integer >= 1"),
+            ("fit.json", "estimate", _set("resolution", True),
+             r"field 'resolution' is True, not an integer >= 1"),
+            ("fit.json", "estimate", _set("K", 3), r"field 'K' is 3, not spectrum.json's 2"),
+            ("split.json", "spectrum", _set("epsilon", 1.5),
+             r"field 'epsilon' is 1\.5, not a number in \(0, 1\)"),
+            ("split.json", "spectrum", _set("epsilon", "0.4"),
+             r"field 'epsilon' is '0\.4', not a number in \(0, 1\)"),
+            ("split.json", "moments", _set("m2", -1), r"field 'm2' is -1, not an integer >= 0"),
+            ("spectrum.json", "moments", lambda doc: doc["lambdas"].append(1.5),
+             r"field 'lambdas' has length 3, not 2"),
+            ("spectrum.json", "moments", lambda doc: doc["residuals"].pop(), r"field 'residuals' has length 1, not 2"),
+            ("spectrum.json", "moments", _set("K", 9), r"field 'K' is 9, not an integer in \[0, 8\]"),
+            ("degenerate.json", "fit", _set("stage", "nope"),
+             r"field 'stage' is 'nope', not one of \['generate', 'spectrum', 'moments', 'fit', 'estimate', 'evaluate'\]"),
         ],
-        ids=["value-missing", "value-not-a-number", "alpha-of-3", "entries-not-objects", "nodes-a-string",
-             "weights-not-numbers", "nodes-and-weights-disagree"],
+        ids=["value-missing", "value-not-a-number", "alpha-of-3", "entries-not-objects", "alpha-missing", "alpha-repeated",
+             "alphas-out-of-order", "entries-end-early", "N-above-the-entries", "table-K-not-the-spectrum's",
+             "P_diag-short", "nodes-a-string", "weights-not-numbers", "nodes-and-weights-disagree", "kappa-a-string",
+             "delta-zero", "N-a-string", "resolution-a-boolean", "fit-K-not-the-spectrum's", "epsilon-above-1",
+             "epsilon-a-string", "m2-negative", "third-lambda", "one-residual", "K-above-K_CAP", "stage-unknown"],
     )
     def test_malformed_stage_dump_names_the_file_and_field(self, model_file, tmp_path, capsys, dump, stage, spoil, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": str(model_file), "n": N_SMALL, "N_override": 3}))
         out = tmp_path / "out"
         assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert read_json(out / "spectrum.json")["K"] == 2
         path = out / dump
-        doc = json.loads(path.read_text())
-        assert doc["K"] == 2
+        # a run that is not degenerate writes no degenerate.json: start one from the config hash
+        doc = read_json(path) if path.exists() else {"config_hash": read_json(out / "split.json")["config_hash"]}
         spoil(doc)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert self.run_cli(stage, "--config", str(cfg_path), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert re.match(rf"error \[{stage}\]: {re.escape(str(path))}: {message}\n$", err), err
+        assert re.match(rf"error \[{stage}\]: {re.escape(str(path))}: {message}", err), err
+        assert err.endswith("\n") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "config, message",

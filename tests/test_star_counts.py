@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphon_forge import star_counts
 from graphon_forge.graph_sampler import SparseGraph
 from graphon_forge.graphon_model import JsonObject
+from graphon_forge.nonbacktracking import K_CAP
 from graphon_forge.star_counts import (
     TERM_BUDGET,
     MomentTable,
@@ -23,7 +24,7 @@ from graphon_forge.star_counts import (
     total_degree_indices,
 )
 from tests.conftest import random_simple_graph
-from tests.oracles import count_star, dense_adjacency
+from tests.oracles import box_profile_terms, count_star, dense_adjacency
 
 
 def brute_force_star(gr: SparseGraph, alpha, B) -> float:
@@ -216,7 +217,7 @@ class TestMomentTable:
             moment_table(gr, np.array([4.0, 3.0]), N=200, epsilon=0.4, aggregates=B)
 
     def test_term_guard_refuses_before_expanding(self, monkeypatch):
-        # K = 2, N = 20: 441 cells, inside TABLE_BUDGET, but 1 371 843 profile
+        # K = 2, N = 20: 231 entries, inside TERM_BUDGET, but 1 371 843 profile
         # terms, whose expansion alone took 9.6 s
         gr, B = self._graph_and_aggregates(3)
 
@@ -229,11 +230,34 @@ class TestMomentTable:
             moment_table(gr, np.array([4.0, 3.0]), N=20, epsilon=0.4, aggregates=B)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_entry_count_refuses_before_any_list_is_built(self, monkeypatch):
+        # K = 8, N = 20: C(28, 8) = 3 108 105 entries, each with a profile term
+        gr, B = self._graph_and_aggregates(3, K=8)
+
+        def listed(K, N):
+            raise AssertionError(f"alphas of K = {K}, N = {N} listed")
+
+        monkeypatch.setattr(star_counts, "total_degree_indices", listed)
+        t0 = time.perf_counter()
+        with pytest.raises(MomentTableTooLarge, match=f"over {TERM_BUDGET} profile terms \\(at least 3108105\\)"):
+            moment_table(gr, np.linspace(8.0, 4.0, 8), N=20, epsilon=0.4, aggregates=B)
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_profile_terms_match_the_box_count(self):
+        over = []
+        for K, N in itertools.product(range(K_CAP + 1), range(1, 7)):
+            terms = profile_terms(K, N, stop=TERM_BUDGET)
+            if terms <= TERM_BUDGET:
+                assert terms == box_profile_terms(K, N), (K, N)
+            else:
+                over.append((K, N))
+        assert over == [(5, 6), (6, 6), (7, 5), (7, 6), (8, 5), (8, 6)]
+
     @pytest.mark.parametrize(
         "K, N, terms",
-        # the (K, N) in use: K <= 6 at the default N = 4, and K = 3 at N = 6
-        [(0, 4, 1), (1, 4, 12), (2, 4, 56), (3, 4, 171), (4, 4, 410), (5, 4, 841), (6, 4, 1547), (3, 6, 1407),
-         (1, 30, 28629), (2, 10, 4435)],
+        # the (K, N) in use: K <= 8 at the default N = 4, and K = 3 at N = 6
+        [(0, 4, 1), (1, 4, 12), (2, 4, 56), (3, 4, 171), (4, 4, 410), (5, 4, 841), (6, 4, 1547), (7, 4, 2626),
+         (8, 4, 4191), (3, 6, 1407), (1, 30, 28629), (2, 10, 4435)],
     )
     def test_profile_terms_count_the_expansion(self, K, N, terms):
         assert profile_terms(K, N) == terms
@@ -248,6 +272,7 @@ class TestMomentTable:
         lambdas = np.array([4.0, 3.0, 2.5][:K])
         table = moment_table(gr, lambdas, N=N, epsilon=0.4, aggregates=B)
         assert table.valid
+        assert not table.entries.flags.writeable
         for alpha in np.ndindex(table.entries.shape):
             if sum(alpha) > N:
                 assert table.entries[alpha] == 0.0, alpha
