@@ -698,13 +698,17 @@ class TestCli:
             ("moments.json", "fit", _set("entries", [1, 2]), r"field 'entries' is not a list of objects"),
             # K = 2, N = 3: entries[2] is alpha (0, 2)
             ("moments.json", "fit", lambda doc: doc["entries"].pop(2),
-             r"entries\[2\]: field 'alpha' is \[0, 3\], not \[0, 2\]"),
+             r"entries\[2\]: field 'alpha' is \[0, 3\], not \[0, 2\]; "
+             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
             ("moments.json", "fit", lambda doc: doc["entries"].append(dict(doc["entries"][2])),
-             r"entries\[10\]: field 'alpha' is \[0, 2\], past the last of the 10 alphas"),
+             r"entries\[10\]: field 'alpha' is \[0, 2\], past the last of the 10 alphas; "
+             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
             ("moments.json", "fit", lambda doc: doc["entries"].insert(1, doc["entries"].pop(2)),
-             r"entries\[1\]: field 'alpha' is \[0, 2\], not \[0, 1\]"),
+             r"entries\[1\]: field 'alpha' is \[0, 2\], not \[0, 1\]; "
+             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
             ("moments.json", "fit", lambda doc: doc["entries"].pop(), r"field 'entries' ends before alpha \[3, 0\]"),
-            ("moments.json", "fit", _set("N", 4), r"entries\[4\]: field 'alpha' is \[1, 0\], not \[0, 4\]"),
+            ("moments.json", "fit", _set("N", 4), r"entries\[4\]: field 'alpha' is \[1, 0\], not \[0, 4\]; "
+             r"entries list each alpha with \|alpha\| <= 4 once, in lexicographic order"),
             ("moments.json", "fit", _set("K", 3), r"field 'K' is 3, not spectrum.json's 2"),
             ("moments.json", "fit", _set("P_diag", [1.0]), r"field 'P_diag' has length 1, not 2"),
             ("fit.json", "estimate", _set("nodes", "abc"), r"field 'nodes' is a str, not a list"),
@@ -749,8 +753,7 @@ class TestCli:
         capsys.readouterr()
         assert self.run_cli(stage, "--config", str(cfg_path), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert re.match(rf"error \[{stage}\]: {re.escape(str(path))}: {message}", err), err
-        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert re.match(rf"error \[{stage}\]: {re.escape(str(path))}: {message}\n$", err), err
 
     @pytest.mark.parametrize(
         "config, message",
