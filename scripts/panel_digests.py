@@ -1,11 +1,13 @@
 """Digests of every dump the benchmark panel writes, from the checkout this script sits in.
 
-    python scripts/panel_digests.py [--compare EARLIER.json]
+    python scripts/panel_digests.py [--graph-seeds 2,3] [--compare EARLIER.json]
 
 Runs each perfbench workload (perfbench/workloads.py) once per graph seed of
 its panel, 8 estimates in all, with BLAS and OpenMP pinned to one thread and
 the program imported from this checkout's src/. Each estimate is made and
-checked as perfbench makes and checks it. Prints one JSON line:
+checked as perfbench makes and checks it. `--graph-seeds` replaces every
+workload's panel, as perfbench's option of that name does: `2,3` runs the
+second panel that perfbench/README.md lists. Prints one JSON line:
 
     {"files": {"<workload>/<seed>/<dump>": sha256, ...},
      "errors": {"<workload>/<seed>": [check errors], ...}}
@@ -42,7 +44,7 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_panel() -> dict:
+def run_panel(graph_seeds: tuple[int, ...] | None = None) -> dict:
     os.environ["OMP_NUM_THREADS"] = "1"
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     checkout = Path(__file__).resolve().parents[1]
@@ -54,7 +56,7 @@ def run_panel() -> dict:
     files, errors = {}, {}
     for w in workloads.WORKLOADS.values():
         cfg_path = w.write_inputs(ROOT / w.name)
-        for seed in w.graph_seeds:
+        for seed in graph_seeds or w.graph_seeds:
             cfg = pipeline.PipelineConfig.from_json(cfg_path)
             cfg.seed = seed
             cfg.out = str(ROOT / w.name / f"seed-{seed}")
@@ -72,9 +74,10 @@ def run_panel() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--graph-seeds", default=None, help="comma-separated panel in place of each workload's own")
     ap.add_argument("--compare", type=Path, help="a file holding an earlier output line")
     args = ap.parse_args(argv)
-    result = run_panel()
+    result = run_panel(tuple(int(s) for s in args.graph_seeds.split(",")) if args.graph_seeds else None)
     print(json.dumps(result, sort_keys=True))
     if args.compare is None:
         return 0

@@ -1,8 +1,9 @@
 """Wall-time scaling of the full pipeline across graph sizes.
 
-The pipeline is designed to run in O(n log n): blockwise sampling, matrix-free
-power iteration for the spectrum, one sparse matvec per moment-table entry,
-and O(m) sampling. This script measures it.
+The pipeline is designed to run in O(n log n): blockwise sampling, block
+subspace iteration on the Ihara-Bass companion for the spectrum, one sparse
+matvec per power-sum block beta for the moments, and O(m) sampling. This
+script measures it.
 
 Runs single-threaded: BLAS thread counts are pinned to 1 before numpy is
 imported. Each case is a size n and a degree scale h; h = 1 runs the pipeline

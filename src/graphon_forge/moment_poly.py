@@ -9,7 +9,9 @@ The pipeline fits with `fit_nodes`: nonnegative weights on the midpoint grid
 of the box [-kappa, kappa]^K whose moments of total degree <= N match the
 mollified table in least squares, solved by an in-package Lawson-Hanson NNLS
 (`nnls`). Any nonnegative law matching those moments is close to the target
-whenever they determine it.
+whenever they determine it. The fit's moment matrix comes from one per-axis
+table of the midpoints' powers (`grid_moments`); the node grid itself is
+never built.
 
 A Legendre density expansion on the same box, acceptance criterion 5's
 reference, is a test oracle in tests/oracles.py: its coefficients follow
@@ -120,20 +122,18 @@ def node_resolution(K: int) -> int:
     return r
 
 
-def grid_nodes(kappa: float, K: int, resolution: int) -> np.ndarray:
-    """Midpoint tensor grid of [-kappa, kappa]^K, shape (resolution^K, K), C order."""
-    mids = _midpoints(kappa, resolution)
-    return np.stack(np.meshgrid(*([mids] * K), indexing="ij"), axis=-1).reshape(-1, K)
+def grid_moments(mids: np.ndarray, alphas) -> np.ndarray:
+    """Monomials prod_i x_i^alpha_i on the tensor grid mids^K, one row per alpha, one column per node in C order.
 
-
-def node_moments(nodes: np.ndarray, alphas) -> np.ndarray:
-    """Matrix of monomials prod_i x_i^alpha_i, one row per alpha, one column per node."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    out = np.ones((len(alphas), nodes.shape[0]))
-    for row, alpha in enumerate(alphas):
-        for axis, a in enumerate(alpha):
-            if a:
-                out[row] *= nodes[:, axis] ** a
+    Row a of an (N+1, r) power table is mids ** a; each alpha's row is the
+    outer product of its per-axis powers, taken in axis order, so neither the
+    (r^K, K) grid nor any power of it is formed.
+    """
+    alphas = np.asarray(alphas, dtype=np.intp)
+    powers = np.stack([mids**a for a in range(int(alphas.max()) + 1)])
+    out = powers[alphas[:, 0]]
+    for axis in range(1, alphas.shape[1]):
+        out = (out[:, :, None] * powers[alphas[:, axis]][:, None, :]).reshape(len(alphas), -1)
     return out
 
 
@@ -229,18 +229,19 @@ def fit_nodes(M: MomentTable, kappa: float, K: int, resolution: int, delta: floa
     """Nonnegative grid-node law whose total-degree <= N moments match the table M.
 
     Solves min ||A w - m||_2 over w >= 0 (`nnls`, Lawson-Hanson), where A holds
-    the monomials of the midpoint-grid nodes of [-kappa, kappa]^K and m the
-    values of M (the mollified moment table), one per alpha with
-    |alpha| <= N. The weights are then normalised to sum to 1. Non-finite
-    moments, a solve that does not converge, and a fit with no weight raise
-    UnusableFitError.
+    the monomials of the midpoint-grid nodes of [-kappa, kappa]^K, built from
+    the midpoints' power table (`grid_moments`), and m the values of M (the
+    mollified moment table), one per alpha with |alpha| <= N. The weights are
+    then normalised to sum to 1, and the nodes that keep weight are read off
+    their grid indices. Non-finite moments, a solve that does not converge,
+    and a fit with no weight raise UnusableFitError.
     """
     if M.K != K:
         raise ValueError(f"moment table has K = {M.K}, not {K}")
     if kappa <= 0 or resolution < 1:
         raise ValueError("need kappa > 0 and resolution >= 1")
-    nodes = grid_nodes(kappa, K, resolution)
-    solved = nnls(node_moments(nodes, M.alphas), M.values)
+    mids = _midpoints(kappa, resolution)
+    solved = nnls(grid_moments(mids, M.alphas), M.values)
     w, residual = solved
     total = w.sum()
     if not total > 0:
@@ -252,7 +253,7 @@ def fit_nodes(M: MomentTable, kappa: float, K: int, resolution: int, delta: floa
         kappa=kappa,
         delta=delta,
         resolution=resolution,
-        nodes=nodes[keep],
+        nodes=mids[np.stack(np.unravel_index(keep, (resolution,) * K), axis=1)],
         weights=w[keep] / total,
         residual=float(residual),
         iterations=solved.iterations,

@@ -23,7 +23,7 @@ entries are zeroed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product, zip_longest
 from math import comb, factorial, prod
 
@@ -148,19 +148,15 @@ def profile_terms(K: int, N: int, stop: float = np.inf) -> int:
 def _power_sums(G2: SparseGraph, B: np.ndarray, betas) -> dict[tuple[int, ...], np.ndarray]:
     """S_beta(w) = sum over neighbors j of w of prod_i B[:, i]^beta_i, per beta."""
     n, k = B.shape
-    max_pow = max((max(b) for b in betas if b), default=0)
-    powers = [np.ones((max_pow + 1, n)) for _ in range(k)]
-    for i in range(k):
-        for t in range(1, max_pow + 1):
-            powers[i][t] = powers[i][t - 1] * B[:, i]
+    max_pow = max(max(b) for b in betas)
+    powers = np.empty((max_pow + 1, k, n))  # powers[t, i] = B[:, i]^t by repeated products; t = 0 unused
+    powers[1] = B.T
+    for t in range(2, max_pow + 1):
+        powers[t] = powers[t - 1] * B.T
     adj = G2.adjacency
     out = {}
     for beta in betas:
-        mono = np.ones(n)
-        for i, b in enumerate(beta):
-            if b:
-                mono = mono * powers[i][b]
-        out[beta] = adj @ mono
+        out[beta] = adj @ reduce(np.multiply, [powers[b, i] for i, b in enumerate(beta) if b])
     return out
 
 
@@ -168,10 +164,10 @@ def _profile_sum(alpha: tuple[int, ...], sums: dict, n: int) -> float:
     """A_alpha = sum over profiles of coeff * sum_w prod_blocks S_beta(w)."""
     total = 0.0
     for coeff, blocks in injective_profiles(alpha):
-        term = np.ones(n)
-        for beta in blocks:
-            term = term * sums[beta]
-        total += coeff * float(term.sum())
+        if blocks:
+            total += coeff * float(reduce(np.multiply, [sums[beta] for beta in blocks]).sum())
+        else:  # alpha = 0: the sum of n ones is exactly n
+            total += coeff * n
     return total
 
 

@@ -13,6 +13,9 @@ tests that use it, as an independent oracle:
 - the dense builders of the non-backtracking operator B and of its
   Ihara-Bass companion, on which the spectrum's solver is checked, and the
   dense adjacency, built from the edge list apart from `graphon_forge.csr`;
+- `grid_nodes` and `node_moments`, the fit grid built as an (r^K, K) array
+  and the monomials of its nodes, one coordinate power at a time, against
+  which `moment_poly.grid_moments` is checked bit for bit;
 - `_apply_axes`, a matrix applied along every axis of a dense tensor: the
   Legendre path's coefficient map, and the reference for
   `moment_poly.mollify_moments` on the table's (N+1,) * K view;
@@ -46,6 +49,23 @@ def _apply_axes(matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     out = tensor
     for axis in range(tensor.ndim):
         out = np.moveaxis(np.tensordot(matrix, out, axes=(1, axis)), 0, axis)
+    return out
+
+
+def grid_nodes(kappa: float, K: int, resolution: int) -> np.ndarray:
+    """Midpoint tensor grid of [-kappa, kappa]^K, shape (resolution^K, K), C order."""
+    mids = _midpoints(kappa, resolution)
+    return np.stack(np.meshgrid(*([mids] * K), indexing="ij"), axis=-1).reshape(-1, K)
+
+
+def node_moments(nodes: np.ndarray, alphas) -> np.ndarray:
+    """Matrix of monomials prod_i x_i^alpha_i, one row per alpha, one column per node."""
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    out = np.ones((len(alphas), nodes.shape[0]))
+    for row, alpha in enumerate(alphas):
+        for axis, a in enumerate(alpha):
+            if a:
+                out[row] *= nodes[:, axis] ** a
     return out
 
 

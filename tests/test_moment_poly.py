@@ -10,14 +10,13 @@ from graphon_forge.moment_poly import (
     QuadratureUnderflowError,
     UnusableFitError,
     fit_nodes,
-    grid_nodes,
+    grid_moments,
     mollifier_moments,
     mollify_moments,
     nnls,
-    node_moments,
     node_resolution,
 )
-from graphon_forge.moment_poly import _binomial_convolution_matrix
+from graphon_forge.moment_poly import _binomial_convolution_matrix, _midpoints
 from graphon_forge.nonbacktracking import K_CAP
 from graphon_forge.star_counts import MomentTable, total_degree_indices
 from tests.oracles import (
@@ -26,8 +25,10 @@ from tests.oracles import (
     density_grid,
     eval_density,
     fit_density,
+    grid_nodes,
     l1_norm_plus,
     legendre_basis,
+    node_moments,
 )
 
 # unit-bump second moment, frozen from two Gauss-Legendre rules agreeing to 1e-12
@@ -368,6 +369,29 @@ class TestFitNodes:
             got = node_moments(fit.nodes, alphas) @ fit.weights
             want = np.array([M.value(a) for a in alphas])
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_grid_design_matrix_is_node_moments_bit_for_bit(self):
+        kappa = 1.37
+        for K, N in [(K, 4) for K in range(1, K_CAP + 1)] + [(K, 6) for K in range(1, 4)]:
+            r, alphas = node_resolution(K), total_degree_indices(K, N)
+            got = grid_moments(_midpoints(kappa, r), alphas)
+            want = node_moments(grid_nodes(kappa, K, r), alphas)
+            assert got.shape == want.shape == (len(alphas), r**K), (K, N)
+            assert got.tobytes() == want.tobytes(), (K, N)
+
+        K, N, r = 3, 4, node_resolution(3)
+        atoms = np.array([[1.0, 0.9, 0.5], [1.0, -0.8, 0.3], [1.0, 0.1, -1.1]])
+        alphas = total_degree_indices(K, N)
+        values = np.array([np.mean(np.prod(atoms ** np.array(a), axis=1)) for a in alphas])
+        table = MomentTable(K=K, N=N, epsilon=0.4, valid=True, pair_diagonal=np.ones(K), values=values)
+        M = mollify_moments(table, mollifier_moments(0.2, N))
+        fit = fit_nodes(M, kappa, K, r)
+        grid = grid_nodes(kappa, K, r)
+        w, _ = nnls(node_moments(grid, alphas), M.values)
+        keep = np.flatnonzero(w > 0)
+        assert keep.size > 1
+        assert fit.nodes.tobytes() == grid[keep].tobytes()
+        assert fit.weights.tobytes() == (w[keep] / w.sum()).tobytes()
 
     def test_total_degree_indices_match_product_filter(self):
         for K in range(5):
