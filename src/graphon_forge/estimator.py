@@ -11,16 +11,13 @@ atoms) plus one atom index per piece, Z = atoms[index].
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphon_model import JsonObject
+from . import dumps
 from .moment_poly import NodeFit
 from .rng import substream
-
-FORMAT_VERSION = 2
 
 
 class EstimateParseError(ValueError):
@@ -101,46 +98,12 @@ class GraphonEstimate:
 
 
 def save_estimate(est: GraphonEstimate, path) -> None:
-    doc = {
-        "version": FORMAT_VERSION,
-        "lambdas": est.lambdas.tolist(),
-        "m": est.m,
-        "kappa": est.kappa,
-        "atoms": est.atoms.ravel().tolist(),
-        "index": est.index.tolist(),
-        "provenance": est.provenance,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc))  # one C-encoder call; json.dump streams through the Python one
+    dumps.write(path, dumps.ESTIMATE, {**vars(est), "m": est.m})
 
 
 def load_estimate(path) -> GraphonEstimate:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise EstimateParseError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise EstimateParseError(f"{path}: top level is a {type(doc).__name__}, not an object")
-    version = doc.get("version")
-    if version != FORMAT_VERSION:
-        raise EstimateParseError(
-            f"{path}: unsupported estimate file version {version!r} (this reader takes {FORMAT_VERSION})"
-        )
-    doc = JsonObject(path, doc)
     try:
-        lambdas, atoms, index = doc.numbers("lambdas"), doc.numbers("atoms"), doc.numbers("index", "i")
-        kappa = doc.number("kappa")
+        fields = dumps.read(path, dumps.ESTIMATE)
     except ValueError as exc:
         raise EstimateParseError(str(exc)) from exc
-    m, provenance = doc.get("m"), doc.get("provenance", {})
-    if type(m) is not int:
-        raise EstimateParseError(f"{path}: field 'm' is {m!r}, not an integer")
-    if not isinstance(provenance, dict):
-        raise EstimateParseError(f"{path}: field 'provenance' is not an object")
-    if index.size != m:
-        raise EstimateParseError(f"{path}: m={m} does not match the {index.size} entries of field 'index'")
-    try:
-        return GraphonEstimate(lambdas, atoms, index, kappa, provenance)
-    except ValueError as exc:
-        raise EstimateParseError(f"{path}: {exc}") from exc
+    return GraphonEstimate(fields["lambdas"], fields["atoms"], fields["index"], fields["kappa"], fields["provenance"])

@@ -9,7 +9,6 @@ immutable after construction and are safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,93 +202,10 @@ def scale(g: StepGraphon, h: float) -> StepGraphon:
 
 
 def save_graphon(g: StepGraphon, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {"block_measures": g.block_measures.tolist(), "values": g.values.tolist()},
-            fh,
-            indent=1,
-        )
-
-
-class JsonObject(dict):
-    """A JSON object read from `path`.
-
-    A field that is missing, mistyped or out of range raises ValueError
-    naming the file and the field. `path` names an object inside the file too: `objects` gives each entry
-    of a list the label `<path>: <field>[<i>]`.
-    """
-
-    def __init__(self, path, doc: dict):
-        super().__init__(doc)
-        self.path = path
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.path}: field {key!r} is missing")
-
-    def number(self, key: str, above: float | None = None, below: float | None = None) -> float:
-        """The field as a float; given `above` (and `below`), one strictly above it (and below that)."""
-        value = self[key]
-        # bool is an int subclass, so `type`, not isinstance
-        if type(value) in (int, float) and (above is None or value > above) and (below is None or value < below):
-            return float(value)
-        bounds = "" if above is None else f" > {above}" if below is None else f" in ({above}, {below})"
-        raise ValueError(f"{self.path}: field {key!r} is {value!r}, not a number{bounds}")
-
-    def integer(self, key: str, low: int, high: int | None = None) -> int:
-        """The field as an int in [low, high]; a JSON boolean is no integer."""
-        value = self[key]
-        if type(value) is int and low <= value and (high is None or value <= high):
-            return value
-        bounds = f" >= {low}" if high is None else f" in [{low}, {high}]"
-        raise ValueError(f"{self.path}: field {key!r} is {value!r}, not an integer{bounds}")
-
-    def boolean(self, key: str) -> bool:
-        value = self[key]
-        if type(value) is not bool:
-            raise ValueError(f"{self.path}: field {key!r} is {value!r}, not true or false")
-        return value
-
-    def numbers(self, key: str, kinds: str = "if", size: int | None = None) -> np.ndarray:
-        """The field as a 1-D array whose dtype kind is in `kinds`: "if" numbers, "i" integers.
-
-        Given `size`, a list of another length is refused.
-        """
-        value = self[key]
-        if not isinstance(value, list):
-            raise ValueError(f"{self.path}: field {key!r} is a {type(value).__name__}, not a list")
-        arr = None
-        if bool not in map(type, value):  # numpy would cast a JSON boolean to a number
-            try:
-                arr = np.array(value) if value else np.empty(0, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                pass
-        if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
-            kind = "integers" if kinds == "i" else "numbers"
-            raise ValueError(f"{self.path}: field {key!r} holds entries that are not {kind}")
-        if size is not None and arr.size != size:
-            raise ValueError(f"{self.path}: field {key!r} has length {arr.size}, not {size}")
-        return arr
-
-    def objects(self, key: str) -> list[JsonObject]:
-        """The field's list of objects, each labelled `<path>: <key>[<i>]` in the errors it raises."""
-        value = self[key]
-        if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-            raise ValueError(f"{self.path}: field {key!r} is not a list of objects")
-        return [JsonObject(f"{self.path}: {key}[{i}]", item) for i, item in enumerate(value)]
-
-
-def read_json_object(path) -> JsonObject:
-    """The JSON object in `path`; text that is not JSON, or JSON that is not an object, raises ValueError naming the file."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ValueError(f"{path}: not readable JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level is a {type(doc).__name__}, not an object")
-    return JsonObject(path, doc)
+    from . import dumps  # imported here: dumps imports modules that import this one
+    dumps.write(path, dumps.MODEL, vars(g))
 
 
 def load_graphon(path) -> StepGraphon:
-    doc = read_json_object(path)
-    return StepGraphon(np.array(doc["block_measures"]), np.array(doc["values"]))
+    from . import dumps
+    return StepGraphon(**dumps.read(path, dumps.MODEL))

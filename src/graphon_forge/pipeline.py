@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dumps, evaluation, graph_sampler, graphon_model, moment_poly, nonbacktracking, star_counts
 from . import estimator as est_mod
-from . import evaluation, graph_sampler, graphon_model, moment_poly, nonbacktracking, star_counts
+from .dumps import StageInputError
 
 EPSILON_CLAMP = (0.01, 0.5)
 DELTA_FLOOR = 0.05
@@ -47,10 +48,6 @@ GRAPH_DUMPS = {"latents": "latents.npy", "g1": "g1.npy", "g2": "g2.npy"}
 AGGREGATE_DTYPE = np.dtype("<f8")  # of the spectrum stage's (n, K) aggregates.npy
 
 
-class StageInputError(RuntimeError):
-    """Missing or config-mismatched stage inputs."""
-
-
 @dataclass
 class PipelineConfig:
     """Run parameters; every field but `out` changes a run's dumps and feeds the config hash."""
@@ -66,7 +63,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        doc = graphon_model.read_json_object(path)
+        doc = dumps.read_json_object(path)
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -148,21 +145,6 @@ def moment_feature_scale(table: star_counts.MomentTable) -> float:
     return best
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-
-
-def _load_stage(path: Path, expect_hash: str) -> graphon_model.JsonObject:
-    """The stage dump at `path`, refused unless it was written under the config hash `expect_hash`."""
-    if not path.exists():
-        raise StageInputError(f"missing stage input {path}")
-    doc = graphon_model.read_json_object(path)
-    if doc.get("config_hash") != expect_hash:
-        raise StageInputError(f"{path} was produced under a different config; refusing")
-    return doc
-
-
 class PipelineState:
     """Shared context between stages; loads whatever is not in memory from disk."""
 
@@ -171,14 +153,8 @@ class PipelineState:
         self.cfg = cfg
         self.out = Path(out_dir)
         self.model = model if model is not None else graphon_model.load_graphon(cfg.model)
-        model_bytes = json.dumps(
-            {
-                "block_measures": self.model.block_measures.tolist(),
-                "values": self.model.values.tolist(),
-            },
-            sort_keys=True,
-        ).encode()
-        self.config_hash = cfg.config_hash(model_bytes)
+        model_doc = dumps.document(dumps.MODEL, vars(self.model))
+        self.config_hash = cfg.config_hash(json.dumps(model_doc, sort_keys=True).encode())
         self.out.mkdir(parents=True, exist_ok=True)  # after the model: an unreadable one leaves no directory
         self.truth = graphon_model.spectral_decompose(self.model)
         self.report = graphon_model.check_assumptions(self.model)
@@ -208,15 +184,13 @@ class PipelineState:
         the one split.json records is refused.
         """
         if self.epsilon is None:
-            doc = _load_stage(self.out / "split.json", self.config_hash)
-            self.epsilon = doc.number("epsilon", 0, 1)
-            self.edge_counts = {"g1": doc.integer("m1", 0), "g2": doc.integer("m2", 0)}
+            split = dumps.read(self.out / "split.json", dumps.SPLIT, self.config_hash)
+            self.epsilon = split["epsilon"]
+            self.edge_counts = {"g1": split["m1"], "g2": split["m2"]}
         for name in names:
             if getattr(self, name) is not None:
                 continue
-            path = self.out / GRAPH_DUMPS[name]
-            if not path.exists():
-                raise StageInputError(f"missing stage input {path}")
+            path = dumps.stage_input(self.out / GRAPH_DUMPS[name])
             if name == "latents":
                 self.latents = graph_sampler.load_latents(path)
                 continue
@@ -229,73 +203,38 @@ class PipelineState:
 
     def require_spectrum(self):
         if self.spectrum is None:
-            doc = _load_stage(self.out / "spectrum.json", self.config_hash)
-            K = doc.integer("K", 0, nonbacktracking.K_CAP)  # 0 when no eigenvalue cleared the cutoff
-            n = self.cfg.n
+            fields = dumps.read(self.out / "spectrum.json", dumps.SPECTRUM, self.config_hash)
+            shape = (self.cfg.n, fields["K"])
             path = self.out / "aggregates.npy"
             aggregates = graph_sampler.load_npy(path, AGGREGATE_DTYPE, 2)
-            if aggregates.shape != (n, K):
-                raise ValueError(f"{path}: expected shape {(n, K)}, found {aggregates.shape}")
-            self.spectrum = nonbacktracking.NbSpectrum(
-                K=K,
-                lambdas=doc.numbers("lambdas", size=K).astype(float),
-                vertex_aggregates=aggregates,
-                e1=doc.number("e1"),
-                residuals=doc.numbers("residuals", size=K).astype(float),
-            )
-
-    def _require_K(self, doc: graphon_model.JsonObject) -> int:
-        """`doc`'s K, refused unless it is spectrum.json's."""
-        self.require_spectrum()
-        K = doc.integer("K", 1, nonbacktracking.K_CAP)
-        if K != self.spectrum.K:
-            raise ValueError(f"{doc.path}: field 'K' is {K}, not spectrum.json's {self.spectrum.K}")
-        return K
+            if aggregates.shape != shape:
+                raise ValueError(f"{path}: expected shape {shape}, found {aggregates.shape}")
+            self.spectrum = nonbacktracking.NbSpectrum(vertex_aggregates=aggregates, **fields)
 
     def require_table(self):
         if self.table is None:
-            doc = _load_stage(self.out / "moments.json", self.config_hash)
-            self._require_K(doc)
-            self.table = star_counts.MomentTable.from_dict(doc)
+            self.require_spectrum()
+            fields = dumps.read(self.out / "moments.json", dumps.MOMENTS, self.config_hash, K=self.spectrum.K)
+            self.table = star_counts.MomentTable(**fields)
 
     def require_fit(self):
         if self.fit is None:
-            doc = _load_stage(self.out / "fit.json", self.config_hash)
-            K = self._require_K(doc)
-            nodes, weights = doc.numbers("nodes"), doc.numbers("weights")
-            if nodes.size != K * weights.size:
-                raise ValueError(
-                    f"{doc.path}: field 'nodes' holds {nodes.size} numbers, not K = {K} for each of {weights.size} weights"
-                )
-            self.fit = moment_poly.NodeFit(
-                K=K,
-                N=doc.integer("N", 1),
-                kappa=doc.number("kappa", 0),
-                delta=doc.number("delta", 0),
-                resolution=doc.integer("resolution", 1),
-                nodes=nodes.astype(float).reshape(-1, K),
-                weights=weights.astype(float),
-                residual=doc.number("residual"),
-                iterations=doc.integer("iterations", 0),
-            )
+            self.require_spectrum()
+            fields = dumps.read(self.out / "fit.json", dumps.FIT, self.config_hash, K=self.spectrum.K)
+            self.fit = moment_poly.NodeFit(**fields)
 
     def read_degeneracy(self, stage: str) -> None:
         """Take the degenerate flag from the record an earlier stage wrote, if any."""
         path = self.out / DEGENERATE_NAME
         if path.exists():
-            doc = _load_stage(path, self.config_hash)
-            if doc["stage"] not in STAGE_ORDER:
-                raise ValueError(f"{path}: field 'stage' is {doc['stage']!r}, not one of {list(STAGE_ORDER)}")
-            self.degenerate = STAGE_ORDER.index(doc["stage"]) < STAGE_ORDER.index(stage)
+            record = dumps.read(path, dumps.DEGENERATE, self.config_hash)
+            self.degenerate = STAGE_ORDER.index(record["stage"]) < STAGE_ORDER.index(stage)
 
     def require_estimate(self):
         if self.estimate is None:
-            path = self.out / "estimate.json"
-            if not path.exists():
-                raise StageInputError(f"missing stage input {path}")
+            path = dumps.stage_input(self.out / "estimate.json")
             self.estimate = est_mod.load_estimate(path)
-            if self.estimate.provenance.get("config_hash") != self.config_hash:
-                raise StageInputError(f"{path} was produced under a different config; refusing")
+            dumps.check_hash(path, dumps.ESTIMATE, vars(self.estimate), self.config_hash)
 
 
 # -- stages -------------------------------------------------------------------
@@ -305,10 +244,7 @@ def mark_degenerate(state: PipelineState, stage: str, reason: str) -> None:
     """Flag the run degenerate and persist why, so later staged runs need not re-derive it."""
     state.degenerate = True
     state.warnings.append(reason)
-    _write_json(
-        state.out / DEGENERATE_NAME,
-        {"config_hash": state.config_hash, "stage": stage, "reason": reason},
-    )
+    dumps.write(state.out / DEGENERATE_NAME, dumps.DEGENERATE, {"stage": stage, "reason": reason}, state.config_hash)
 
 
 def stage_generate(state: PipelineState) -> None:
@@ -324,15 +260,8 @@ def stage_generate(state: PipelineState) -> None:
     graph_sampler.save_latents(state.latents, state.out / GRAPH_DUMPS["latents"])
     for name in ("g1", "g2"):
         graph_sampler.save_edge_list(getattr(state, name), state.out / GRAPH_DUMPS[name])
-    _write_json(
-        state.out / "split.json",
-        {
-            "config_hash": state.config_hash,
-            "epsilon": state.epsilon,
-            "m1": state.g1.m,
-            "m2": state.g2.m,
-        },
-    )
+    split = {"epsilon": state.epsilon, "m1": state.g1.m, "m2": state.g2.m}
+    dumps.write(state.out / "split.json", dumps.SPLIT, split, state.config_hash)
 
 
 def stage_spectrum(state: PipelineState) -> None:
@@ -352,16 +281,7 @@ def stage_spectrum(state: PipelineState) -> None:
         state.spectrum = None
         mark_degenerate(state, "spectrum", f"spectral stage degenerate: {exc}")
     if state.spectrum is not None:
-        _write_json(
-            state.out / "spectrum.json",
-            {
-                "config_hash": state.config_hash,
-                "lambdas": state.spectrum.lambdas.tolist(),
-                "K": state.spectrum.K,
-                "e1": state.spectrum.e1,
-                "residuals": state.spectrum.residuals.tolist(),
-            },
-        )
+        dumps.write(state.out / "spectrum.json", dumps.SPECTRUM, vars(state.spectrum), state.config_hash)
         aggregates = np.ascontiguousarray(state.spectrum.vertex_aggregates, dtype=AGGREGATE_DTYPE)
         graph_sampler.save_npy(aggregates, state.out / "aggregates.npy")
 
@@ -399,9 +319,7 @@ def stage_moments(state: PipelineState) -> None:
         mark_degenerate(state, "moments", f"moment table refused: {exc}; constant estimator emitted")
     if state.degenerate:
         return
-    _write_json(
-        state.out / "moments.json", {"config_hash": state.config_hash, **state.table.to_dict()}
-    )
+    dumps.write(state.out / "moments.json", dumps.MOMENTS, vars(state.table), state.config_hash)
     if not state.table.valid:
         mark_degenerate(
             state, "moments", "pair diagonal not positive; all moments zeroed; constant estimator emitted"
@@ -441,23 +359,8 @@ def stage_fit(state: PipelineState) -> None:
             "feature_scale_estimate": scale_est,
         }
     )
-    fit = state.fit
-    if fit is not None:
-        _write_json(
-            state.out / "fit.json",
-            {
-                "config_hash": state.config_hash,
-                "K": fit.K,
-                "N": fit.N,
-                "kappa": fit.kappa,
-                "delta": fit.delta,
-                "resolution": fit.resolution,
-                "nodes": fit.nodes.ravel().tolist(),
-                "weights": fit.weights.tolist(),
-                "residual": fit.residual,
-                "iterations": fit.iterations,
-            },
-        )
+    if state.fit is not None:
+        dumps.write(state.out / "fit.json", dumps.FIT, vars(state.fit), state.config_hash)
 
 
 def stage_estimate(state: PipelineState) -> None:
@@ -523,18 +426,13 @@ def stage_evaluate(state: PipelineState) -> None:
         metrics["C_contraction"] = diag.contraction.tolist()
         metrics["C_diagonal_term"] = diag.diagonal_term.tolist()
     state.metrics = metrics
-    _write_json(state.out / "metrics.json", {"config_hash": state.config_hash, **metrics})
+    dumps.write_json(state.out / "metrics.json", {"config_hash": state.config_hash, **metrics})
 
 
-STAGE_FUNCS = {
-    "generate": stage_generate,
-    "spectrum": stage_spectrum,
-    "moments": stage_moments,
-    "fit": stage_fit,
-    "estimate": stage_estimate,
-    "evaluate": stage_evaluate,
-}
-STAGE_ORDER = tuple(STAGE_FUNCS)
+STAGE_ORDER = dumps.STAGES
+STAGE_FUNCS = dict(
+    zip(STAGE_ORDER, (stage_generate, stage_spectrum, stage_moments, stage_fit, stage_estimate, stage_evaluate))
+)
 
 
 @dataclass
@@ -613,7 +511,7 @@ def write_manifest(state: PipelineState) -> dict:
         },
         "timings_sec": state.timings,
     }
-    _write_json(state.out / MANIFEST_NAME, manifest)
+    dumps.write_json(state.out / MANIFEST_NAME, manifest)
     return manifest
 
 
@@ -685,7 +583,7 @@ def run_scaled(
     metrics["l2_grid"] = evaluation.l2_distance_grid(unscaled, truth, cfg.metrics_grid)
     res.manifest["scaled"] = {"h": h, "metrics_vs_unscaled": metrics}
     est_mod.save_estimate(unscaled, res.out_dir / "estimate_unscaled.json")
-    _write_json(res.out_dir / MANIFEST_NAME, res.manifest)
+    dumps.write_json(res.out_dir / MANIFEST_NAME, res.manifest)
     return RunResult(cfg, res.manifest, res.out_dir, unscaled, metrics, res.degenerate)
 
 
@@ -708,5 +606,5 @@ def run_scaled_ladder(
             }
         )
     table = {"ladder": rows}
-    _write_json(out / "scaled_ladder.json", table)
+    dumps.write_json(out / "scaled_ladder.json", table)
     return table

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product, zip_longest
+from itertools import product
 from math import comb, factorial, prod
 
 import numpy as np
 
 from .graph_sampler import SparseGraph
-from .graphon_model import JsonObject
-from .nonbacktracking import K_CAP
 
 
 # cap on the profile terms of the expansion over every |alpha| <= N; each term
@@ -227,47 +225,6 @@ class MomentTable:
             out[alpha] = v
         out.flags.writeable = False
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "valid": self.valid,
-            "P_diag": self.pair_diagonal.tolist(),
-            "entries": [{"alpha": list(a), "value": float(v)} for a, v in zip(self.alphas, self.values)],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: JsonObject) -> "MomentTable":
-        """The table `to_dict` wrote, read back; a malformed field raises ValueError naming it.
-
-        The entries must list each alpha of `total_degree_indices(K, N)`
-        once, in its order; the first one that does not is named.
-        """
-        K, N = doc.integer("K", 1, K_CAP), doc.integer("N", 1)
-        if comb(N + K, K) > TERM_BUDGET:  # moment_table writes no such table
-            raise ValueError(f"{doc.path}: field 'N' is {N}; at K = {K} that is over {TERM_BUDGET} entries")
-        alphas = total_degree_indices(K, N)
-        items = doc.objects("entries")
-        for item, want in zip_longest(items, alphas):
-            if item is None:
-                raise ValueError(f"{doc.path}: field 'entries' ends before alpha {list(want)}")
-            alpha = item.numbers("alpha", "i").tolist()
-            if want is None or alpha != list(want):
-                place = f"past the last of the {len(alphas)} alphas" if want is None else f"not {list(want)}"
-                raise ValueError(
-                    f"{item.path}: field 'alpha' is {alpha}, {place}; "
-                    f"entries list each alpha with |alpha| <= {N} once, in lexicographic order"
-                )
-        return cls(
-            K=K,
-            N=N,
-            epsilon=doc.number("epsilon", 0, 1),
-            valid=doc.boolean("valid"),
-            pair_diagonal=doc.numbers("P_diag", size=K).astype(float),
-            values=np.array([item.number("value") for item in items]),
-        )
 
 
 def moment_table(

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from graphon_forge.dumps import ESTIMATE_VERSION
 from graphon_forge.estimator import (
-    FORMAT_VERSION,
     EstimateParseError,
     GraphonEstimate,
     load_estimate,
@@ -107,14 +107,14 @@ class TestSerialization:
     def test_round_trip_keeps_atoms_and_index(self, tmp_path):
         atoms = np.array([[0.0, 1.0], [-0.0, 1.0], [5e-324, -1e300], [0.1, 1 / 3], [7.0, 7.0]])
         index = np.array([3, 1, 0, 0, 2, 1, 3, 3])  # atom 4 is never drawn
-        est = GraphonEstimate(np.array([2.0, -0.5]), atoms, index, np.inf, {"seed": 1})
+        est = GraphonEstimate(np.array([2.0, -0.5]), atoms, index, 0.0, {"seed": 1})
         p = tmp_path / "est.json"
         save_estimate(est, p)
         back = load_estimate(p)
         np.testing.assert_array_equal(back.atoms.view(np.int64), atoms.view(np.int64))
         np.testing.assert_array_equal(back.index, index)
         np.testing.assert_array_equal(back.Z.view(np.int64), est.Z.view(np.int64))
-        assert back.kappa == np.inf
+        assert back.kappa == 0.0
 
     @pytest.mark.parametrize("kappa", [2.0, np.inf])
     def test_bytes_match_streaming_json_dump(self, tmp_path, kappa):
@@ -123,7 +123,7 @@ class TestSerialization:
         est = GraphonEstimate(np.array([5.5, -0.25, 1e-300]), atoms, rng.integers(0, 6, 60),
                               kappa, {"seed": 2, "config_hash": "ab" * 32, "h": 8.0})
         doc = {
-            "version": FORMAT_VERSION,
+            "version": ESTIMATE_VERSION,
             "lambdas": est.lambdas.tolist(),
             "m": est.m,
             "kappa": est.kappa,
@@ -155,6 +155,8 @@ class TestSerialization:
         ("index", [0, 1.5, 1]), ("index", [0, 1, 2]), ("index", [0, -1, 1]), ("index", [True, False, True]),
         ("provenance", ["seed"]), ("version", 1),
         ("index", [0, True, 1]), ("lambdas", [4.0, True]), ("atoms", [0.1, 0.2, 0.3, False]), ("kappa", True),
+        pytest.param("kappa", np.inf, id="kappa-Infinity"), ("kappa", -1.0), ("lambdas", [1.0, np.nan]), ("atoms", [0.1, np.inf, 0.3, 0.4]),
+        ("m", 0), ("version", None), ("provenance", None),
     ])
     def test_malformed_field_names_file_and_field(self, tmp_path, field, value):
         doc = dict(self.GOOD)

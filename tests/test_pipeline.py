@@ -378,8 +378,8 @@ class TestStagedExecution:
         cfg2.out = str(tmp_path / "staged")
         for stage in ("generate", "spectrum", "moments", "fit", "estimate", "evaluate"):
             run_stage(stage, cfg2)
-        for name in ("g1.npy", "g2.npy", "latents.npy", "spectrum.json", "moments.json",
-                     "fit.json", "estimate.json", "metrics.json"):
+        for name in ("g1.npy", "g2.npy", "latents.npy", "split.json", "spectrum.json", "aggregates.npy",
+                     "moments.json", "fit.json", "estimate.json", "metrics.json"):
             assert (
                 (tmp_path / "staged" / name).read_bytes()
                 == (full.out_dir / name).read_bytes()
@@ -487,6 +487,20 @@ class TestStagedExecution:
         assert not (res.out_dir / "fit.json").exists()
         np.testing.assert_array_equal(res.estimate.Z, 1.0)
 
+    def test_non_finite_moment_read_back_takes_the_degenerate_path(self, model_file, tmp_path):
+        # moments.json's values may be non-finite: the staged fit meets them as the in-memory one would
+        cfg = small_config(model_file, tmp_path)
+        for stage in ("generate", "spectrum", "moments"):
+            run_stage(stage, cfg)
+        path = tmp_path / "out" / "moments.json"
+        doc = read_json(path)
+        doc["entries"][3]["value"] = float("inf")
+        path.write_text(json.dumps(doc))
+        state = run_stage("fit", cfg)
+        assert state.degenerate and state.fit is None
+        record = read_json(tmp_path / "out" / DEGENERATE_NAME)
+        assert record["stage"] == "fit" and "non-finite" in record["reason"]
+
     @pytest.mark.parametrize(
         "case", ["spectrum-raises", "no-eigenvalue", "table-too-large", "too-many-terms", "fit-unusable"]
     )
@@ -526,7 +540,7 @@ class TestStagedExecution:
             assert "at least 15" in record["reason"] and "over 10 profile terms" in record["reason"]
         if case == "too-many-terms":
             assert f"over {star_counts.TERM_BUDGET} profile terms" in record["reason"]
-        for name in ("estimate.json", "metrics.json"):
+        for name in (DEGENERATE_NAME, "estimate.json", "metrics.json"):
             assert (
                 (tmp_path / "staged" / name).read_bytes() == (full.out_dir / name).read_bytes()
             ), name
@@ -687,6 +701,15 @@ class TestCli:
 
         return spoil
 
+    @staticmethod
+    def _put(field, i, value):
+        """Set entry i of the list field."""
+
+        def spoil(doc):
+            doc[field][i] = value
+
+        return spoil
+
     @pytest.mark.parametrize(
         "dump, stage, spoil, message",
         [
@@ -732,12 +755,34 @@ class TestCli:
             ("spectrum.json", "moments", _set("K", 9), r"field 'K' is 9, not an integer in \[0, 8\]"),
             ("degenerate.json", "fit", _set("stage", "nope"),
              r"field 'stage' is 'nope', not one of \['generate', 'spectrum', 'moments', 'fit', 'estimate', 'evaluate'\]"),
+            ("spectrum.json", "moments", _put("lambdas", 0, float("inf")),
+             r"field 'lambdas' holds entries that are not finite numbers"),
+            ("spectrum.json", "moments", _set("e1", float("nan")), r"field 'e1' is nan, not a finite number >= 0"),
+            ("fit.json", "estimate", _put("nodes", 1, float("inf")), r"field 'nodes' holds entries that are not finite numbers"),
+            ("fit.json", "estimate", _set("kappa", float("inf")), r"field 'kappa' is inf, not a finite number > 0"),
+            ("fit.json", "estimate", _put("weights", 0, -0.5), r"field 'weights' holds entries that are not numbers >= 0"),
+            ("fit.json", "estimate", _put("weights", 0, float("nan")),
+             r"field 'weights' holds entries that are not finite numbers"),
+            ("fit.json", "estimate", _put("weights", 0, 5.0), r"field 'weights' sums to [\d.]+, not to 1 within 1e-9"),
+            ("moments.json", "fit", _put("P_diag", 0, -1.0),
+             r"field 'valid' is True, not False: true exactly when every P_diag > 0"),
+            ("estimate.json", "evaluate", _put("atoms", 0, float("inf")),
+             r"field 'atoms' holds entries that are not finite numbers"),
+            ("estimate.json", "evaluate", _put("lambdas", 0, float("nan")),
+             r"field 'lambdas' holds entries that are not finite numbers"),
+            ("estimate.json", "evaluate", _set("kappa", -1.0), r"field 'kappa' is -1\.0, not a number >= 0"),
+            ("fit.json", "estimate", _set("kappa", 0.0), r"field 'kappa' is 0\.0, not a number > 0"),
+            ("moments.json", "fit", _set("valid", False),
+             r"field 'valid' is False, not True: true exactly when every P_diag > 0"),
         ],
         ids=["value-missing", "value-not-a-number", "alpha-of-3", "entries-not-objects", "alpha-missing", "alpha-repeated",
              "alphas-out-of-order", "entries-end-early", "N-above-the-entries", "table-K-not-the-spectrum's",
              "P_diag-short", "nodes-a-string", "weights-not-numbers", "nodes-and-weights-disagree", "kappa-a-string",
              "delta-zero", "N-a-string", "resolution-a-boolean", "fit-K-not-the-spectrum's", "epsilon-above-1",
-             "epsilon-a-string", "m2-negative", "third-lambda", "one-residual", "K-above-K_CAP", "stage-unknown"],
+             "epsilon-a-string", "m2-negative", "third-lambda", "one-residual", "K-above-K_CAP", "stage-unknown",
+             "lambda-infinite", "e1-nan", "node-infinite", "fit-kappa-infinite", "weight-negative", "weight-nan",
+             "weights-sum-above-1", "P_diag-negative-but-valid", "atom-infinite", "estimate-lambda-nan",
+             "estimate-kappa-negative", "fit-kappa-zero", "valid-false-every-P_diag-positive"],
     )
     def test_malformed_stage_dump_names_the_file_and_field(self, model_file, tmp_path, capsys, dump, stage, spoil, message):
         cfg_path = tmp_path / "cfg.json"
@@ -760,15 +805,23 @@ class TestCli:
         [
             ('{"n": 3000, "mo', r"cfg\.json: not readable JSON \("),
             ("[1, 2]", r"cfg\.json: top level is a list, not an object$"),
-            ("MODEL", r"model\.json: field 'values' is missing$"),
+            ({"block_measures": [0.5, 0.5]}, r"model\.json: field 'values' is missing$"),
+            ({"block_measures": ["a", "b"], "values": [[7, 1], [1, 7]]},
+             r"model\.json: field 'block_measures' holds entries that are not numbers$"),
+            ({"block_measures": [0.5, 0.5], "values": [[7, 1], [1]]},
+             r"model\.json: field 'values' is not a 2 × 2 array of numbers$"),
+            ({"block_measures": [0.5, 0.5], "values": [[7, True], [True, 7]]},
+             r"model\.json: field 'values' is not a 2 × 2 array of numbers$"),
         ],
-        ids=["truncated-config", "config-list", "model-without-values"],
+        ids=["truncated-config", "config-list", "model-without-values", "measures-not-numbers", "values-ragged",
+             "values-booleans"],
     )
     def test_unreadable_config_or_model_names_the_file(self, tmp_path, capsys, config, message):
+        """A config given as a dict is a model document, named by a config that is otherwise good."""
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"block_measures": [0.5, 0.5]}))
+        model.write_text(json.dumps(config if isinstance(config, dict) else {"block_measures": [0.5, 0.5]}))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"model": str(model), "n": N_SMALL}) if config == "MODEL" else config)
+        cfg_path.write_text(json.dumps({"model": str(model), "n": N_SMALL}) if isinstance(config, dict) else config)
         out = tmp_path / "never"
         assert self.run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 1
         err = capsys.readouterr().err.rstrip("\n")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_forge import star_counts
+from graphon_forge import dumps, star_counts
 from graphon_forge.graph_sampler import SparseGraph
-from graphon_forge.graphon_model import JsonObject
 from graphon_forge.nonbacktracking import K_CAP
 from graphon_forge.star_counts import (
     TERM_BUDGET,
@@ -279,15 +279,17 @@ class TestMomentTable:
             elif sum(alpha) > 0:
                 direct = normalize_star(count_star(gr, alpha, B), alpha, gr.n, 0.4, lambdas, table.pair_diagonal)
                 assert table.entries[alpha] == pytest.approx(direct, rel=1e-12), alpha
-        listed = [tuple(item["alpha"]) for item in table.to_dict()["entries"]]
-        assert len(listed) == math.comb(N + K, K)
-        assert listed == total_degree_indices(K, N)
+        assert table.alphas == total_degree_indices(K, N)
+        assert len(table.values) == math.comb(N + K, K)
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
+        """moments.json lists the table's alphas in order, and reads back bit for bit."""
         gr, B = self._graph_and_aggregates(4)
         table = moment_table(gr, np.array([4.0, 3.0]), N=2, epsilon=0.4, aggregates=B)
-        doc = table.to_dict()
-        back = MomentTable.from_dict(JsonObject("moments.json", doc))
-        np.testing.assert_allclose(back.entries, table.entries, atol=0)
-        assert back.valid == table.valid
-        assert back.epsilon == table.epsilon
+        path = tmp_path / "moments.json"
+        dumps.write(path, dumps.MOMENTS, vars(table), "hash")
+        assert [tuple(item["alpha"]) for item in json.loads(path.read_text())["entries"]] == table.alphas
+        back = MomentTable(**dumps.read(path, dumps.MOMENTS, "hash", K=2))
+        np.testing.assert_array_equal(back.values, table.values)
+        np.testing.assert_array_equal(back.pair_diagonal, table.pair_diagonal)
+        assert (back.K, back.N, back.epsilon, back.valid) == (2, 2, 0.4, table.valid)
