@@ -14,6 +14,7 @@ import numpy as np
 
 from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.pipeline import PipelineConfig, run_pipeline
+from graphon_forge.star_counts import total_degree_indices
 
 
 def main():
@@ -33,8 +34,8 @@ def main():
 
     print(f"graph: n={args.n}, degenerate={res.degenerate}")
     print(f"K = {res.manifest['K']}, constants: {json.dumps(res.manifest['constants'], indent=1)}")
-    with open(out / "moments.json") as fh:
-        entries = {tuple(e["alpha"]): e["value"] for e in json.load(fh)["entries"]}
+    spectrum, moments = (json.loads((out / name).read_text()) for name in ("spectrum.json", "moments.json"))
+    entries = dict(zip(total_degree_indices(spectrum["K"], moments["N"]), moments["values"]))
     print("normalized moments: P(0,1)=%.3f P(0,2)=%.3f P(2,0)=%.3f"
           % (entries.get((0, 1), np.nan), entries.get((0, 2), np.nan), entries.get((2, 0), np.nan)))
     print(f"delta2 upper bound vs truth: {res.metrics['delta2_upper']:.3f}"

@@ -5,14 +5,14 @@ A `Table` has a `Field` row per field: name, kind, range and length rule.
 …`. A range reads as the messages state it (`> 0`, `>= 1`, `in (0, 1)`, `in
 [0, {A})` with A a size) and bounds a value or each entry of a list; numbers
 are finite unless a row says otherwise. A length rule is a size `K`, `K*s` (a flat list of s rows of K) or
-`k,k` (k lists of k). A size is an integer or list field read earlier, the
-caller's value of a `same_as` field, or else set by the first list it sizes.
+`k,k` (k lists of k). A size is an integer or list field read earlier, a
+value the caller gives (K, which only spectrum.json states), or else set by
+the first list it sizes.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import comb, isfinite
 from pathlib import Path
 from typing import Callable
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .nonbacktracking import K_CAP
-from .star_counts import TERM_BUDGET, total_degree_indices
+from .star_counts import TERM_BUDGET
 
 STAGES = ("generate", "spectrum", "moments", "fit", "estimate", "evaluate")
 ESTIMATE_VERSION = 2
@@ -33,14 +33,12 @@ class StageInputError(RuntimeError):
 @dataclass(frozen=True)
 class Field:
     name: str
-    kind: str  # a key of _SCALARS; the lists integers and numbers; alphas; version
+    kind: str  # a key of _SCALARS; the lists integers and numbers; version
     range: str = ""  # for a version, the one this reader takes
     size: str = ""
     finite: bool = True
-    same_as: str = ""  # the dump the caller read this field from; the two must agree
     choices: tuple = ()
-    check: Callable | None = None  # (value, fields) -> how it breaks a rule between fields, once all are read
-    rows: tuple = ()  # of each {alpha, value} object of an alphas list
+    check: Callable | None = None  # (value, sizes) -> how it breaks a rule, once all are read
     attr: str = ""  # the field's key in what `read` returns and `write` takes, when not `name`
 
 
@@ -63,24 +61,20 @@ SPECTRUM = Table("spectrum.json", (
     Field("e1", "number", ">= 0"),
     Field("residuals", "numbers", ">= 0", size="K"),
 ))
-MOMENTS = Table("moments.json", (
-    Field("K", "integer", f"in [1, {K_CAP}]", same_as="spectrum.json"),
-    Field("N", "integer", ">= 1"),
-    # a non-finite value sends the fit down its degenerate path, staged or not
-    Field("entries", "alphas", attr="values",
-          rows=(Field("alpha", "integers"), Field("value", "number", finite=False))),
-    Field("epsilon", "number", "in (0, 1)"),
+MOMENTS = Table("moments.json", (  # K is spectrum.json's
+    Field("N", "integer", ">= 1", check=lambda N, sizes: comb(N + sizes["K"], sizes["K"]) > TERM_BUDGET
+          and f"is {N}; at K = {sizes['K']} that is over {TERM_BUDGET} entries"),  # moment_table writes no such table
+    # one value per alpha of star_counts.total_degree_indices(K, N); a non-finite
+    # one sends the fit down its degenerate path, staged or not
+    Field("values", "numbers", finite=False, check=lambda v, sizes: v.size != comb(sizes["N"] + sizes["K"], sizes["K"])
+          and f"has length {v.size}, not C(N+K, K) = {comb(sizes['N'] + sizes['K'], sizes['K'])}"),
     Field("P_diag", "numbers", size="K", attr="pair_diagonal"),
-    Field("valid", "boolean", check=lambda valid, fields: valid != bool(np.all(fields["pair_diagonal"] > 0))
-          and f"is {valid!r}, not {not valid!r}: true exactly when every P_diag > 0"),
 ))
-FIT = Table("fit.json", (
-    Field("K", "integer", f"in [1, {K_CAP}]", same_as="spectrum.json"),
-    Field("N", "integer", ">= 1"),
+FIT = Table("fit.json", (  # K is spectrum.json's
     Field("kappa", "number", "> 0"),
     Field("delta", "number", "> 0"),
     Field("resolution", "integer", ">= 1"),
-    Field("weights", "numbers", ">= 0", check=lambda w, fields: abs(w.sum() - 1.0) > 1e-9
+    Field("weights", "numbers", ">= 0", check=lambda w, sizes: abs(w.sum() - 1.0) > 1e-9
           and f"sums to {float(w.sum())!r}, not to 1 within 1e-9"),
     Field("nodes", "numbers", size="K*weights"),
     Field("residual", "number", ">= 0"),
@@ -108,7 +102,6 @@ TABLES = (SPLIT, SPECTRUM, MOMENTS, FIT, ESTIMATE, DEGENERATE, MODEL)
 _SCALARS = {  # kind: (test, what a value must be); bool is an int subclass, so `type`, not isinstance
     "integer": (lambda v: type(v) is int, "an integer"),
     "number": (lambda v: type(v) in (int, float), "a number"),
-    "boolean": (lambda v: type(v) is bool, "true or false"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "object": (lambda v: isinstance(v, dict), "an object"),
 }
@@ -145,7 +138,7 @@ def check_hash(path, table: Table, doc: dict, config_hash: str) -> None:
 
 
 def read(path, table: Table, config_hash: str | None = None, **given) -> dict:
-    """The fields of `table` in the file at `path`, each checked; `given` holds the `same_as` values.
+    """The fields of `table` in the file at `path`, each checked; `given` holds the sizes the file does not state.
 
     Given `config_hash`, a missing file, or one written under another hash,
     raises StageInputError before any field is read.
@@ -153,7 +146,16 @@ def read(path, table: Table, config_hash: str | None = None, **given) -> dict:
     doc = read_json_object(path if config_hash is None else stage_input(Path(path)))
     if config_hash is not None:
         check_hash(path, table, doc, config_hash)
-    return _rows(path, table.rows, doc, given)
+    fields, env = {}, dict(given)
+    for row in table.rows:
+        if row.name not in doc:
+            raise _refuse(path, row.name)("is missing")
+        fields[row.attr or row.name] = _value(path, row, doc[row.name], env)
+    for row in table.rows:
+        broken = row.check and row.check(fields[row.attr or row.name], env)
+        if broken:
+            raise _refuse(path, row.name)(broken)
+    return fields
 
 
 def write(path, table: Table, fields: dict, config_hash: str | None = None) -> None:
@@ -178,9 +180,6 @@ def _plain(row: Field, fields: dict):
     if row.kind == "version":
         return int(row.range)
     value = fields[row.attr or row.name]
-    if row.kind == "alphas":
-        return [{"alpha": list(a), "value": v}
-                for a, v in zip(total_degree_indices(fields["K"], fields["N"]), value.tolist())]
     if not isinstance(value, np.ndarray):
         return value
     return (value.ravel() if "*" in row.size else value).tolist()  # a `K*s` list is laid out flat
@@ -190,25 +189,10 @@ def _refuse(label, name: str):
     return lambda text: ValueError(f"{label}: field {name!r} {text}")
 
 
-def _rows(label, rows, doc: dict, env: dict) -> dict:
-    fields = {}
-    for row in rows:
-        if row.name not in doc:
-            raise _refuse(label, row.name)("is missing")
-        fields[row.attr or row.name] = _value(label, row, doc[row.name], env)
-    for row in rows:
-        broken = row.check and row.check(fields[row.attr or row.name], fields)
-        if broken:
-            raise _refuse(label, row.name)(broken)
-    return fields
-
-
 def _value(label, row: Field, value, env: dict):
     refuse, kind = _refuse(label, row.name), row.kind
     if kind in ("integers", "numbers"):
         return _array(refuse, row, value, env)
-    if kind == "alphas":
-        return _alpha_values(label, row, value, env)
     if kind == "version":
         if value != int(row.range):
             raise ValueError(f"{label}: unsupported estimate file version {value!r} (this reader takes {row.range})")
@@ -219,8 +203,6 @@ def _value(label, row: Field, value, env: dict):
     nonfinite = kind == "number" and row.finite and type(value) is float and not isfinite(value)
     if nonfinite or not test(value) or (row.range and not _within(value, row.range)):
         raise refuse(f"is {value!r}, not {'a finite number' if nonfinite else need} {row.range}".rstrip())
-    if row.same_as and value != env[row.name]:
-        raise refuse(f"is {value!r}, not {row.same_as}'s {env[row.name]}")
     if kind == "integer":
         env[row.name] = value
     return float(value) if kind == "number" else value
@@ -264,30 +246,6 @@ def _sized(refuse, size: str, arr: np.ndarray, env: dict) -> np.ndarray:
         raise refuse(f"holds {n} numbers, not a positive multiple of {k} = {env[k]}")
     env.setdefault(per, n // env[k])
     return arr.reshape(-1, env[k])
-
-
-def _alpha_values(label, row: Field, value, env: dict) -> np.ndarray:
-    """The values of a list of {alpha, value} objects giving each alpha with |alpha| <= N once, in lexicographic order."""
-    refuse = _refuse(label, row.name)
-    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-        raise refuse("is not a list of objects")
-    K, N = env["K"], env["N"]
-    if comb(N + K, K) > TERM_BUDGET:  # moment_table writes no such table
-        raise _refuse(label, "N")(f"is {N}; at K = {K} that is over {TERM_BUDGET} entries")
-    alphas, values = total_degree_indices(K, N), []
-    for i, (item, want) in enumerate(zip_longest(value, alphas)):
-        if item is None:
-            raise refuse(f"ends before alpha {list(want)}")
-        where = f"{label}: {row.name}[{i}]"
-        entry = _rows(where, row.rows, item, env)
-        alpha = entry["alpha"].tolist()
-        if want is None or alpha != list(want):
-            place = f"past the last of the {len(alphas)} alphas" if want is None else f"not {list(want)}"
-            raise _refuse(where, "alpha")(
-                f"is {alpha}, {place}; entries list each alpha with |alpha| <= {N} once, in lexicographic order"
-            )
-        values.append(entry["value"])
-    return np.array(values)
 
 
 def _within(x, rng: str) -> bool:

@@ -153,29 +153,30 @@ def spectral_decompose(g: StepGraphon) -> SpectralGraphon:
 
 @dataclass
 class AssumptionReport:
-    """Checked model constants: bound, degrees, informative-eigenvalue count."""
+    """Checked model constants: per-block degrees, informative-eigenvalue count.
 
-    M: float
-    q: float
+    The bound is `StepGraphon.bound`; the mean degree q and the eigenvalues
+    are the decomposition's.
+    """
+
     q_per_block: np.ndarray
     constant_degree: bool
     r0: int
     non_simple: bool
-    eigenvalues: np.ndarray
 
 
-def check_assumptions(g: StepGraphon, tol: float = 1e-9, simple_tol: float = 1e-6) -> AssumptionReport:
-    """Verify boundedness and constant expected degree; count eigenvalues above the bulk.
+def check_assumptions(
+    g: StepGraphon, truth: SpectralGraphon, tol: float = 1e-9, simple_tol: float = 1e-6
+) -> AssumptionReport:
+    """Check constant expected degree; count the eigenvalues of `truth`, g's decomposition, above the bulk.
 
     r0 counts eigenvalues with |mu_i| > sqrt(mu_1) (the generalized
     Kesten-Stigum condition); `non_simple` flags a relative gap below
     `simple_tol` among the top r0.
     """
     q_blocks = g.values @ g.block_measures
-    q = float(np.dot(q_blocks, g.block_measures))
     constant = bool(q_blocks.max() - q_blocks.min() <= tol)
-    spec = spectral_decompose(g)
-    mu = spec.eigenvalues
+    mu = truth.eigenvalues
     # strict inequality, guarded against eigensolver round-off at the boundary
     r0 = int(np.sum(np.abs(mu) > np.sqrt(mu[0]) + 1e-9 * max(1.0, mu[0])))
     non_simple = False
@@ -183,15 +184,7 @@ def check_assumptions(g: StepGraphon, tol: float = 1e-9, simple_tol: float = 1e-
         for j in range(i + 1, mu.size):
             if abs(abs(mu[i]) - abs(mu[j])) <= simple_tol * max(abs(mu[i]), 1e-300):
                 non_simple = True
-    return AssumptionReport(
-        M=g.bound,
-        q=q,
-        q_per_block=q_blocks,
-        constant_degree=constant,
-        r0=r0,
-        non_simple=non_simple,
-        eigenvalues=mu,
-    )
+    return AssumptionReport(q_per_block=q_blocks, constant_degree=constant, r0=r0, non_simple=non_simple)
 
 
 def scale(g: StepGraphon, h: float) -> StepGraphon:
@@ -207,5 +200,10 @@ def save_graphon(g: StepGraphon, path) -> None:
 
 
 def load_graphon(path) -> StepGraphon:
+    """The model in the file at `path`; a field or a value rule it breaks raises ValueError naming the file."""
     from . import dumps
-    return StepGraphon(**dumps.read(path, dumps.MODEL))
+    fields = dumps.read(path, dumps.MODEL)
+    try:
+        return StepGraphon(**fields)
+    except GraphonValidationError as exc:
+        raise GraphonValidationError(f"{path}: {exc}") from exc

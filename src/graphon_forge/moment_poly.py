@@ -21,6 +21,7 @@ expansion cannot approach a law concentrated near a few points.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -54,6 +55,15 @@ class MollifierMoments:
         return self.moments.size - 1
 
 
+@cache
+def _bump_rule() -> tuple[np.ndarray, np.ndarray, float]:
+    """Gauss-Legendre nodes t on [-1, 1], their weights times the unit bump, and the weights' sum; built once."""
+    t, w = npleg.leggauss(BUMP_RULE)
+    w_psi = w * np.exp(-1.0 / (1.0 - t * t))
+    t.flags.writeable = w_psi.flags.writeable = False
+    return t, w_psi, w_psi.sum()
+
+
 def mollifier_moments(delta: float, N: int) -> MollifierMoments:
     """Moments up to order N by a fixed Gauss-Legendre rule on the unit bump.
 
@@ -65,9 +75,7 @@ def mollifier_moments(delta: float, N: int) -> MollifierMoments:
         raise ValueError("delta must be positive")
     if N >= 1 and delta ** max(N, 1) == 0.0:
         raise QuadratureUnderflowError(f"delta={delta} underflows at order {N}")
-    t, w = npleg.leggauss(BUMP_RULE)
-    w_psi = w * np.exp(-1.0 / (1.0 - t * t))
-    z0 = w_psi.sum()
+    t, w_psi, z0 = _bump_rule()
     moments = np.zeros(N + 1)
     moments[0] = 1.0
     for j in range(2, N + 1, 2):
@@ -91,10 +99,13 @@ def mollify_moments(table: MomentTable, mm: MollifierMoments) -> MomentTable:
     entries that agree off it form a line; each line is a column of an
     (N+1, lines) matrix, zero above total degree N, so one matrix product
     covers every line. Its bits are those of the matrix applied along each
-    axis of the (N+1,) * K tensor, which the tests check.
+    axis of the (N+1,) * K tensor, which the tests check. A table that is
+    not valid, or holds a non-finite value, raises UnusableFitError first.
     """
     if not table.valid:
         raise UnusableFitError("moment table is invalid (some pair diagonal <= 0)")
+    if not np.isfinite(table.values).all():
+        raise UnusableFitError("moment table has non-finite entries")
     if mm.N < table.N:
         raise ValueError("mollifier moments shorter than moment table order")
     t = _binomial_convolution_matrix(mm, table.N)
@@ -215,7 +226,6 @@ class NodeFit:
     """
 
     K: int
-    N: int
     kappa: float
     delta: float
     resolution: int
@@ -249,7 +259,6 @@ def fit_nodes(M: MomentTable, kappa: float, K: int, resolution: int, delta: floa
     keep = np.flatnonzero(w > 0)
     return NodeFit(
         K=K,
-        N=M.N,
         kappa=kappa,
         delta=delta,
         resolution=resolution,

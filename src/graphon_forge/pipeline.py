@@ -157,7 +157,7 @@ class PipelineState:
         self.config_hash = cfg.config_hash(json.dumps(model_doc, sort_keys=True).encode())
         self.out.mkdir(parents=True, exist_ok=True)  # after the model: an unreadable one leaves no directory
         self.truth = graphon_model.spectral_decompose(self.model)
-        self.report = graphon_model.check_assumptions(self.model)
+        self.report = graphon_model.check_assumptions(self.model, self.truth)
         self.M = self.model.bound
         self.latents = None
         self.g1 = None
@@ -215,13 +215,13 @@ class PipelineState:
         if self.table is None:
             self.require_spectrum()
             fields = dumps.read(self.out / "moments.json", dumps.MOMENTS, self.config_hash, K=self.spectrum.K)
-            self.table = star_counts.MomentTable(**fields)
+            self.table = star_counts.MomentTable(self.spectrum.K, **fields)
 
     def require_fit(self):
         if self.fit is None:
             self.require_spectrum()
             fields = dumps.read(self.out / "fit.json", dumps.FIT, self.config_hash, K=self.spectrum.K)
-            self.fit = moment_poly.NodeFit(**fields)
+            self.fit = moment_poly.NodeFit(self.spectrum.K, **fields)
 
     def read_degeneracy(self, stage: str) -> None:
         """Take the degenerate flag from the record an earlier stage wrote, if any."""
@@ -344,9 +344,9 @@ def stage_fit(state: PipelineState) -> None:
     else:
         kappa = kappa_formula_val
     mm = moment_poly.mollifier_moments(delta, N)
-    mollified = moment_poly.mollify_moments(state.table, mm)
     resolution = moment_poly.node_resolution(K)
     try:
+        mollified = moment_poly.mollify_moments(state.table, mm)
         state.fit = moment_poly.fit_nodes(mollified, kappa, K, resolution, delta=delta)
     except moment_poly.UnusableFitError as exc:
         mark_degenerate(state, "fit", f"moment fit unusable: {exc}")
@@ -489,10 +489,10 @@ def write_manifest(state: PipelineState) -> dict:
         "config_hash": state.config_hash,
         "model": {
             "M": state.M,
-            "q": state.report.q,
+            "q": state.truth.degree_constant,
             "constant_degree": state.report.constant_degree,
             "r0": state.report.r0,
-            "eigenvalues": state.report.eigenvalues.tolist(),
+            "eigenvalues": state.truth.eigenvalues.tolist(),
         },
         "constants": state.constants,
         "K": 0 if state.degenerate or state.spectrum is None else state.spectrum.K,

@@ -200,10 +200,13 @@ class MomentTable:
 
     K: int
     N: int
-    epsilon: float
-    valid: bool
     pair_diagonal: np.ndarray
     values: np.ndarray  # one per alpha of total_degree_indices(K, N), in its order
+
+    @property
+    def valid(self) -> bool:
+        """Whether every P_kk > 0; otherwise the values are all zero."""
+        return bool(np.all(self.pair_diagonal > 0))
 
     @property
     def alphas(self) -> list[tuple[int, ...]]:
@@ -255,12 +258,12 @@ def moment_table(
     p_diag = np.array(
         [normalize_pair(count_pair(G2, B[:, k]), epsilon, lambdas[k]) for k in range(K)]
     )
-    if np.any(p_diag <= 0):
-        return MomentTable(K, N, epsilon, False, p_diag, np.zeros(len(alphas)))
+    if not np.all(p_diag > 0):
+        return MomentTable(K, N, p_diag, np.zeros(len(alphas)))
 
     betas = sorted({b for alpha in alphas for _, blocks in injective_profiles(alpha) for b in blocks})
     sums = _power_sums(G2, B, betas)
     values = [
         normalize_star(_profile_sum(alpha, sums, G2.n), alpha, G2.n, epsilon, lambdas, p_diag) for alpha in alphas
     ]
-    return MomentTable(K, N, epsilon, True, p_diag, np.array(values))
+    return MomentTable(K, N, p_diag, np.array(values))

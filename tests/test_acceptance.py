@@ -22,6 +22,7 @@ from graphon_forge.nonbacktracking import (
     top_spectrum,
 )
 from graphon_forge.pipeline import MANIFEST_NAME, PipelineConfig, run_pipeline, run_scaled
+from graphon_forge.star_counts import total_degree_indices
 from tests.conftest import random_simple_graph
 from tests.oracles import (
     build_nb_operator,
@@ -53,9 +54,8 @@ def sbm_runs(tmp_path_factory):
     for seed in SEEDS:
         cfg = PipelineConfig(model=str(td / "model.json"), n=N_DESK, seed=seed, N_override=4)
         res = run_pipeline(cfg, out_dir=td / f"seed-{seed}")
-        with open(res.out_dir / "moments.json") as fh:
-            doc = json.load(fh)
-        entries = {tuple(e["alpha"]): e["value"] for e in doc["entries"]}
+        spectrum, moments = (json.loads((res.out_dir / name).read_text()) for name in ("spectrum.json", "moments.json"))
+        entries = dict(zip(total_degree_indices(spectrum["K"], moments["N"]), moments["values"]))
         out.append((res, entries))
     return out
 

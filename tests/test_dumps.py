@@ -1,4 +1,4 @@
-"""The dump tables: every field is required, and README's Outputs table lists the fields the tables declare."""
+"""The dump tables: every field is required, each fact has one file, and README's Outputs table lists the fields."""
 import json
 import re
 from pathlib import Path
@@ -11,10 +11,7 @@ from graphon_forge.graphon_model import StepGraphon, save_graphon
 from graphon_forge.pipeline import PipelineConfig, run_pipeline
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# every field of every table, a field of each `alphas` entry as (table, list field, entry field)
-ROWS = [(table, row.name, None) for table in dumps.TABLES for row in table.rows] + [
-    (table, row.name, sub.name) for table in dumps.TABLES for row in table.rows for sub in row.rows
-]
+ROWS = [(table, row.name) for table in dumps.TABLES for row in table.rows]
 
 
 @pytest.fixture(scope="module")
@@ -28,25 +25,29 @@ def good_dumps(tmp_path_factory):
     return out, res.estimate.K
 
 
-@pytest.mark.parametrize(
-    "table, field, entry_field", ROWS,
-    ids=[f"{t.name}:{f}" + (f"[0].{e}" if e else "") for t, f, e in ROWS],
-)
-def test_dump_missing_a_field_is_refused_naming_the_file_and_field(good_dumps, tmp_path, table, field, entry_field):
+@pytest.mark.parametrize("table, field", ROWS, ids=[f"{t.name}:{f}" for t, f in ROWS])
+def test_dump_missing_a_field_is_refused_naming_the_file_and_field(good_dumps, tmp_path, table, field):
     out, K = good_dumps
     doc = json.loads((out / table.name).read_text())
     dumps.read(out / table.name, table, K=K)  # the unspoilt file reads
-    if entry_field is None:
-        del doc[field]
-        where, name = "", field
-    else:
-        del doc[field][0][entry_field]
-        where, name = f": {field}[0]", entry_field
+    del doc[field]
     path = tmp_path / table.name
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         dumps.read(path, table, K=K)
-    assert str(err.value) == f"{path}{where}: field {name!r} is missing"
+    assert str(err.value) == f"{path}: field {field!r} is missing"
+
+
+def test_each_stage_fact_has_one_file(good_dumps):
+    """No field but config_hash is in two of the stage dumps a later stage reads back."""
+    out, _ = good_dumps
+    tables = (dumps.SPLIT, dumps.SPECTRUM, dumps.MOMENTS, dumps.FIT, dumps.DEGENERATE)
+    homes = {}
+    for table in tables:
+        for name in json.loads((out / table.name).read_text()):
+            homes.setdefault(name, []).append(table.name)
+    shared = {name: files for name, files in homes.items() if len(files) > 1}
+    assert shared == {"config_hash": [table.name for table in tables]}
 
 
 def _split(text: str) -> list[str]:
@@ -60,17 +61,7 @@ def _split(text: str) -> list[str]:
     return parts + [text[start:]]
 
 
-def _fields(braced: str) -> dict:
-    """Field name -> the fields of its list of objects, or None, from a `{a, b (note), c: [{d, e}]}` list."""
-    out = {}
-    for part in _split(braced.strip()[1:-1]):
-        name = re.match(r"\s*(\w+)", part).group(1)
-        inner = re.search(r"\[(\{.*\})\]", part)
-        out[name] = _fields(inner.group(1)) if inner else None
-    return out
-
-
-def readme_fields(dump: str) -> dict | None:
+def readme_fields(dump: str) -> set | None:
     """The fields of the `{...}` list in the row of README's Outputs table that names `dump`."""
     section = README.read_text().split("## Outputs", 1)[1].split("\n## ", 1)[0]
     row = re.search(rf"^\| `{re.escape(dump)}` \| .*?(`\{{.*)$", section, flags=re.M)
@@ -80,13 +71,11 @@ def readme_fields(dump: str) -> dict | None:
     for end, ch in enumerate(text):
         depth += (ch in "{[") - (ch in "}]")
         if depth == 0:
-            return _fields(text[:end + 1])
+            return {re.match(r"\s*(\w+)", part).group(1) for part in _split(text[1:end])}
 
 
 @pytest.mark.parametrize("table", [t for t in dumps.TABLES if t is not dumps.MODEL], ids=lambda t: t.name)
 def test_readme_lists_each_dump_field(table):
     listed = readme_fields(table.name)
     assert listed is not None, f"README's Outputs table has no field list for {table.name}"
-    listed.pop("config_hash", None)
-    declared = {row.name: ({sub.name: None for sub in row.rows} if row.rows else None) for row in table.rows}
-    assert listed == declared
+    assert listed - {"config_hash"} == {row.name for row in table.rows}

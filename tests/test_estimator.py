@@ -83,7 +83,7 @@ class TestAtoms:
             GraphonEstimate(np.array([1.0]), np.ones((2, 1)), np.array(index), 1.0)
 
     def test_sample_nodes_draws_on_the_feature_substream(self):
-        fit = NodeFit(K=2, N=4, kappa=1.0, delta=0.1, resolution=8,
+        fit = NodeFit(K=2, kappa=1.0, delta=0.1, resolution=8,
                       nodes=np.arange(8.0).reshape(4, 2), weights=np.array([0.1, 0.2, 0.3, 0.4]),
                       residual=0.0, iterations=4)
         index = sample_nodes(fit, 1000, 7)

@@ -78,20 +78,20 @@ class TestSpectralDecompose:
 
 class TestCheckAssumptions:
     def test_assortative(self, assortative_2block):
-        rep = check_assumptions(assortative_2block, tol=1e-9)
-        assert rep.M == 7.0
-        assert rep.q == pytest.approx(4.0)
+        rep = check_assumptions(assortative_2block, spectral_decompose(assortative_2block), tol=1e-9)
+        assert assortative_2block.bound == 7.0
+        assert spectral_decompose(assortative_2block).degree_constant == pytest.approx(4.0)
         assert rep.constant_degree
         assert rep.r0 == 2
 
     def test_boundary_kesten_stigum(self, weak_2block):
         # mu = (4, 2): 2 = sqrt(4) is not strictly above the bulk
-        rep = check_assumptions(weak_2block)
+        rep = check_assumptions(weak_2block, spectral_decompose(weak_2block))
         assert rep.r0 == 1
 
     def test_nonconstant_degree(self):
         g = StepGraphon(np.array([0.5, 0.5]), np.array([[8.0, 2.0], [2.0, 4.0]]))
-        rep = check_assumptions(g)
+        rep = check_assumptions(g, spectral_decompose(g))
         assert not rep.constant_degree
         np.testing.assert_allclose(sorted(rep.q_per_block), [3.0, 5.0])
 
@@ -133,8 +133,10 @@ class TestScaleAndEvaluate:
         np.testing.assert_array_equal(h1.values, assortative_2block.values)
 
     def test_scale_crosses_threshold(self, weak_2block):
-        rep = check_assumptions(scale(weak_2block, 4.0))
-        np.testing.assert_allclose(rep.eigenvalues, [16.0, 8.0], atol=1e-12)
+        g = scale(weak_2block, 4.0)
+        truth = spectral_decompose(g)
+        rep = check_assumptions(g, truth)
+        np.testing.assert_allclose(truth.eigenvalues, [16.0, 8.0], atol=1e-12)
         assert rep.r0 == 2
 
     def test_scale_half(self, assortative_2block):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from graphon_forge import moment_poly
 from graphon_forge.moment_poly import (
     NODE_BUDGET,
     SAMPLE_GRID,
@@ -76,14 +77,12 @@ class TestMollifierMoments:
             mollifier_moments(0.0, 4)
 
 
-def table_from_entries(entries: np.ndarray, epsilon=0.4) -> MomentTable:
+def table_from_entries(entries: np.ndarray) -> MomentTable:
     """The table whose (N+1,) * K view is `entries` up to total degree N; cells above it are dropped."""
     K, N = entries.ndim, entries.shape[0] - 1
     return MomentTable(
         K=K,
         N=N,
-        epsilon=epsilon,
-        valid=True,
         pair_diagonal=np.ones(K),
         values=np.array([entries[a] for a in total_degree_indices(K, N)]),
     )
@@ -128,8 +127,17 @@ class TestMollifyMoments:
 
     def test_invalid_table_rejected(self):
         table = table_from_entries(np.ones((3, 3)))
-        table.valid = False
-        with pytest.raises(UnusableFitError):
+        table.pair_diagonal[1] = 0.0
+        assert not table.valid
+        with pytest.raises(UnusableFitError, match="invalid"):
+            mollify_moments(table, mollifier_moments(0.3, 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_table_rejected_before_the_convolution(self, bad, monkeypatch):
+        table = table_from_entries(np.ones((3, 3)))
+        table.values[4] = bad
+        monkeypatch.setattr(moment_poly, "_binomial_convolution_matrix", None)  # never reached
+        with pytest.raises(UnusableFitError, match="moment table has non-finite entries"):
             mollify_moments(table, mollifier_moments(0.3, 2))
 
     def test_matches_dense_tensor_oracle_bit_for_bit(self):
@@ -139,7 +147,7 @@ class TestMollifyMoments:
         for K, N, _ in itertools.product(range(1, 5), range(7), range(5)):
             alphas = total_degree_indices(K, N)
             values = rng.standard_normal(len(alphas)) * 10.0 ** rng.uniform(-3, 3)
-            table = MomentTable(K, N, 0.4, True, np.ones(K), values)
+            table = MomentTable(K, N, np.ones(K), values)
             mm = mollifier_moments(rng.uniform(0.05, 1.5), N)
             dense = _apply_axes(_binomial_convolution_matrix(mm, N), table.entries)
             want = np.array([dense[a] for a in alphas])
@@ -383,7 +391,7 @@ class TestFitNodes:
         atoms = np.array([[1.0, 0.9, 0.5], [1.0, -0.8, 0.3], [1.0, 0.1, -1.1]])
         alphas = total_degree_indices(K, N)
         values = np.array([np.mean(np.prod(atoms ** np.array(a), axis=1)) for a in alphas])
-        table = MomentTable(K=K, N=N, epsilon=0.4, valid=True, pair_diagonal=np.ones(K), values=values)
+        table = MomentTable(K=K, N=N, pair_diagonal=np.ones(K), values=values)
         M = mollify_moments(table, mollifier_moments(0.2, N))
         fit = fit_nodes(M, kappa, K, r)
         grid = grid_nodes(kappa, K, r)

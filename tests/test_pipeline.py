@@ -252,7 +252,7 @@ class TestRunPipeline:
         doc = read_json(res.out_dir / "fit.json")
         assert block == {
             "resolution": doc["resolution"],
-            "grid_nodes": doc["resolution"] ** doc["K"],
+            "grid_nodes": doc["resolution"] ** read_json(res.out_dir / "spectrum.json")["K"],
             "support": len(doc["weights"]),
             "residual": doc["residual"],
             "iterations": doc["iterations"],
@@ -334,7 +334,7 @@ class TestRunPipeline:
         res = run_pipeline(PipelineConfig(model=str(model), n=20_000, seed=0), out_dir=tmp_path / "out")
         assert res.manifest["model"]["r0"] == res.manifest["K"] == nonbacktracking.K_CAP
         assert not res.degenerate and res.manifest["warnings"] == []
-        assert len(read_json(res.out_dir / "moments.json")["entries"]) == 495
+        assert len(read_json(res.out_dir / "moments.json")["values"]) == 495
         assert res.manifest["fit"]["support"] == res.estimate.atoms.shape[0] > 0
         # the alignment search over 8! * 2^8 candidates is refused, not run
         assert res.metrics["delta2_upper"] is None and "exceeds the budget" in res.metrics["alignment_warning"]
@@ -449,7 +449,7 @@ class TestStagedExecution:
         assert fitted.weights.sum() == pytest.approx(1.0, abs=1e-12)
         reloaded = PipelineState(cfg, cfg.out)
         reloaded.require_fit()
-        for name in ("K", "N", "kappa", "delta", "resolution", "residual", "iterations"):
+        for name in ("K", "kappa", "delta", "resolution", "residual", "iterations"):
             assert getattr(reloaded.fit, name) == getattr(fitted, name), name
         np.testing.assert_array_equal(reloaded.fit.nodes, fitted.nodes)
         np.testing.assert_array_equal(reloaded.fit.weights, fitted.weights)
@@ -494,12 +494,30 @@ class TestStagedExecution:
             run_stage(stage, cfg)
         path = tmp_path / "out" / "moments.json"
         doc = read_json(path)
-        doc["entries"][3]["value"] = float("inf")
+        doc["values"][3] = float("inf")
         path.write_text(json.dumps(doc))
         state = run_stage("fit", cfg)
         assert state.degenerate and state.fit is None
         record = read_json(tmp_path / "out" / DEGENERATE_NAME)
-        assert record["stage"] == "fit" and "non-finite" in record["reason"]
+        assert record == {"config_hash": doc["config_hash"], "stage": "fit",
+                          "reason": "moment fit unusable: moment table has non-finite entries"}
+
+    def test_non_positive_P_diag_read_back_is_degenerate(self, model_file, tmp_path):
+        # the table is valid exactly when every P_diag > 0, whichever run wrote it
+        cfg = small_config(model_file, tmp_path)
+        for stage in ("generate", "spectrum", "moments"):
+            run_stage(stage, cfg)
+        path = tmp_path / "out" / "moments.json"
+        doc = read_json(path)
+        doc["P_diag"][1] = 0.0
+        path.write_text(json.dumps(doc))
+        state = run_stage("fit", cfg)
+        assert state.degenerate and state.fit is None
+        assert read_json(tmp_path / "out" / DEGENERATE_NAME)["reason"] == (
+            "moment fit unusable: moment table is invalid (some pair diagonal <= 0)"
+        )
+        assert not (tmp_path / "out" / "fit.json").exists()
+        assert run_stage("estimate", cfg).estimate.provenance["degenerate"]
 
     @pytest.mark.parametrize(
         "case", ["spectrum-raises", "no-eigenvalue", "table-too-large", "too-many-terms", "fit-unusable"]
@@ -691,13 +709,9 @@ class TestCli:
         assert re.match(rf"error \[estimate\]: {re.escape(str(fit))}: {message}", err), err
 
     @staticmethod
-    def _drop_value(doc):
-        del doc["entries"][0]["value"]
-
-    @staticmethod
-    def _set(field, value, entry=None):
+    def _set(field, value):
         def spoil(doc):
-            (doc if entry is None else doc["entries"][entry])[field] = value
+            doc[field] = value
 
         return spoil
 
@@ -713,26 +727,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "dump, stage, spoil, message",
         [
-            ("moments.json", "fit", _drop_value, r"entries\[0\]: field 'value' is missing"),
-            ("moments.json", "fit", _set("value", "abc", entry=2), r"entries\[2\]: field 'value' is 'abc', not a number"),
-            ("moments.json", "fit", _set("alpha", [0, 1, 0], entry=1),
-             r"entries\[1\]: field 'alpha' is \[0, 1, 0\], not \[0, 1\]; "
-             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
-            ("moments.json", "fit", _set("entries", [1, 2]), r"field 'entries' is not a list of objects"),
-            # K = 2, N = 3: entries[2] is alpha (0, 2)
-            ("moments.json", "fit", lambda doc: doc["entries"].pop(2),
-             r"entries\[2\]: field 'alpha' is \[0, 3\], not \[0, 2\]; "
-             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
-            ("moments.json", "fit", lambda doc: doc["entries"].append(dict(doc["entries"][2])),
-             r"entries\[10\]: field 'alpha' is \[0, 2\], past the last of the 10 alphas; "
-             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
-            ("moments.json", "fit", lambda doc: doc["entries"].insert(1, doc["entries"].pop(2)),
-             r"entries\[1\]: field 'alpha' is \[0, 2\], not \[0, 1\]; "
-             r"entries list each alpha with \|alpha\| <= 3 once, in lexicographic order"),
-            ("moments.json", "fit", lambda doc: doc["entries"].pop(), r"field 'entries' ends before alpha \[3, 0\]"),
-            ("moments.json", "fit", _set("N", 4), r"entries\[4\]: field 'alpha' is \[1, 0\], not \[0, 4\]; "
-             r"entries list each alpha with \|alpha\| <= 4 once, in lexicographic order"),
-            ("moments.json", "fit", _set("K", 3), r"field 'K' is 3, not spectrum.json's 2"),
+            # K = 2, N = 3: C(3 + 2, 2) = 10 values
+            ("moments.json", "fit", lambda doc: doc["values"].pop(2),
+             r"field 'values' has length 9, not C\(N\+K, K\) = 10"),
+            ("moments.json", "fit", _put("values", 2, "abc"), r"field 'values' holds entries that are not numbers"),
+            ("moments.json", "fit", lambda doc: doc["values"].append(0.5),
+             r"field 'values' has length 11, not C\(N\+K, K\) = 10"),
+            ("moments.json", "fit", _set("values", {"0": 1.0}), r"field 'values' is a dict, not a list"),
+            ("moments.json", "fit", _set("N", 4), r"field 'values' has length 10, not C\(N\+K, K\) = 15"),
+            # C(200 + 2, 2) = 20 301 values: refused on N, whatever the values
+            ("moments.json", "fit", _set("N", 200), r"field 'N' is 200; at K = 2 that is over 10000 entries"),
+            ("moments.json", "fit", _set("N", "4"), r"field 'N' is '4', not an integer >= 1"),
             ("moments.json", "fit", _set("P_diag", [1.0]), r"field 'P_diag' has length 1, not 2"),
             ("fit.json", "estimate", _set("nodes", "abc"), r"field 'nodes' is a str, not a list"),
             ("fit.json", "estimate", _set("weights", ["abc"]), r"field 'weights' holds entries that are not numbers"),
@@ -740,10 +745,8 @@ class TestCli:
              r"field 'nodes' holds \d+ numbers, not K = 2 for each of \d+ weights"),
             ("fit.json", "estimate", _set("kappa", "1"), r"field 'kappa' is '1', not a number > 0"),
             ("fit.json", "estimate", _set("delta", 0.0), r"field 'delta' is 0\.0, not a number > 0"),
-            ("fit.json", "estimate", _set("N", "4"), r"field 'N' is '4', not an integer >= 1"),
             ("fit.json", "estimate", _set("resolution", True),
              r"field 'resolution' is True, not an integer >= 1"),
-            ("fit.json", "estimate", _set("K", 3), r"field 'K' is 3, not spectrum.json's 2"),
             ("split.json", "spectrum", _set("epsilon", 1.5),
              r"field 'epsilon' is 1\.5, not a number in \(0, 1\)"),
             ("split.json", "spectrum", _set("epsilon", "0.4"),
@@ -764,25 +767,20 @@ class TestCli:
             ("fit.json", "estimate", _put("weights", 0, float("nan")),
              r"field 'weights' holds entries that are not finite numbers"),
             ("fit.json", "estimate", _put("weights", 0, 5.0), r"field 'weights' sums to [\d.]+, not to 1 within 1e-9"),
-            ("moments.json", "fit", _put("P_diag", 0, -1.0),
-             r"field 'valid' is True, not False: true exactly when every P_diag > 0"),
             ("estimate.json", "evaluate", _put("atoms", 0, float("inf")),
              r"field 'atoms' holds entries that are not finite numbers"),
             ("estimate.json", "evaluate", _put("lambdas", 0, float("nan")),
              r"field 'lambdas' holds entries that are not finite numbers"),
             ("estimate.json", "evaluate", _set("kappa", -1.0), r"field 'kappa' is -1\.0, not a number >= 0"),
             ("fit.json", "estimate", _set("kappa", 0.0), r"field 'kappa' is 0\.0, not a number > 0"),
-            ("moments.json", "fit", _set("valid", False),
-             r"field 'valid' is False, not True: true exactly when every P_diag > 0"),
         ],
-        ids=["value-missing", "value-not-a-number", "alpha-of-3", "entries-not-objects", "alpha-missing", "alpha-repeated",
-             "alphas-out-of-order", "entries-end-early", "N-above-the-entries", "table-K-not-the-spectrum's",
-             "P_diag-short", "nodes-a-string", "weights-not-numbers", "nodes-and-weights-disagree", "kappa-a-string",
-             "delta-zero", "N-a-string", "resolution-a-boolean", "fit-K-not-the-spectrum's", "epsilon-above-1",
+        ids=["value-missing", "value-not-a-number", "values-too-long", "values-not-a-list", "N-above-the-entries",
+             "N-over-TERM_BUDGET", "N-a-string", "P_diag-short", "nodes-a-string", "weights-not-numbers",
+             "nodes-and-weights-disagree", "kappa-a-string", "delta-zero", "resolution-a-boolean", "epsilon-above-1",
              "epsilon-a-string", "m2-negative", "third-lambda", "one-residual", "K-above-K_CAP", "stage-unknown",
              "lambda-infinite", "e1-nan", "node-infinite", "fit-kappa-infinite", "weight-negative", "weight-nan",
-             "weights-sum-above-1", "P_diag-negative-but-valid", "atom-infinite", "estimate-lambda-nan",
-             "estimate-kappa-negative", "fit-kappa-zero", "valid-false-every-P_diag-positive"],
+             "weights-sum-above-1", "atom-infinite", "estimate-lambda-nan", "estimate-kappa-negative",
+             "fit-kappa-zero"],
     )
     def test_malformed_stage_dump_names_the_file_and_field(self, model_file, tmp_path, capsys, dump, stage, spoil, message):
         cfg_path = tmp_path / "cfg.json"
@@ -812,9 +810,11 @@ class TestCli:
              r"model\.json: field 'values' is not a 2 × 2 array of numbers$"),
             ({"block_measures": [0.5, 0.5], "values": [[7, True], [True, 7]]},
              r"model\.json: field 'values' is not a 2 × 2 array of numbers$"),
+            ({"block_measures": [0.5, 0.6], "values": [[7, 1], [1, 7]]}, r"model\.json: block measures must sum to 1$"),
+            ({"block_measures": [0.5, 0.5], "values": [[7, 1], [2, 7]]}, r"model\.json: values must be symmetric$"),
         ],
         ids=["truncated-config", "config-list", "model-without-values", "measures-not-numbers", "values-ragged",
-             "values-booleans"],
+             "values-booleans", "measures-not-summing-to-1", "values-asymmetric"],
     )
     def test_unreadable_config_or_model_names_the_file(self, tmp_path, capsys, config, message):
         """A config given as a dict is a model document, named by a config that is otherwise good."""
