@@ -727,8 +727,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "dump, stage, spoil, message",
         [
-            # K = 2, N = 3: C(3 + 2, 2) = 10 values
+            ("moments.json", "fit", lambda doc: doc.pop("values"), r"field 'values' is missing"),
+            # K = 2, N = 3: C(3 + 2, 2) = 10 values; values[2] is alpha (0, 2)
             ("moments.json", "fit", lambda doc: doc["values"].pop(2),
+             r"field 'values' has length 9, not C\(N\+K, K\) = 10"),
+            ("moments.json", "fit", lambda doc: doc["values"].pop(),
              r"field 'values' has length 9, not C\(N\+K, K\) = 10"),
             ("moments.json", "fit", _put("values", 2, "abc"), r"field 'values' holds entries that are not numbers"),
             ("moments.json", "fit", lambda doc: doc["values"].append(0.5),
@@ -774,7 +777,7 @@ class TestCli:
             ("estimate.json", "evaluate", _set("kappa", -1.0), r"field 'kappa' is -1\.0, not a number >= 0"),
             ("fit.json", "estimate", _set("kappa", 0.0), r"field 'kappa' is 0\.0, not a number > 0"),
         ],
-        ids=["value-missing", "value-not-a-number", "values-too-long", "values-not-a-list", "N-above-the-entries",
+        ids=["value-missing", "alpha-missing", "entries-end-early", "value-not-a-number", "values-too-long", "values-not-a-list", "N-above-the-entries",
              "N-over-TERM_BUDGET", "N-a-string", "P_diag-short", "nodes-a-string", "weights-not-numbers",
              "nodes-and-weights-disagree", "kappa-a-string", "delta-zero", "resolution-a-boolean", "epsilon-above-1",
              "epsilon-a-string", "m2-negative", "third-lambda", "one-residual", "K-above-K_CAP", "stage-unknown",
